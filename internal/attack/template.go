@@ -105,7 +105,8 @@ func (t *Template) logLikelihood(symbol int, obs Observation) float64 {
 		i := symbol*t.nsets + s
 		cnt := float64(t.counts[i][obs[s]])
 		tot := float64(t.totals[i])
-		ll += math.Log((cnt + laplaceAlpha) / (tot + laplaceAlpha*k))
+		// float64() stops a fused multiply-add (see rng.Float64).
+		ll += math.Log((cnt + laplaceAlpha) / (tot + float64(laplaceAlpha*k)))
 	}
 	return ll
 }

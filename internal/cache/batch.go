@@ -19,11 +19,9 @@ func (c *Cache) AccessBatch(reqs []Request, out []Result) {
 }
 
 // AccessBatchStats is AccessBatch with caller-owned counters: events
-// are counted into st and perReq instead of the cache's own blocks.
-// The set-partitioned parallel executor (internal/trace) gives each
-// partition a private counter pair and merges them in fixed partition
-// order through MergeStats, keeping parallel output byte-identical to
-// serial.
+// are counted into st and perReq instead of the cache's own blocks, so
+// a caller can measure one batch without disturbing or resetting the
+// cache's Stats.
 func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq *[]Stats) {
 	if out != nil && len(out) < len(reqs) {
 		panic("cache: AccessBatch output slice shorter than request slice")
@@ -156,82 +154,4 @@ func flushCounters(st, rs *Stats, nAcc, nHit, nMiss, nEv, nXev *uint64) {
 	st.CrossEvictions += *nXev
 	rs.CrossEvictions += *nXev
 	*nAcc, *nHit, *nMiss, *nEv, *nXev = 0, 0, 0, 0, 0
-}
-
-// AllResident reports whether every listed physical line is currently
-// valid in its set. The trace executors call it, read-only, before
-// applying a run plan: all distinct lines of a span resident at span
-// start implies (by induction — hits never evict) that every record of
-// the span hits, so the plan's bulk replay is exact.
-func (c *Cache) AllResident(physLines []uint64) bool {
-	for _, pl := range physLines {
-		set := int(pl & c.setMask)
-		tag := pl >> c.setShift
-		lines := c.set(set)
-		found := false
-		for w := range lines {
-			if lines[w].flags&lineValid != 0 && lines[w].tag == tag {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// TouchLine applies the hit-path replacement touch to the resident
-// line, reporting whether it was found. It moves no counters and must
-// not be used under TrackUtags or LockReplacementState configs (the
-// trace executors only reach it where run analysis is enabled, which
-// excludes both).
-func (c *Cache) TouchLine(physLine uint64) bool {
-	set := int(physLine & c.setMask)
-	tag := physLine >> c.setShift
-	lines := c.set(set)
-	for w := range lines {
-		if lines[w].flags&lineValid != 0 && lines[w].tag == tag {
-			c.repl.Touch(set, w)
-			return true
-		}
-	}
-	return false
-}
-
-// CreditLoadHits counts n plain load hits for requestor — the bulk
-// form of the fast loop's hit counters, used by run-plan replay where
-// the per-record events are known without executing them.
-func (c *Cache) CreditLoadHits(requestor int, n uint64) {
-	if requestor < 0 {
-		panic("cache: negative requestor")
-	}
-	c.stats.Accesses += n
-	c.stats.Hits += n
-	rs := c.reqStats(requestor)
-	rs.Accesses += n
-	rs.Hits += n
-}
-
-// AccessStats is Access with caller-owned counters, the single-access
-// form of AccessBatchStats. Set-partitioned executors use it for the
-// records they cannot batch.
-func (c *Cache) AccessStats(req Request, st *Stats, perReq *[]Stats) Result {
-	if req.Requestor < 0 {
-		panic("cache: negative requestor")
-	}
-	return c.accessInto(req, st, growStats(perReq, req.Requestor))
-}
-
-// MergeStats folds a partition's private counters (accumulated by
-// AccessBatchStats) into the cache's own, growing the per-requestor
-// table exactly as the serial path would have. Callers must merge
-// partitions in a fixed order covering every entry, including zero
-// ones, so the table's final length matches serial execution.
-func (c *Cache) MergeStats(st Stats, perReq []Stats) {
-	c.stats.Add(st)
-	for i := range perReq {
-		c.reqStats(i).Add(perReq[i])
-	}
 }

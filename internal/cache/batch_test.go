@@ -131,7 +131,7 @@ func TestAccessBatchNilOut(t *testing.T) {
 
 // The batch loop must stay off the allocator once the per-requestor
 // table covers the batch's requestors — it is the innermost loop of
-// the trace-compiled drivers.
+// the batch drivers.
 func TestAccessBatchZeroAllocs(t *testing.T) {
 	reqs := decodeBatch([]byte{0, 1, 2, 3, 4, 5, 6, 7, 33, 40, 41, 42, 64, 65, 66, 67, 8, 9, 10, 11})
 	out := make([]Result, len(reqs))

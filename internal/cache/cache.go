@@ -124,18 +124,6 @@ type Stats struct {
 	UtagMisses     uint64
 }
 
-// Add accumulates o into s field-wise. The set-partitioned executor
-// uses it to fold per-partition counter blocks back together.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.CrossEvictions += o.CrossEvictions
-	s.Bypasses += o.Bypasses
-	s.UtagMisses += o.UtagMisses
-}
-
 // EmitEvents exports the counters as unprefixed named events — the
 // metrics.Source interface, satisfied structurally so this package
 // stays free of a metrics import. Wrap with metrics.Prefixed("l1d", s)
@@ -279,7 +267,7 @@ func (c *Cache) Access(req Request) Result {
 
 // accessInto is the full access path, counting events into st and rs
 // (the aggregate and per-requestor blocks — the cache's own under
-// Access, a partition's private pair under AccessBatchStats).
+// Access, the caller's pair under AccessBatchStats).
 func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 	set := int(req.PhysLine & c.setMask)
 	tag := req.PhysLine >> c.setShift

@@ -194,7 +194,8 @@ func (s *Setup) FixedThreshold() float64 {
 	prof := s.Hier.Profile()
 	chain := len(s.Chaser.Elements())
 	base := float64(chain*prof.L1Latency + prof.MeasureOverhead)
-	return base + float64(prof.L1Latency+prof.L2Latency)/2
+	// The outer float64() stops a fused multiply-add (see rng.Float64).
+	return base + float64(float64(prof.L1Latency+prof.L2Latency)/2)
 }
 
 // EncodeCost returns the sender's encoding latency in cycles for one bit —

@@ -146,7 +146,8 @@ func auc(points []ROCPoint) float64 {
 	})
 	var area float64
 	for i := 1; i < len(pts); i++ {
-		area += (pts[i].x - pts[i-1].x) * (pts[i].y + pts[i-1].y) / 2
+		// float64() stops a fused multiply-add (see rng.Float64).
+		area += float64((pts[i].x - pts[i-1].x) * (pts[i].y + pts[i-1].y) / 2)
 	}
 	return area
 }

@@ -1,25 +1,22 @@
 package hier
 
 import (
-	"sync"
-
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/replacement"
-	"repro/internal/trace"
 )
 
-// Batch execution over the hierarchy. LoadBatch and LoadTrace replay
-// pre-resolved access programs bit-identically to per-access Load
-// calls: same results, same per-level Stats, same replacement-state
-// and RNG evolution. Where the configuration allows it they split the
-// work into one L1 AccessBatch pass plus a walk of the misses — valid
-// because L1 and L2 hold independent state, so only a shared Random
-// generator or a prefetcher (whose loads re-enter the L1 between
-// records) forces strict per-access interleaving.
+// Batch execution over the hierarchy. LoadBatch replays an address
+// program bit-identically to per-access Load calls: same results, same
+// per-level Stats, same replacement-state and RNG evolution. Where the
+// configuration allows it, it splits the work into one L1 AccessBatch
+// pass plus a walk of the misses — valid because L1 and L2 hold
+// independent state, so only a shared Random generator or a prefetcher
+// (whose loads re-enter the L1 between records) forces strict
+// per-access interleaving.
 
-// batchChunk bounds the scratch buffers of the batch paths: requests
-// are staged and executed in chunks so arbitrarily long programs run
+// batchChunk bounds the scratch buffers of LoadBatch: requests are
+// staged and executed in chunks so arbitrarily long programs run
 // allocation-free after the first call.
 const batchChunk = 1024
 
@@ -38,24 +35,6 @@ func (h *Hierarchy) scratch(n int) ([]cache.Request, []cache.Result) {
 		h.bres = make([]cache.Result, batchChunk)
 	}
 	return h.breqs[:n], h.bres[:n]
-}
-
-// reqAddr reconstructs the byte-address view of a record. Records hold
-// line numbers only; rebuilding line-aligned byte addresses is exact
-// for everything the hierarchy consults them for (page boundaries are
-// line-aligned, so the prefetcher's samePage test is unaffected).
-func (h *Hierarchy) reqAddr(req cache.Request) mem.Addr {
-	ls := uint64(h.cfg.Profile.LineSize)
-	return mem.Addr{
-		Virt: req.LinearLine * ls, Phys: req.PhysLine * ls,
-		VirtLine: req.LinearLine, PhysLine: req.PhysLine,
-	}
-}
-
-// loadReq is Load for a pre-resolved record.
-func (h *Hierarchy) loadReq(req cache.Request) Result {
-	r1 := h.l1.Access(req)
-	return h.finish(h.reqAddr(req), req.Requestor, r1, true)
 }
 
 // LoadBatch performs loads of addrs in order on behalf of requestor,
@@ -87,197 +66,6 @@ func (h *Hierarchy) LoadBatch(addrs []mem.Addr, requestor int, out []Result) {
 				continue
 			}
 			out[base+i] = h.finish(addrs[base+i], requestor, res[i], true)
-		}
-	}
-}
-
-// NewTraceBuilder returns a trace.Builder matched to this hierarchy's
-// L1, with run analysis enabled exactly when replaying a marked span
-// as guaranteed L1 hits is sound here (no PL bypass, no utag latency
-// remapping, no prefetcher loads invisible to the analysis).
-func (h *Hierarchy) NewTraceBuilder() *trace.Builder {
-	p := h.cfg.Profile
-	return trace.NewBuilder(trace.Config{
-		Sets: p.L1Sets, Ways: p.L1Ways, Policy: h.cfg.L1Policy,
-		LockReplacementState: h.cfg.LockReplacementStateL1,
-		AnalyzeRuns: !h.cfg.PartitionLockedL1 && !p.HasUtagPredictor &&
-			h.cfg.Prefetcher == PrefetchNone,
-	})
-}
-
-// LoadTrace replays a compiled trace, writing the i'th record's Result
-// to out[i], bit-identically to loading the records one by one.
-// Records inside the trace's provable-hit runs skip the hierarchy
-// dispatch: a span with a compiled RunPlan replays as bulk hit-counter
-// credits plus one touch per distinct line (validated resident first,
-// which re-proves the all-hit claim against the actual cache state);
-// spans without a plan execute as one L1 batch with pre-built L1-hit
-// results. A record that nevertheless misses (which a sound analysis
-// never produces) is completed through the lower levels, so output
-// stays correct even then.
-func (h *Hierarchy) LoadTrace(tr *trace.Trace, out []Result) {
-	reqs := tr.Reqs
-	if len(out) < len(reqs) {
-		panic("hier: LoadTrace output slice shorter than trace")
-	}
-	p := h.cfg.Profile
-	l1Hit := Result{Level: LevelL1, Latency: p.L1Latency, L1Hit: true}
-	plans, planTouch := tr.RunPlans(h.cfg.L1Policy, h.cfg.LockReplacementStateL1)
-	if p.HasUtagPredictor || h.cfg.PartitionLockedL1 || h.cfg.Prefetcher != PrefetchNone ||
-		len(plans) != len(tr.Runs) {
-		// Hits carry side effects beyond the replacement touch here
-		// (utag rewrites, lock interactions, prefetch issue); a
-		// well-formed builder never marks runs in these configs, but a
-		// foreign trace replays safely through the full path.
-		plans = nil
-	}
-	i := 0
-	for ri, run := range tr.Runs {
-		for ; i < run.Start; i++ {
-			out[i] = h.loadReq(reqs[i])
-		}
-		if plans != nil && h.l1.AllResident(plans[ri].Lines) {
-			for j := run.Start; j < run.End; j++ {
-				out[j] = l1Hit
-			}
-			for _, rc := range plans[ri].Reqs {
-				h.l1.CreditLoadHits(rc.Requestor, rc.N)
-			}
-			if planTouch {
-				for _, ln := range plans[ri].Lines {
-					h.l1.TouchLine(ln)
-				}
-			}
-			i = run.End
-			continue
-		}
-		for base := run.Start; base < run.End; base += batchChunk {
-			n := min(batchChunk, run.End-base)
-			_, res := h.scratch(n)
-			h.l1.AccessBatch(reqs[base:base+n], res)
-			for j := 0; j < n; j++ {
-				if res[j].Hit && !res[j].UtagMiss {
-					out[base+j] = l1Hit
-					continue
-				}
-				out[base+j] = h.finish(h.reqAddr(reqs[base+j]), reqs[base+j].Requestor, res[j], true)
-			}
-		}
-		i = run.End
-	}
-	for ; i < len(reqs); i++ {
-		out[i] = h.loadReq(reqs[i])
-	}
-}
-
-// levelCounters is one partition's private counter block for one cache
-// level.
-type levelCounters struct {
-	st     cache.Stats
-	perReq []cache.Stats
-}
-
-// finishStats is finish with partition-private counters and no
-// prefetching (the parallel path never runs with a prefetcher).
-func (h *Hierarchy) finishStats(req cache.Request, r1 cache.Result, l2c, llcc *levelCounters) Result {
-	p := h.cfg.Profile
-	if r1.Hit {
-		res := Result{Level: LevelL1, Latency: p.L1Latency, L1Hit: true}
-		if r1.UtagMiss {
-			res.UtagMiss = true
-			res.Latency = p.L2Latency
-		}
-		return res
-	}
-	res := Result{Bypassed: r1.Bypassed}
-	r2 := h.l2.AccessStats(cache.Request{
-		PhysLine: req.PhysLine, LinearLine: req.LinearLine, Requestor: req.Requestor,
-	}, &l2c.st, &l2c.perReq)
-	switch {
-	case r2.Hit:
-		res.Level, res.Latency = LevelL2, p.L2Latency
-	case h.llc != nil:
-		r3 := h.llc.AccessStats(cache.Request{
-			PhysLine: req.PhysLine, LinearLine: req.LinearLine, Requestor: req.Requestor,
-		}, &llcc.st, &llcc.perReq)
-		if r3.Hit {
-			res.Level, res.Latency = LevelLLC, h.llcLatency
-		} else {
-			res.Level, res.Latency = LevelMem, p.MemLatency
-		}
-	default:
-		res.Level, res.Latency = LevelMem, p.MemLatency
-	}
-	return res
-}
-
-// LoadTraceParallel replays a compiled trace split by L1 set index
-// across at most workers goroutines, byte-identically to LoadTrace.
-// Set counts are powers of two and grow monotonically down the
-// hierarchy, so records in different L1 sets also touch disjoint L2
-// and LLC sets: partitions share no cache state at any level, each
-// set's records stay in program order inside one partition, and the
-// partitions' private counters merge in fixed order afterwards.
-// Configurations whose accesses couple across sets — a shared Random
-// victim generator or a prefetcher — fall back to serial.
-func (h *Hierarchy) LoadTraceParallel(tr *trace.Trace, out []Result, workers int) {
-	l1Sets := h.l1.Sets()
-	if workers > l1Sets {
-		workers = l1Sets
-	}
-	if workers <= 1 || !h.phaseSplitOK() ||
-		h.l2.Sets() < l1Sets || (h.llc != nil && h.llc.Sets() < l1Sets) {
-		h.LoadTrace(tr, out)
-		return
-	}
-	if len(out) < len(tr.Reqs) {
-		panic("hier: LoadTraceParallel output slice shorter than trace")
-	}
-
-	setMask := uint64(l1Sets - 1)
-	parts := make([][]int32, workers)
-	for i := range tr.Reqs {
-		p := int(tr.Reqs[i].PhysLine&setMask) % workers
-		parts[p] = append(parts[p], int32(i))
-	}
-
-	type partCounters struct {
-		l1, l2, llc levelCounters
-	}
-	counters := make([]partCounters, workers)
-	prof := h.cfg.Profile
-	l1Hit := Result{Level: LevelL1, Latency: prof.L1Latency, L1Hit: true}
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		if len(parts[p]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			idx := parts[p]
-			pc := &counters[p]
-			reqs := make([]cache.Request, len(idx))
-			res := make([]cache.Result, len(idx))
-			for j, i := range idx {
-				reqs[j] = tr.Reqs[i]
-			}
-			h.l1.AccessBatchStats(reqs, res, &pc.l1.st, &pc.l1.perReq)
-			for j, i := range idx {
-				if res[j].Hit && !res[j].UtagMiss {
-					out[i] = l1Hit
-					continue
-				}
-				out[i] = h.finishStats(reqs[j], res[j], &pc.l2, &pc.llc)
-			}
-		}(p)
-	}
-	wg.Wait()
-	for p := 0; p < workers; p++ {
-		h.l1.MergeStats(counters[p].l1.st, counters[p].l1.perReq)
-		h.l2.MergeStats(counters[p].l2.st, counters[p].l2.perReq)
-		if h.llc != nil {
-			h.llc.MergeStats(counters[p].llc.st, counters[p].llc.perReq)
 		}
 	}
 }

@@ -10,23 +10,22 @@ import (
 	"repro/internal/uarch"
 )
 
-// Bit-identity of the hierarchy batch paths: LoadBatch, LoadTrace and
-// LoadTraceParallel must be indistinguishable from per-address Load
-// calls — same Results, same per-level Stats, same replacement-state
+// Bit-identity of the hierarchy batch path: LoadBatch must be
+// indistinguishable from per-address Load calls — same Results, same per-level Stats, same replacement-state
 // and RNG evolution — across every policy, prefetcher, and profile
 // corner, including the configurations where they fall back to the
 // per-access path.
 
 // batchHierConfigs enumerates the corners: plain deterministic (phase
-// split + parallel eligible), Random L1 (serial fallback), each
-// prefetcher (fallback), utag profile, and the PL configs.
+// split), Random L1 (per-access fallback), each prefetcher (fallback),
+// utag profile, and the PL configs.
 func batchHierConfigs() []Config {
 	sb, zen := uarch.SandyBridge(), uarch.Zen()
 	return []Config{
 		{Profile: sb, L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, WithLLC: true},
 		{Profile: sb, L1Policy: replacement.TrueLRU, L2Policy: replacement.BitPLRU},
-		{Profile: sb, L1Policy: replacement.BitPLRU, L2Policy: replacement.TreePLRU}, // runs but no plans
-		{Profile: sb, L1Policy: replacement.FIFO, L2Policy: replacement.TreePLRU},    // counter-only plans
+		{Profile: sb, L1Policy: replacement.BitPLRU, L2Policy: replacement.TreePLRU},
+		{Profile: sb, L1Policy: replacement.FIFO, L2Policy: replacement.TreePLRU},
 		{Profile: sb, L1Policy: replacement.Random, L2Policy: replacement.TreePLRU, WithLLC: true},
 		{Profile: sb, L1Policy: replacement.FIFO, L2Policy: replacement.TreePLRU, Prefetcher: PrefetchNextLine},
 		{Profile: sb, L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, Prefetcher: PrefetchStride, WithLLC: true},
@@ -42,7 +41,7 @@ func cfgName(cfg Config) string {
 }
 
 // batchAddrs builds a stream mixing set-local churn (revisits that
-// produce L1 hits and provable runs) with strided cold misses.
+// produce L1 hits) with strided cold misses.
 func batchAddrs(cfg Config, n int, seed uint64) []mem.Addr {
 	r := rng.New(seed)
 	sets := uint64(cfg.Profile.L1Sets)
@@ -66,7 +65,7 @@ func hierStats(h *Hierarchy) string {
 	if h.llc != nil {
 		s += fmt.Sprintf("LLC %+v\n", h.llc.Stats())
 	}
-	// Replacement state too: the run-plan replay updates it through a
+	// Replacement state too: the batch loop updates it through a
 	// different code path than per-access execution, so counter
 	// equality alone would not prove bit-identity.
 	for set := 0; set < h.l1.Sets(); set++ {
@@ -124,6 +123,10 @@ func TestLoadBatchMatchesLoad(t *testing.T) {
 	}
 }
 
+// A whole address trace loaded through one LoadBatch call on a cold
+// hierarchy must match per-address Load from the same cold state: the
+// fills from empty, every later hit and eviction, and the final
+// per-level Stats and replacement state.
 func TestLoadTraceMatchesLoad(t *testing.T) {
 	for _, cfg := range batchHierConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
@@ -134,69 +137,26 @@ func TestLoadTraceMatchesLoad(t *testing.T) {
 			}
 			hs, hb := New(ca), New(cb)
 
-			b := hb.NewTraceBuilder()
-			for _, a := range addrs {
-				b.Load(a.PhysLine, 0)
-			}
-			tr := b.Trace()
-
 			want := make([]Result, len(addrs))
 			for i, a := range addrs {
 				want[i] = hs.Load(a, 0)
 			}
 			got := make([]Result, len(addrs))
-			hb.LoadTrace(tr, got)
+			hb.LoadBatch(addrs, 0, got)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("record %d diverges: trace %+v, serial %+v (runs=%v)", i, got[i], want[i], tr.Runs)
+					t.Fatalf("record %d diverges: batch %+v, serial %+v", i, got[i], want[i])
 				}
 			}
 			if a, b := hierStats(hs), hierStats(hb); a != b {
-				t.Fatalf("stats diverge:\nserial:\n%s\ntrace:\n%s", a, b)
+				t.Fatalf("stats diverge:\nserial:\n%s\nbatch:\n%s", a, b)
 			}
 		})
 	}
 }
 
-// The set-partition executor must be byte-identical to serial replay at
-// every worker count, on the eligible configs and on the ones it must
-// reject into the serial path.
-func TestLoadTraceParallelMatchesSerial(t *testing.T) {
-	for _, cfg := range batchHierConfigs() {
-		t.Run(cfgName(cfg), func(t *testing.T) {
-			addrs := batchAddrs(cfg, 1000, 77)
-			for _, workers := range []int{2, 3, 8, 64} {
-				ca, cb := cfg, cfg
-				if cfg.L1Policy == replacement.Random {
-					ca.RNG, cb.RNG = rng.New(5), rng.New(5)
-				}
-				hs, hp := New(ca), New(cb)
-				b := hp.NewTraceBuilder()
-				for _, a := range addrs {
-					b.Load(a.PhysLine, 0)
-				}
-				tr := b.Trace()
-
-				want := make([]Result, len(addrs))
-				hs.LoadTrace(tr, want)
-				got := make([]Result, len(addrs))
-				hp.LoadTraceParallel(tr, got, workers)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d record %d diverges: parallel %+v, serial %+v",
-							workers, i, got[i], want[i])
-					}
-				}
-				if a, b := hierStats(hs), hierStats(hp); a != b {
-					t.Fatalf("workers=%d stats diverge:\nserial:\n%s\nparallel:\n%s", workers, a, b)
-				}
-			}
-		})
-	}
-}
-
-// LoadBatch and LoadTrace must stay allocation-free after the first
-// call sized the scratch buffers.
+// LoadBatch must stay allocation-free after the first call sized the
+// scratch buffers.
 func TestLoadBatchZeroAllocs(t *testing.T) {
 	cfg := Config{Profile: uarch.SandyBridge(), L1Policy: replacement.TreePLRU,
 		L2Policy: replacement.TreePLRU, WithLLC: true}
@@ -208,17 +168,5 @@ func TestLoadBatchZeroAllocs(t *testing.T) {
 		h.LoadBatch(addrs, 0, out)
 	}); got != 0 {
 		t.Errorf("LoadBatch allocates %.1f allocs/op, want 0", got)
-	}
-
-	b := h.NewTraceBuilder()
-	for _, a := range addrs {
-		b.Load(a.PhysLine, 0)
-	}
-	tr := b.Trace()
-	h.LoadTrace(tr, out)
-	if got := testing.AllocsPerRun(100, func() {
-		h.LoadTrace(tr, out)
-	}); got != 0 {
-		t.Errorf("LoadTrace allocates %.1f allocs/op, want 0", got)
 	}
 }

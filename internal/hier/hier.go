@@ -205,9 +205,9 @@ func (h *Hierarchy) load(addr mem.Addr, requestor int, op cache.Op, allowPrefetc
 
 // finish completes a load whose L1 access already happened: latency
 // selection for hits, the walk through L2/LLC/memory for misses, and
-// the prefetch trigger. Splitting it from load lets the batch paths
-// (LoadBatch, LoadTrace) run the L1 access through cache.AccessBatch
-// and still share the exact per-access completion logic.
+// the prefetch trigger. Splitting it from load lets LoadBatch run the
+// L1 access through cache.AccessBatch and still share the exact
+// per-access completion logic.
 func (h *Hierarchy) finish(addr mem.Addr, requestor int, r1 cache.Result, allowPrefetch bool) Result {
 	p := h.cfg.Profile
 	if r1.Hit {

@@ -366,7 +366,8 @@ func score(counts []map[uint64]int, secrets int, st Strategy, v int, r *rng.Rand
 				}
 				null += pluginMI(shuffled, trials)
 			}
-			if est -= null / nullShuffles; est > bits {
+			// float64() stops a fused multiply-add (see rng.Float64).
+			if est -= float64(null / nullShuffles); est > bits {
 				bits = est
 			}
 		}
@@ -385,7 +386,8 @@ func score(counts []map[uint64]int, secrets int, st Strategy, v int, r *rng.Rand
 // pluginMI is the maximum-likelihood mutual-information estimate
 // H(O) - H(O|S) in bits for per-secret histograms of equal sample
 // size. Accumulation runs in sorted-key order so the float result is
-// identical run to run (map iteration order is not).
+// identical run to run (map iteration order is not), and the float64()
+// conversions stop fused multiply-adds (see rng.Float64).
 func pluginMI(counts []map[uint64]int, trials int) float64 {
 	perSecret := float64(trials)
 	total := perSecret * float64(len(counts))
@@ -397,7 +399,7 @@ func pluginMI(counts []map[uint64]int, trials int) float64 {
 			n := c[o]
 			marginal[o] += n
 			p := float64(n) / perSecret
-			condH -= p * math.Log2(p)
+			condH -= float64(p * math.Log2(p))
 		}
 	}
 	condH /= float64(len(counts))
@@ -405,7 +407,7 @@ func pluginMI(counts []map[uint64]int, trials int) float64 {
 	outH := 0.0
 	for _, o := range sortedKeys(marginal) {
 		p := float64(marginal[o]) / total
-		outH -= p * math.Log2(p)
+		outH -= float64(p * math.Log2(p))
 	}
 	return outH - condH
 }

@@ -107,7 +107,8 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 			if !l2.Access(cache.Request{PhysLine: reqs[i].PhysLine}).Hit {
 				penalty += memLat
 			}
-			cycles += penalty * (1 - overlap)
+			// float64() stops a fused multiply-add (see rng.Float64).
+			cycles += float64(penalty * (1 - overlap))
 		}
 		done += n
 	}

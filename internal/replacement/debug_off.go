@@ -9,6 +9,6 @@ package replacement
 //	go test -tags lruleakdebug ./...
 //
 // to turn the descriptive panics back on while debugging a driver. The
-// per-set Policy implementations (the adapter used by tests, traces and
-// the DAWG model) keep their checkWay panics unconditionally.
+// per-set reference policies in the tests keep their checkWay panics
+// unconditionally.
 const debugChecks = false

@@ -5,14 +5,13 @@
 // Table I eviction-probability study and every channel experiment run on
 // top of these implementations.
 //
-// One Policy instance tracks the access history of a single cache set. The
-// containing cache is responsible for filling invalid ways first; a Policy
-// is only consulted for a victim when the set is full.
+// A SetArray holds the replacement state of every set of a cache (or of
+// every partition row of the DAWG model) in contiguous slices and
+// dispatches directly on Kind. The containing cache is responsible for
+// filling invalid ways first; the array is only consulted for a victim
+// when a set is full.
 //
-// internal/cache's hot path does not run on Policy instances: it uses the
-// packed SetArray, which stores the state of every set of a cache in
-// contiguous slices and dispatches directly on Kind. The Policy interface
-// and its per-set implementations remain the reference semantics and the
-// thin adapter for tests, traces, and the per-domain DAWG partitions; the
-// equivalence fuzz target keeps the two in lock-step.
+// Per-set reference implementations of each policy, in the most obvious
+// representation, live in this package's test files as oracles: the
+// equivalence fuzz target keeps SetArray in lock-step with them.
 package replacement

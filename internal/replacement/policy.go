@@ -3,33 +3,7 @@ package replacement
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/rng"
 )
-
-// Policy tracks replacement state for one cache set and chooses eviction
-// victims.
-type Policy interface {
-	// Name identifies the policy (for reports).
-	Name() string
-	// Ways returns the associativity this instance was built for.
-	Ways() int
-	// OnAccess records a use of the given way. Called on every hit and,
-	// by convention, after every fill (both hits and misses update LRU
-	// state — the property the whole attack rests on).
-	OnAccess(way int)
-	// Victim returns the way that would be evicted next. It must not
-	// mutate state: policies are consulted speculatively (e.g. by the
-	// PL cache, which may veto the eviction).
-	Victim() int
-	// Reset returns the state to its power-on value.
-	Reset()
-	// Clone returns an independent copy with identical state.
-	Clone() Policy
-	// StateString renders the internal state compactly for traces and
-	// debugging (e.g. "tree:0110101" or "mru:10011010").
-	StateString() string
-}
 
 // Kind names a replacement policy family.
 type Kind int
@@ -83,37 +57,9 @@ func ParseKind(s string) (Kind, error) {
 // Kinds lists every implemented policy family, in presentation order.
 func Kinds() []Kind { return []Kind{TrueLRU, TreePLRU, BitPLRU, FIFO, Random} }
 
-// New constructs a policy of the given kind for a set with the given
-// associativity. r supplies randomness and is only consulted by Random; it
-// may be nil for the other kinds. New panics if ways < 1, if Tree-PLRU is
-// requested with a non-power-of-two associativity, or if Random is
-// requested without a generator.
-func New(kind Kind, ways int, r *rng.Rand) Policy {
-	if ways < 1 {
-		panic("replacement: ways must be >= 1")
-	}
-	switch kind {
-	case TrueLRU:
-		return newTrueLRU(ways)
-	case TreePLRU:
-		return newTreePLRU(ways)
-	case BitPLRU:
-		return newBitPLRU(ways)
-	case FIFO:
-		return newFIFO(ways)
-	case Random:
-		if r == nil {
-			panic("replacement: Random policy requires a generator")
-		}
-		return newRandom(ways, r)
-	default:
-		panic(fmt.Sprintf("replacement: unknown kind %d", int(kind)))
-	}
-}
-
-// checkWay guards the per-set Policy implementations — the adapter path
-// used by tests, traces and the DAWG partitions. The packed SetArray
-// hot path omits this check unless built with -tags lruleakdebug.
+// checkWay guards way indices. The packed SetArray hot path calls it
+// only when built with -tags lruleakdebug; the per-set reference
+// policies in this package's tests call it unconditionally.
 func checkWay(way, ways int) {
 	if way < 0 || way >= ways {
 		panic(fmt.Sprintf("replacement: way %d out of range [0,%d)", way, ways))

@@ -25,10 +25,10 @@ import (
 //	FIFO       one uint64 per set holding the round-robin next pointer.
 //	Random     stateless; victims are drawn from the generator.
 //
-// The per-set Policy implementations in this package remain the
-// reference semantics; a SetArray must behave, set for set, exactly like
-// an array of New(kind, ways, r) instances driven through the same
-// Touch/Fill/Victim sequence (the equivalence fuzz target pins this).
+// The per-set reference policies in this package's tests are the
+// semantic oracle: a SetArray must behave, set for set, exactly like an
+// array of them driven through the same Touch/Fill/Victim sequence (the
+// equivalence fuzz target pins this).
 type SetArray struct {
 	kind Kind
 	sets int
@@ -59,10 +59,10 @@ const (
 )
 
 // NewSetArray builds packed replacement state for sets sets of the given
-// associativity. It enforces the same constructor contract as New: ways
-// must be >= 1, Tree-PLRU needs a power-of-two associativity, and Random
-// needs a generator. The packed encodings additionally require ways <=
-// 64 (one bit per way in a word), far above any cache modelled here.
+// associativity. ways must be >= 1, Tree-PLRU needs a power-of-two
+// associativity, and Random needs a generator. The packed encodings
+// additionally require ways <= 64 (one bit per way in a word), far above
+// any cache modelled here.
 func NewSetArray(kind Kind, sets, ways int, r *rng.Rand) *SetArray {
 	if sets < 1 {
 		panic("replacement: sets must be >= 1")
@@ -122,7 +122,7 @@ func (a *SetArray) Sets() int { return a.sets }
 // Ways returns the associativity.
 func (a *SetArray) Ways() int { return a.ways }
 
-// Touch records a USE of (set, way): the hit-path OnAccess. FIFO and
+// Touch records a USE of (set, way): the hit-path update. FIFO and
 // Random state is insensitive to uses.
 func (a *SetArray) Touch(set, way int) {
 	if debugChecks {
@@ -144,8 +144,7 @@ func (a *SetArray) Touch(set, way int) {
 }
 
 // Fill records a line INSTALL into (set, way): the use update of Touch
-// plus, for FIFO, the round-robin pointer advance the cache used to
-// signal through the Filled side interface.
+// plus, for FIFO, the round-robin pointer advance.
 func (a *SetArray) Fill(set, way int) {
 	if debugChecks {
 		checkSet(set, a.sets)
@@ -169,9 +168,10 @@ func (a *SetArray) Fill(set, way int) {
 	}
 }
 
-// Victim returns the way the policy would evict next in set. Like
-// Policy.Victim it does not mutate deterministic state; Random draws
-// from its generator, exactly one draw per consultation.
+// Victim returns the way the policy would evict next in set. It does
+// not mutate deterministic state (the PL cache consults it and may veto
+// the eviction); Random draws from its generator, exactly one draw per
+// consultation.
 func (a *SetArray) Victim(set int) int {
 	if debugChecks {
 		checkSet(set, a.sets)
@@ -379,7 +379,7 @@ func (a *SetArray) Reset() {
 }
 
 // ResetSet restores one set to its power-on state: the same convention
-// as the per-set Policy implementations (True LRU ages way 0 oldest, the
+// as the per-set reference policies (True LRU ages way 0 oldest, the
 // packed words all-zero).
 func (a *SetArray) ResetSet(set int) {
 	if debugChecks {
@@ -402,7 +402,7 @@ func (a *SetArray) ResetSet(set int) {
 }
 
 // StateString renders one set's state in the same format as the
-// corresponding Policy implementation, for traces and the Table I study.
+// corresponding reference policy, for traces and the Table I study.
 func (a *SetArray) StateString(set int) string {
 	switch a.kind {
 	case TrueLRU:

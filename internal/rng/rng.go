@@ -137,8 +137,12 @@ func mul64(a, b uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniformly distributed float in [0, 1).
+//
+// The explicit float64 conversions here and in Norm are rounding
+// barriers: the Go spec lets arm64, ppc64le and s390x fuse x*y+z into one
+// instruction, which would make results depend on the architecture.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Bool returns true with probability p. Values of p outside [0, 1] clamp to
@@ -159,13 +163,13 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
 		// sqrt(-2 ln s / s) via the stdlib-free approximations below
 		// would be silly; math is stdlib. Use it.
-		return mean + stddev*u*polarScale(s)
+		return mean + float64(stddev*u*polarScale(s))
 	}
 }
 

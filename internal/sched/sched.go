@@ -370,7 +370,8 @@ func (e *Env) charge(c uint64) {
 		// used to: same condition, same float arithmetic, same draw.
 		cost := float64(c)
 		if m.cfg.SMTJitter > 0 && c > 0 {
-			cost *= 1 + m.cfg.SMTJitter*m.cfg.RNG.Float64()
+			// float64() stops a fused multiply-add (see rng.Float64).
+			cost *= 1 + float64(m.cfg.SMTJitter*m.cfg.RNG.Float64())
 		}
 		t.readyWall += uint64(cost + 0.5)
 		t.wallNow = t.readyWall

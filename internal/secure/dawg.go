@@ -9,19 +9,20 @@ import (
 // DAWGCache models the relevant property of DAWG (Kiriansky et al.,
 // Section IX-B): cache ways AND the replacement state are partitioned
 // between protection domains. Each domain owns a contiguous group of ways
-// per set and an independent replacement-policy instance over only those
-// ways, so no access by one domain can influence the victim selection — or
-// the observable timing — of another.
+// per set and an independent replacement state over only those ways, so
+// no access by one domain can influence the victim selection — or the
+// observable timing — of another.
 //
-// The model is a single cache set per set-index (like cache.Cache) but with
-// per-domain sub-policies; it exposes just enough surface to run the LRU
-// channel protocols against it.
+// Every (set, domain) partition is one row of a packed SetArray, row
+// set*domains+domain, and owns the waysPer consecutive line slots
+// starting at row*waysPer; the model exposes just enough surface to run
+// the LRU channel protocols against it.
 type DAWGCache struct {
-	sets     int
-	waysPer  int // ways owned by each domain
-	domains  int
-	lines    [][]dawgLine           // [set][way]
-	policies [][]replacement.Policy // [set][domain]
+	sets    int
+	waysPer int // ways owned by each domain
+	domains int
+	lines   []dawgLine // [row*waysPer + way]
+	repl    *replacement.SetArray
 }
 
 type dawgLine struct {
@@ -43,75 +44,63 @@ func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind) *DAWGCache
 	if domains < 1 || ways%domains != 0 {
 		panic(fmt.Sprintf("secure: %d ways not divisible among %d domains", ways, domains))
 	}
-	d := &DAWGCache{sets: sets, waysPer: ways / domains, domains: domains}
-	d.lines = make([][]dawgLine, sets)
-	d.policies = make([][]replacement.Policy, sets)
-	for s := 0; s < sets; s++ {
-		d.lines[s] = make([]dawgLine, ways)
-		d.policies[s] = make([]replacement.Policy, domains)
-		for dom := 0; dom < domains; dom++ {
-			d.policies[s][dom] = replacement.New(pol, d.waysPer, nil)
-		}
+	waysPer := ways / domains
+	return &DAWGCache{
+		sets: sets, waysPer: waysPer, domains: domains,
+		lines: make([]dawgLine, sets*ways),
+		repl:  replacement.NewSetArray(pol, sets*domains, waysPer, nil),
 	}
-	return d
 }
 
 // Reset returns every partition to power-on state: all lines invalid,
-// every domain's replacement policy at its reset value. Trial loops
-// reuse one DAWGCache through Reset instead of reconstructing the
-// sets × domains policy matrix per trial.
+// every domain's replacement state at its reset value. Trial loops
+// reuse one DAWGCache through Reset instead of reallocating it per
+// trial.
 func (d *DAWGCache) Reset() {
-	for s := range d.lines {
-		for w := range d.lines[s] {
-			d.lines[s][w] = dawgLine{}
-		}
-		for _, p := range d.policies[s] {
-			p.Reset()
-		}
+	clear(d.lines)
+	d.repl.Reset()
+}
+
+// partition returns the replacement row and the line slots of domain's
+// partition of the set physLine maps to, and physLine's tag.
+func (d *DAWGCache) partition(physLine uint64, domain int) (row int, lines []dawgLine, tag uint64) {
+	if uint(domain) >= uint(d.domains) {
+		panic(fmt.Sprintf("secure: domain %d out of range", domain))
 	}
+	sets := uint64(d.sets)
+	row = int(physLine%sets)*d.domains + domain
+	return row, d.lines[row*d.waysPer:][:d.waysPer], physLine / sets
 }
 
 // Access performs a load by `domain`. Lookups search only the domain's own
 // ways (DAWG partitions hits too — a cross-domain hit would itself be a
 // channel), and replacement state updates stay inside the domain.
 func (d *DAWGCache) Access(physLine uint64, domain int) (hit bool) {
-	if domain < 0 || domain >= d.domains {
-		panic(fmt.Sprintf("secure: domain %d out of range", domain))
-	}
-	set := int(physLine % uint64(d.sets))
-	tag := physLine / uint64(d.sets)
-	base := domain * d.waysPer
-	pol := d.policies[set][domain]
-	for w := 0; w < d.waysPer; w++ {
-		ln := &d.lines[set][base+w]
-		if ln.valid && ln.tag == tag {
-			pol.OnAccess(w)
+	row, lines, tag := d.partition(physLine, domain)
+	for w := range lines {
+		if lines[w].valid && lines[w].tag == tag {
+			d.repl.Touch(row, w)
 			return true
 		}
 	}
 	// Miss: fill an invalid way of the domain or evict its own victim.
-	for w := 0; w < d.waysPer; w++ {
-		ln := &d.lines[set][base+w]
-		if !ln.valid {
-			ln.valid, ln.tag = true, tag
-			pol.OnAccess(w)
-			return false
-		}
+	w := 0
+	for w < len(lines) && lines[w].valid {
+		w++
 	}
-	w := pol.Victim()
-	d.lines[set][base+w] = dawgLine{valid: true, tag: tag}
-	pol.OnAccess(w)
+	if w == len(lines) {
+		w = d.repl.Victim(row)
+	}
+	lines[w] = dawgLine{valid: true, tag: tag}
+	d.repl.Fill(row, w)
 	return false
 }
 
 // Contains reports whether the line is resident in the given domain's
 // partition.
 func (d *DAWGCache) Contains(physLine uint64, domain int) bool {
-	set := int(physLine % uint64(d.sets))
-	tag := physLine / uint64(d.sets)
-	base := domain * d.waysPer
-	for w := 0; w < d.waysPer; w++ {
-		ln := d.lines[set][base+w]
+	_, lines, tag := d.partition(physLine, domain)
+	for _, ln := range lines {
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -121,7 +110,7 @@ func (d *DAWGCache) Contains(physLine uint64, domain int) bool {
 
 // PolicyState renders one domain's replacement state in a set.
 func (d *DAWGCache) PolicyState(set, domain int) string {
-	return d.policies[set][domain].StateString()
+	return d.repl.StateString(set*d.domains + domain)
 }
 
 // DAWGLeakExperiment runs the Algorithm 2 single-set protocol against the

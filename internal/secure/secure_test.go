@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/replacement"
 	"repro/internal/rng"
 )
 
@@ -163,6 +164,24 @@ func TestDAWGEvictsWithinDomainOnly(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if !d.Contains(line(10+i), 1) {
 			t.Errorf("domain 1 line %d evicted by domain 0 overflow", 10+i)
+		}
+	}
+}
+
+// A FIFO partition must evict its lines in fill order (Section IX-A's
+// round-robin mitigation), so its pointer has to advance on every fill:
+// after six fills into a 4-way partition the two oldest lines are gone.
+func TestDAWGFIFOEvictsInFillOrder(t *testing.T) {
+	d := NewDAWGWithPolicy(64, 8, 2, replacement.FIFO)
+	const set = 5
+	line := func(i int) uint64 { return uint64(i)*64 + set }
+	for i := 0; i < 6; i++ {
+		d.Access(line(i), 1)
+	}
+	for i := 0; i < 6; i++ {
+		if want := i >= 2; d.Contains(line(i), 1) != want {
+			t.Errorf("line %d resident = %v, want %v (state %s)",
+				i, !want, want, d.PolicyState(set, 1))
 		}
 	}
 }

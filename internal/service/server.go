@@ -420,12 +420,23 @@ type submitBody struct {
 	Dedup bool `json:"dedup"`
 }
 
+// maxSpecBytes caps a POST /v1/jobs body. Specs are small JSON
+// documents (the conformance specs are under 200 bytes); the cap only
+// keeps a hostile or broken client from making the server buffer an
+// unbounded body.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	j, dedup, err := s.Submit(spec)

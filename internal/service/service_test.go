@@ -489,6 +489,20 @@ func TestQueueOverflowRejectsWith503(t *testing.T) {
 	once.Do(func() { close(block) })
 }
 
+// A body over maxSpecBytes is refused with 413 before it is buffered,
+// even when it would decode to a valid spec; a normal spec still gets
+// through.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	padded := strings.Repeat(" ", 2<<20) + tinyAttack(1)
+	if _, code := postJob(t, ts, padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: HTTP %d, want 413", code)
+	}
+	if _, code := postJob(t, ts, tinyAttack(1)); code != http.StatusAccepted {
+		t.Fatalf("normal spec after oversized one: HTTP %d, want 202", code)
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/jobs/j-doesnotexist")

@@ -11,7 +11,8 @@ package spectre
 func (a *Attack) fixedThreshold() float64 {
 	prof := a.cfg.Profile
 	base := float64(len(a.chaser.Elements())*prof.L1Latency + prof.MeasureOverhead)
-	return base + float64(prof.L1Latency+prof.L2Latency)/2
+	// The outer float64() stops a fused multiply-add (see rng.Float64).
+	return base + float64(float64(prof.L1Latency+prof.L2Latency)/2)
 }
 
 // warmArray2 establishes the paper's precondition that the victim's probe

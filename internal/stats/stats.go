@@ -43,7 +43,8 @@ func Summarize(xs []float64) Summary {
 	var sq float64
 	for _, x := range xs {
 		d := x - s.Mean
-		sq += d * d
+		// float64() stops a fused multiply-add (see rng.Float64).
+		sq += float64(d * d)
 	}
 	if len(xs) > 1 {
 		s.Std = math.Sqrt(sq / float64(len(xs)-1))
@@ -66,14 +67,16 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	// The float64() conversions stop fused multiply-adds (see
+	// rng.Float64).
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // MovingAverage returns the centered moving average of xs with the given
@@ -159,7 +162,8 @@ func (h *Histogram) Frequency(i int) float64 {
 
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth
+	// float64() stops a fused multiply-add (see rng.Float64).
+	return h.Lo + float64((float64(i)+0.5)*h.BinWidth)
 }
 
 // Mode returns the center of the most populated bin, breaking ties toward

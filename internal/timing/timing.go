@@ -60,7 +60,8 @@ func (t *TSC) step() {
 // the surrounding rdtscp pair (the pointer-chase case).
 func (t *TSC) Observe(trueCycles float64) float64 {
 	t.step()
-	lat := trueCycles*t.scale + float64(t.prof.MeasureOverhead) + t.r.Norm(0, t.prof.MeasureJitter)
+	// float64() stops a fused multiply-add (see rng.Float64).
+	lat := float64(trueCycles*t.scale) + float64(t.prof.MeasureOverhead) + t.r.Norm(0, t.prof.MeasureJitter)
 	return t.quantize(lat)
 }
 
@@ -78,7 +79,8 @@ func (t *TSC) ObserveSingle(trueCycles float64) float64 {
 		visible = 0
 	}
 	base := float64(t.prof.MeasureOverhead) + singleAccessFloor
-	lat := visible*t.scale + base + t.r.Norm(0, singleAccessJitter*t.prof.MeasureJitter)
+	// float64() stops a fused multiply-add (see rng.Float64).
+	lat := float64(visible*t.scale) + base + t.r.Norm(0, singleAccessJitter*t.prof.MeasureJitter)
 	return t.quantize(lat)
 }
 
