@@ -5,11 +5,13 @@
 // alternating on the core under an OS round-robin scheduler).
 //
 // Programs are ordinary Go functions that receive an *Env and issue memory
-// accesses, busy-waits and timer reads through it. Each program runs on its
-// own goroutine, but execution is strictly cooperative — exactly one
-// program runs at any instant, resumed and suspended by the scheduler
-// around every charged action — so simulations are fully deterministic
-// given the seed.
+// accesses, busy-waits and timer reads through it. Each program runs as an
+// iter.Pull coroutine, the cooperative wait() model SystemC gives its
+// processes: exactly one program runs at any instant, resumed by the
+// scheduler and suspended when a charged action yields control back, so
+// simulations are fully deterministic given the seed. A program that
+// panics makes Machine.Run panic on its caller (with a *ThreadPanic
+// carrying the program's stack), after every sibling thread is reaped.
 //
 // Time accounting:
 //

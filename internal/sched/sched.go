@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 
 	"repro/internal/cache"
 	"repro/internal/hier"
@@ -72,22 +74,17 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-type yieldMsg struct {
-	cycles uint64
-	done   bool
-}
-
 type thread struct {
 	name string
 	req  int
 	idx  int // position in Machine.threads, the scheduler's tie-break
 	fn   func(*Env)
 
-	resume chan struct{}
-	yield  chan yieldMsg
-
-	started bool
-	done    bool
+	// next resumes the thread's coroutine until its next charge (or its
+	// end); stop unwinds a parked coroutine. Both are nil until started.
+	next func() (uint64, bool)
+	stop func()
+	done bool
 
 	// readyWall is, under SMT, the wall time at which the thread's most
 	// recent action completes (i.e. when it may issue its next action).
@@ -99,20 +96,41 @@ type thread struct {
 	wallNow uint64
 }
 
+// killSentinel unwinds a parked program when its machine closes.
 type killSentinel struct{}
+
+// ThreadPanic is what Run raises when a program panics. The program's
+// coroutine stack is gone by the time Run's caller recovers, so the
+// stack captured at the panic site travels with the value.
+type ThreadPanic struct {
+	Thread string
+	Value  any
+	Stack  []byte
+}
+
+func (p *ThreadPanic) Error() string {
+	return fmt.Sprintf("sched: thread %q panicked: %v\n%s", p.Thread, p.Value, p.Stack)
+}
+
+// Unwrap returns the original panic value when it was an error.
+func (p *ThreadPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
 
 // Machine owns the threads and the shared hierarchy and advances time.
 //
-// The hot path is charge: every simulated action suspends the acting
-// program for its cycle cost. Parking a goroutine and waking the
-// scheduler costs two channel handoffs — three orders of magnitude more
-// than the simulated cache access itself — so charge applies the cost
-// inline and only parks when the scheduling decision could actually
-// change (another thread is further behind, the time slice or the wall
-// limit is exhausted, or the machine was stopped). The action order, and
+// Each program runs as an iter.Pull coroutine: the scheduler resumes it
+// with next, and charge parks it by yielding the action's cost. The hot
+// path is charge: every simulated action suspends the acting program
+// for its cycle cost. A coroutine switch costs several times the
+// simulated cache access itself, so charge applies the cost inline and
+// only parks when the scheduling decision could actually change
+// (another thread is further behind, the time slice or the wall limit
+// is exhausted, or the machine was stopped). The action order, and
 // therefore every RNG draw and cache update, is bit-identical to the
-// park-on-every-action implementation; the determinism and golden tests
-// pin this.
+// park-on-every-action implementation; the determinism and golden
+// tests pin this.
 type Machine struct {
 	cfg     Config
 	threads []*thread
@@ -122,7 +140,6 @@ type Machine struct {
 	// visible to charge so a short action can be consumed inline.
 	sliceEnd uint64
 	ran      bool
-	closed   bool
 	stopped  bool
 }
 
@@ -145,22 +162,20 @@ func (m *Machine) AddThread(name string, req int, fn func(*Env)) {
 	if m.ran {
 		panic("sched: AddThread after Run")
 	}
-	m.threads = append(m.threads, &thread{
-		name: name, req: req, idx: len(m.threads), fn: fn,
-		resume: make(chan struct{}),
-		yield:  make(chan yieldMsg, 1),
-	})
+	m.threads = append(m.threads, &thread{name: name, req: req, idx: len(m.threads), fn: fn})
 }
 
 // Run advances simulated time until every thread finishes or the given
 // wall-time limit (in cycles) is reached, then reaps all threads. It may be
-// called once per Machine.
+// called once per Machine. A panicking program makes Run panic with a
+// *ThreadPanic after every other thread has been reaped.
 func (m *Machine) Run(limit uint64) {
 	if m.ran {
 		panic("sched: Run called twice")
 	}
 	m.ran = true
 	m.limit = limit
+	defer m.close()
 	switch m.cfg.Mode {
 	case SMT:
 		m.runSMT(limit)
@@ -169,7 +184,6 @@ func (m *Machine) Run(limit uint64) {
 	default:
 		panic(fmt.Sprintf("sched: unknown mode %d", int(m.cfg.Mode)))
 	}
-	m.close()
 }
 
 // Now returns the machine's idea of elapsed time: the core clock under
@@ -188,30 +202,25 @@ func (m *Machine) Now() uint64 {
 }
 
 func (m *Machine) start(t *thread) {
-	t.started = true
-	go func() {
+	t.next, t.stop = iter.Pull(func(yield func(uint64) bool) {
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); ok {
-					return // machine shut down while we were parked
-				}
-				panic(r)
+			if r := recover(); r != nil && r != (killSentinel{}) {
+				panic(&ThreadPanic{Thread: t.name, Value: r, Stack: debug.Stack()})
 			}
 		}()
-		t.fn(&Env{m: m, t: t})
-		t.yield <- yieldMsg{done: true}
-	}()
+		t.fn(&Env{m: m, t: t, yield: yield})
+	})
 }
 
-// step resumes t (starting it if necessary) and returns its next yield.
-func (m *Machine) step(t *thread) yieldMsg {
+// step resumes t (starting it if necessary) until it parks with the
+// cost of its current action, or finishes (done).
+func (m *Machine) step(t *thread) (cycles uint64, done bool) {
 	t.wallNow = m.threadNow(t)
-	if !t.started {
+	if t.next == nil {
 		m.start(t)
-	} else {
-		t.resume <- struct{}{}
 	}
-	return <-t.yield
+	cycles, ok := t.next()
+	return cycles, !ok
 }
 
 func (m *Machine) threadNow(t *thread) uint64 {
@@ -226,7 +235,7 @@ func (m *Machine) threadNow(t *thread) uint64 {
 // the moment each action completes; a thread only parks — and control
 // only returns here — when it is no longer the thread this loop would
 // pick, so a burst of consecutive actions by one hyper-thread costs one
-// goroutine handoff instead of one per action.
+// coroutine switch instead of one per action.
 func (m *Machine) runSMT(limit uint64) {
 	for {
 		// Pick the runnable thread whose clock is furthest behind.
@@ -242,7 +251,7 @@ func (m *Machine) runSMT(limit uint64) {
 		if t == nil || t.readyWall >= limit || m.stopped {
 			return
 		}
-		if m.step(t).done {
+		if _, done := m.step(t); done {
 			t.done = true
 		}
 	}
@@ -300,12 +309,12 @@ func (m *Machine) runTimeSliced(limit uint64) {
 			continue
 		}
 		if t.pendingBusy == 0 {
-			msg := m.step(t)
-			if msg.done {
+			cycles, done := m.step(t)
+			if done {
 				t.done = true
 				continue
 			}
-			t.pendingBusy = msg.cycles
+			t.pendingBusy = cycles
 			if t.pendingBusy == 0 {
 				t.pendingBusy = 1 // every action takes at least a cycle
 			}
@@ -322,31 +331,21 @@ func (m *Machine) runTimeSliced(limit uint64) {
 	}
 }
 
-// close reaps every parked goroutine.
+// close unwinds every started thread; stopping a finished one is a no-op.
 func (m *Machine) close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
 	for _, t := range m.threads {
-		if t.started && !t.done {
-			close(t.resume)
-			// Drain a possibly buffered yield so the goroutine is
-			// not blocked on send (the buffer makes this moot, but
-			// draining keeps the invariant obvious).
-			select {
-			case <-t.yield:
-			default:
-			}
+		if t.stop != nil {
+			t.stop()
 		}
 	}
 }
 
 // Env is the interface a simulated program uses to act on the machine.
-// All methods must be called from the program's own goroutine.
+// All methods must be called from the program's own coroutine.
 type Env struct {
-	m *Machine
-	t *thread
+	m     *Machine
+	t     *thread
+	yield func(uint64) bool
 }
 
 // charge accounts c cycles of CPU time to the program. This is the
@@ -359,9 +358,9 @@ type Env struct {
 // whenever the scheduler would have picked this same thread again
 // (SMT: still the furthest-behind thread; time-sliced: the action fits
 // inside the current slice). Only when the scheduling decision could
-// change does the goroutine park and hand control back to the
-// scheduler loop, so the two-channel-handoff cost is paid per
-// interleaving point, not per action. The resulting action order is
+// change does the coroutine yield the cost back to the scheduler loop,
+// so the coroutine-switch cost is paid per interleaving point, not per
+// action. The resulting action order is
 // identical to parking on every action.
 func (e *Env) charge(c uint64) {
 	m, t := e.m, e.t
@@ -389,8 +388,7 @@ func (e *Env) charge(c uint64) {
 			return
 		}
 	}
-	t.yield <- yieldMsg{cycles: c}
-	if _, ok := <-t.resume; !ok {
+	if !e.yield(c) {
 		panic(killSentinel{})
 	}
 }

@@ -1,8 +1,13 @@
 package sched
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/hier"
 	"repro/internal/mem"
 	"repro/internal/replacement"
@@ -309,9 +314,10 @@ func TestEnvIdentity(t *testing.T) {
 }
 
 func TestNoGoroutineLeakAfterLimit(t *testing.T) {
-	// Threads parked in infinite loops must be reaped by Run's cleanup;
-	// this test passes if it terminates (the goroutines panic with the
-	// kill sentinel when resumed after close).
+	// Threads parked in infinite loops must be reaped by Run's cleanup:
+	// stopping a parked coroutine unwinds it with the kill sentinel.
+	before := runtime.NumGoroutine()
+	defer waitGoroutines(t, before)
 	m, _, as := rig(SMT, 11)
 	a := as.Resolve(as.Alloc(1))
 	m.AddThread("spin1", 0, func(e *Env) {
@@ -351,5 +357,81 @@ func TestTimeSlicedDeterminism(t *testing.T) {
 	a, b := trace(), trace()
 	if string(a) != string(b) {
 		t.Error("time-sliced runs with identical seeds diverged")
+	}
+}
+
+// waitGoroutines fails t unless the goroutine count returns to want.
+// Reaped coroutines exit synchronously; the short grace period covers
+// engine workers that are still returning.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// explode is the panicking program; its name must survive into the
+// stack that Run's caller sees.
+func explode(e *Env) {
+	for i := 0; i < 5; i++ {
+		e.Busy(10)
+	}
+	panic(errBoom)
+}
+
+// panicMachine pairs explode with a sibling that spins forever, so the
+// sibling is parked mid-loop when the panic unwinds Run.
+func panicMachine(mode Mode) *Machine {
+	m := New(Config{RNG: rng.New(1), Mode: mode})
+	m.AddThread("spin", 0, func(e *Env) {
+		for {
+			e.Busy(10)
+		}
+	})
+	m.AddThread("bad", 1, explode)
+	return m
+}
+
+func TestProgramPanicIsContained(t *testing.T) {
+	for _, mode := range []Mode{SMT, TimeSliced} {
+		t.Run(mode.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			func() {
+				defer func() {
+					tp, ok := recover().(*ThreadPanic)
+					if !ok {
+						t.Fatal("Run did not raise a *ThreadPanic on its caller")
+					}
+					if tp.Thread != "bad" || !errors.Is(tp, errBoom) {
+						t.Errorf("panic = %q/%v, want bad/boom", tp.Thread, tp.Value)
+					}
+					if !strings.Contains(tp.Error(), `thread "bad"`) || !strings.Contains(string(tp.Stack), "sched.explode") {
+						t.Errorf("panic does not name the thread or keep its stack:\n%s", tp.Error())
+					}
+				}()
+				panicMachine(mode).Run(1 << 40)
+			}()
+			waitGoroutines(t, before)
+
+			jobs := []engine.Job[int]{
+				{Name: "machine", Run: func(uint64) int { panicMachine(mode).Run(1 << 40); return 0 }},
+				{Name: "sibling", Run: func(uint64) int { return 42 }},
+			}
+			rs := engine.Run(jobs, engine.Options{Workers: 2, ContainPanics: true})
+			var pe *engine.PanicError
+			if !errors.As(rs[0].Err, &pe) || !strings.Contains(pe.Error(), `thread "bad"`) {
+				t.Errorf("machine cell Err = %v, want a *PanicError naming thread \"bad\"", rs[0].Err)
+			}
+			if rs[1].Err != nil || rs[1].Value != 42 {
+				t.Errorf("sibling cell = (%d, %v), want (42, nil)", rs[1].Value, rs[1].Err)
+			}
+			waitGoroutines(t, before)
+		})
 	}
 }

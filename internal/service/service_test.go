@@ -22,6 +22,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // goldenSeed matches determinism_test.go at the repo root: every
@@ -455,6 +457,45 @@ func TestCellPanicFailsJobNotProcess(t *testing.T) {
 	healthy, _ := postJob(t, ts, tinyAttack(8))
 	if _, code := fetchReport(t, ts, healthy.ID); code != http.StatusOK {
 		t.Error("server died with the panicking cell")
+	}
+}
+
+// A simulated program that panics inside a sched.Machine fails its job
+// with the panic in the error, and the daemon keeps serving.
+func TestSchedPanicFailsJobNotProcess(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	inner := s.exec
+	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
+		if c.seed == 4242 {
+			m := sched.New(sched.Config{RNG: rng.New(c.seed), Mode: sched.TimeSliced})
+			m.AddThread("receiver", 0, func(e *sched.Env) {
+				for {
+					e.Busy(100)
+				}
+			})
+			m.AddThread("sender", 1, func(e *sched.Env) {
+				e.Busy(100)
+				panic("sender lost its channel")
+			})
+			m.Run(1 << 40)
+		}
+		return inner(c, opt)
+	}
+	body, _ := postJob(t, ts, tinyAttack(4242))
+	report, code := fetchReport(t, ts, body.ID)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("sabotaged job: HTTP %d (%s), want 500", code, report)
+	}
+	var failed errorBody
+	if err := json.Unmarshal([]byte(report), &failed); err != nil {
+		t.Fatalf("decode failed report %q: %v", report, err)
+	}
+	if !strings.Contains(failed.Error, `thread "sender" panicked: sender lost its channel`) {
+		t.Errorf("failed report does not carry the panic: %s", failed.Error)
+	}
+	healthy, _ := postJob(t, ts, tinyAttack(8))
+	if _, code := fetchReport(t, ts, healthy.ID); code != http.StatusOK {
+		t.Error("server died with the panicking program")
 	}
 }
 
