@@ -16,17 +16,13 @@ import (
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/engine"
-	"repro/internal/hier"
 	"repro/internal/leakage"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/perf"
 	"repro/internal/replacement"
-	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/stats"
@@ -617,85 +613,6 @@ func BenchmarkDetectionEvasion(b *testing.B) {
 	emitBench(b, map[string]float64{"fr-caught-lru-missed": float64(evaded) / float64(b.N)})
 }
 
-// --- hot-path microbenchmarks ---
-//
-// Every experiment above bottoms out in cache.Access and hier.Load;
-// these two benches watch the substrate itself. The headline metric is
-// allocs/op, which must stay at 0 (the flattened hot path's invariant,
-// also pinned by the AllocsPerRun regression tests).
-
-// BenchmarkCacheAccess measures one L1-shaped cache access per policy:
-// a warm hit and a full miss/evict/install, alternating, so both paths
-// stay resident in the measurement.
-func BenchmarkCacheAccess(b *testing.B) {
-	for _, pol := range replacement.Kinds() {
-		b.Run("policy="+pol.String(), func(b *testing.B) {
-			cfg := cache.Config{Name: "L1D", Sets: 64, Ways: 8, LineSize: 64, Policy: pol}
-			if pol == replacement.Random {
-				cfg.RNG = rng.New(11)
-			}
-			c := cache.New(cfg)
-			const set = 5
-			line := func(i int) uint64 { return uint64(i)*64 + set }
-			for i := 0; i < 8; i++ {
-				c.Access(cache.Request{PhysLine: line(i)})
-			}
-			// Alternate a fresh-tag miss (install + evict) with a
-			// re-access of the line just installed — resident under
-			// EVERY policy, including FIFO and Random, whose victim
-			// choice ignores recency.
-			last := line(7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i&1 == 0 {
-					c.Access(cache.Request{PhysLine: last})
-				} else {
-					last = line(8 + i)
-					c.Access(cache.Request{PhysLine: last})
-				}
-			}
-			// Keep emitBench's own file write out of the ns-scale
-			// measurement (it matters at -benchtime 1x).
-			b.StopTimer()
-			emitBench(b, nil)
-		})
-	}
-}
-
-// BenchmarkHierLoad measures a full-hierarchy load per prefetcher model:
-// alternating L1 hits and all-level misses (the miss also exercises the
-// prefetcher's issue path).
-func BenchmarkHierLoad(b *testing.B) {
-	for _, pf := range []hier.PrefetcherKind{hier.PrefetchNone, hier.PrefetchNextLine, hier.PrefetchStride} {
-		b.Run("prefetch="+pf.String(), func(b *testing.B) {
-			h := hier.New(hier.Config{
-				Profile:  SandyBridge(),
-				L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU,
-				Prefetcher: pf,
-				WithLLC:    true,
-			})
-			addr := func(pl uint64) mem.Addr {
-				return mem.Addr{Virt: pl * 64, Phys: pl * 64, VirtLine: pl, PhysLine: pl}
-			}
-			h.Load(addr(1), 0)
-			next := uint64(1 << 20)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i&1 == 0 {
-					h.Load(addr(1), 0)
-				} else {
-					h.Load(addr(next), 0)
-					next += 2
-				}
-			}
-			b.StopTimer()
-			emitBench(b, nil)
-		})
-	}
-}
-
 // --- helpers ---
 
 func benchName(k string, v int) string {
@@ -735,143 +652,6 @@ func chaseSeparates(s *Channel) bool {
 }
 
 func otsu(xs []float64) float64 { return stats.OtsuThreshold(xs) }
-
-// ---- Trace-compiled batch execution (DESIGN.md §10) ----
-//
-// The three benches below measure the same workload through the
-// per-access path and the batch path, so the batch speedup is a
-// sibling ratio inside one run — independent of the runner's absolute
-// speed. CI pins the ratios with benchdiff -require. Each mode
-// verifies its hit count against a precomputed reference, so the
-// wall-time comparison is also a bit-identity check.
-
-// batchBenchProgram mixes a hot working set (hits, provable runs) with
-// strided cold misses — the shape of a probe loop's reference stream.
-func batchBenchProgram(n, sets int, seed uint64) []uint64 {
-	r := rng.New(seed)
-	lines := make([]uint64, n)
-	for i := range lines {
-		if r.Intn(5) == 0 {
-			lines[i] = uint64(r.Intn(64))*uint64(sets)*7 + uint64(r.Intn(sets))
-		} else {
-			lines[i] = uint64(r.Intn(10))*uint64(sets) + uint64(r.Intn(4))
-		}
-	}
-	return lines
-}
-
-func BenchmarkAccessBatch(b *testing.B) {
-	const sets, ways, n = 64, 8, 1 << 16
-	prog := batchBenchProgram(n, sets, 21)
-	reqs := make([]cache.Request, n)
-	for i, ln := range prog {
-		reqs[i] = cache.Request{PhysLine: ln, LinearLine: ln}
-	}
-	mk := func() *cache.Cache {
-		return cache.New(cache.Config{Name: "bench", Sets: sets, Ways: ways,
-			LineSize: 64, Policy: replacement.TreePLRU})
-	}
-	ref := mk()
-	var wantHits uint64
-	for _, req := range reqs {
-		if ref.Access(req).Hit {
-			wantHits++
-		}
-	}
-
-	b.Run("mode=peraccess", func(b *testing.B) {
-		c := mk()
-		for i := 0; i < b.N; i++ {
-			c.Reset()
-			var hits uint64
-			for _, req := range reqs {
-				if c.Access(req).Hit {
-					hits++
-				}
-			}
-			if hits != wantHits {
-				b.Fatalf("hits %d, want %d", hits, wantHits)
-			}
-		}
-		emitBench(b, map[string]float64{"hit-rate": float64(wantHits) / n})
-	})
-	b.Run("mode=batch", func(b *testing.B) {
-		c := mk()
-		out := make([]cache.Result, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Reset()
-			c.AccessBatch(reqs, out)
-			var hits uint64
-			for j := range out {
-				if out[j].Hit {
-					hits++
-				}
-			}
-			if hits != wantHits {
-				b.Fatalf("hits %d, want %d", hits, wantHits)
-			}
-		}
-		emitBench(b, map[string]float64{"hit-rate": float64(wantHits) / n})
-	})
-}
-
-func BenchmarkLoadBatch(b *testing.B) {
-	const n = 1 << 15
-	prof := SandyBridge()
-	prog := batchBenchProgram(n, prof.L1Sets, 22)
-	addrs := make([]mem.Addr, n)
-	for i, ln := range prog {
-		addrs[i] = mem.Addr{Virt: ln * 64, Phys: ln * 64, VirtLine: ln, PhysLine: ln}
-	}
-	mk := func() *hier.Hierarchy {
-		return hier.New(hier.Config{Profile: prof,
-			L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, WithLLC: true})
-	}
-	ref := mk()
-	var wantL1 uint64
-	for _, a := range addrs {
-		if ref.Load(a, 0).L1Hit {
-			wantL1++
-		}
-	}
-
-	b.Run("mode=peraccess", func(b *testing.B) {
-		h := mk()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			var l1 uint64
-			for _, a := range addrs {
-				if h.Load(a, 0).L1Hit {
-					l1++
-				}
-			}
-			if l1 != wantL1 {
-				b.Fatalf("L1 hits %d, want %d", l1, wantL1)
-			}
-		}
-		emitBench(b, map[string]float64{"l1-hit-rate": float64(wantL1) / n})
-	})
-	b.Run("mode=batch", func(b *testing.B) {
-		h := mk()
-		out := make([]hier.Result, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			h.LoadBatch(addrs, 0, out)
-			var l1 uint64
-			for j := range out {
-				if out[j].L1Hit {
-					l1++
-				}
-			}
-			if l1 != wantL1 {
-				b.Fatalf("L1 hits %d, want %d", l1, wantL1)
-			}
-		}
-		emitBench(b, map[string]float64{"l1-hit-rate": float64(wantL1) / n})
-	})
-}
 
 // BenchmarkMetricsOverhead prices the engine's per-cell telemetry: the
 // same many-small-cell grid on a persistent pool, uninstrumented vs

@@ -9,63 +9,146 @@ import (
 // Batch execution over the hierarchy. LoadBatch replays an address
 // program bit-identically to per-access Load calls: same results, same
 // per-level Stats, same replacement-state and RNG evolution. Where the
-// configuration allows it, it splits the work into one L1 AccessBatch
-// pass plus a walk of the misses — valid because L1 and L2 hold
-// independent state, so only a shared Random generator or a prefetcher
-// (whose loads re-enter the L1 between records) forces strict
-// per-access interleaving.
+// configuration allows it, it runs one level at a time: one L1
+// AccessBatch over the chunk, one L2 AccessBatch over the L1 non-hits
+// (gathered in record order), one LLC AccessBatch over the L2 misses,
+// and only then the per-record Results. That is valid because the
+// levels hold independent state and each sees its requests in the same
+// order as under per-access execution, so only a shared Random
+// generator (whose draws would interleave across levels differently) or
+// a prefetcher (whose loads re-enter the L1 between records) forces
+// strict per-access interleaving.
 
-// batchChunk bounds the scratch buffers of LoadBatch: requests are
-// staged and executed in chunks so arbitrarily long programs run
-// allocation-free after the first call.
-const batchChunk = 1024
+// BatchChunk bounds the scratch buffers of LoadBatch: requests are
+// staged and executed in chunks of at most BatchChunk records, so
+// arbitrarily long programs run allocation-free after the first call.
+// Callers that generate addresses on the fly stage them in buffers of
+// this size.
+const BatchChunk = 1024
 
-// phaseSplitOK reports whether the L1 pass may run ahead of the lower
-// levels: no level draws victims from the shared generator, and no
-// prefetcher injects loads between records.
+// phaseSplitOK reports whether each level's pass may run ahead of the
+// levels below it: no level draws victims from the shared generator,
+// and no prefetcher injects loads between records.
 func (h *Hierarchy) phaseSplitOK() bool {
 	return h.cfg.L1Policy != replacement.Random &&
 		h.cfg.L2Policy != replacement.Random &&
 		h.cfg.Prefetcher == PrefetchNone
 }
 
-func (h *Hierarchy) scratch(n int) ([]cache.Request, []cache.Result) {
-	if h.breqs == nil {
-		h.breqs = make([]cache.Request, batchChunk)
-		h.bres = make([]cache.Result, batchChunk)
+// batchScratch holds one chunk's requests (compacted in place as each
+// level's hits drop out) and the per-level results.
+type batchScratch struct {
+	reqs       []cache.Request
+	r1, r2, r3 []cache.Result
+}
+
+// scratch returns buffers for an n-record chunk, sized on first use to
+// the largest chunk seen so far (short probe batches stay small).
+func (h *Hierarchy) scratch(n int) *batchScratch {
+	b := &h.batch
+	if len(b.reqs) < n {
+		b.reqs = make([]cache.Request, n)
+		b.r1 = make([]cache.Result, n)
+		b.r2 = make([]cache.Result, n)
+		if h.llc != nil {
+			b.r3 = make([]cache.Result, n)
+		}
 	}
-	return h.breqs[:n], h.bres[:n]
+	return b
 }
 
 // LoadBatch performs loads of addrs in order on behalf of requestor,
 // writing the i'th load's Result to out[i] (out must be at least as
-// long as addrs). It is bit-identical to calling Load per address.
+// long as addrs, or nil to discard the results — the benign co-runs
+// read only the counters afterwards). It is bit-identical to calling
+// Load per address.
 func (h *Hierarchy) LoadBatch(addrs []mem.Addr, requestor int, out []Result) {
-	if len(out) < len(addrs) {
+	if out != nil && len(out) < len(addrs) {
 		panic("hier: LoadBatch output slice shorter than address slice")
 	}
 	if !h.phaseSplitOK() {
 		for i := range addrs {
-			out[i] = h.load(addrs[i], requestor, cache.OpLoad, true)
+			res := h.load(addrs[i], requestor, cache.OpLoad, true)
+			if out != nil {
+				out[i] = res
+			}
 		}
 		return
 	}
-	p := h.cfg.Profile
-	l1Hit := Result{Level: LevelL1, Latency: p.L1Latency, L1Hit: true}
-	for base := 0; base < len(addrs); base += batchChunk {
-		n := min(batchChunk, len(addrs)-base)
-		reqs, res := h.scratch(n)
-		for i := 0; i < n; i++ {
-			a := &addrs[base+i]
-			reqs[i] = cache.Request{PhysLine: a.PhysLine, LinearLine: a.VirtLine, Requestor: requestor}
+	for base := 0; base < len(addrs); base += BatchChunk {
+		n := min(BatchChunk, len(addrs)-base)
+		var o []Result
+		if out != nil {
+			o = out[base : base+n]
 		}
-		h.l1.AccessBatch(reqs, res)
-		for i := 0; i < n; i++ {
-			if res[i].Hit && !res[i].UtagMiss {
-				out[base+i] = l1Hit
-				continue
+		h.loadChunk(addrs[base:base+n], requestor, o)
+	}
+}
+
+// loadChunk is one phase-split LoadBatch chunk (len(addrs) <=
+// BatchChunk).
+func (h *Hierarchy) loadChunk(addrs []mem.Addr, requestor int, out []Result) {
+	n := len(addrs)
+	b := h.scratch(n)
+	reqs, r1 := b.reqs[:n], b.r1[:n]
+	for i := range addrs {
+		reqs[i] = cache.Request{PhysLine: addrs[i].PhysLine, LinearLine: addrs[i].VirtLine, Requestor: requestor}
+	}
+	h.l1.AccessBatch(reqs, r1)
+
+	// L1 non-hits go to the L2 in record order. A utag miss is an L1
+	// hit as far as the lower levels are concerned.
+	m := 0
+	for i := range r1 {
+		if !r1[i].Hit {
+			reqs[m] = reqs[i]
+			m++
+		}
+	}
+	// The L2 results are needed only to pick out LLC requests or to
+	// report levels.
+	var r2 []cache.Result
+	if out != nil || h.llc != nil {
+		r2 = b.r2[:m]
+	}
+	h.l2.AccessBatch(reqs[:m], r2)
+
+	var r3 []cache.Result
+	if h.llc != nil {
+		k := 0
+		for j := range r2 {
+			if !r2[j].Hit {
+				reqs[k] = reqs[j]
+				k++
 			}
-			out[base+i] = h.finish(addrs[base+i], requestor, res[i], true)
 		}
+		if out != nil {
+			r3 = b.r3[:k]
+		}
+		h.llc.AccessBatch(reqs[:k], r3)
+	}
+	if out == nil {
+		return
+	}
+
+	// Walk the records in order, consuming the L2 and LLC results as
+	// the misses that produced them come up.
+	j, k := 0, 0
+	for i := range out {
+		lvl := LevelL1
+		if !r1[i].Hit {
+			switch {
+			case r2[j].Hit:
+				lvl = LevelL2
+			case h.llc == nil:
+				lvl = LevelMem
+			case r3[k].Hit:
+				lvl, k = LevelLLC, k+1
+			default:
+				lvl, k = LevelMem, k+1
+			}
+			j++
+		}
+		out[i] = h.result(r1[i], lvl)
 	}
 }

@@ -2,8 +2,10 @@ package hier
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/replacement"
 	"repro/internal/rng"
@@ -59,66 +61,127 @@ func batchAddrs(cfg Config, n int, seed uint64) []mem.Addr {
 	return addrs
 }
 
+// deepAddrs builds a stream that overflows the L2 in a few sets while
+// the displaced lines still fit the LLC, so records are served from
+// every level: hot-line L1 hits, L2 hits, LLC hits and memory.
+func deepAddrs(cfg Config, n int, seed uint64) []mem.Addr {
+	r := rng.New(seed)
+	l2Sets := uint64(cfg.Profile.L2Sets)
+	tags := 4 * cfg.Profile.L2Ways
+	addrs := make([]mem.Addr, n)
+	for i := range addrs {
+		line := uint64(r.Intn(tags))*l2Sets + uint64(r.Intn(4))
+		if r.Intn(3) == 0 {
+			line = uint64(r.Intn(4)) // hot
+		}
+		addrs[i] = lineAddr(line)
+	}
+	return addrs
+}
+
+// newBatchHier builds a hierarchy for cfg, giving Random configs a
+// generator seeded with seed so twin hierarchies draw identically.
+func newBatchHier(cfg Config, seed uint64) *Hierarchy {
+	if cfg.L1Policy == replacement.Random || cfg.L2Policy == replacement.Random {
+		cfg.RNG = rng.New(seed)
+	}
+	return New(cfg)
+}
+
+// hierStats renders everything a load can change: both requestors'
+// counters and every set's replacement state, at every level. The batch
+// loop updates state through a different code path than per-access
+// execution, so equal Results alone would not prove bit-identity.
 func hierStats(h *Hierarchy) string {
-	s := fmt.Sprintf("L1 %+v %+v\nL2 %+v %+v\n",
-		h.l1.Stats(), h.l1.RequestorStats(0), h.l2.Stats(), h.l2.RequestorStats(1))
-	if h.llc != nil {
-		s += fmt.Sprintf("LLC %+v\n", h.llc.Stats())
+	var b strings.Builder
+	for _, c := range []*cache.Cache{h.l1, h.l2, h.llc} {
+		if c == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "%s %+v r0 %+v r1 %+v\n", c.Config().Name, c.Stats(), c.RequestorStats(0), c.RequestorStats(1))
+		for set := 0; set < c.Sets(); set++ {
+			b.WriteString(c.PolicyState(set))
+			b.WriteByte('\n')
+		}
 	}
-	// Replacement state too: the batch loop updates it through a
-	// different code path than per-access execution, so counter
-	// equality alone would not prove bit-identity.
-	for set := 0; set < h.l1.Sets(); set++ {
-		s += h.l1.PolicyState(set) + "\n"
+	return b.String()
+}
+
+// batchTwins is a per-access reference hierarchy and two batch
+// hierarchies driven in lockstep: one reporting Results, one passing a
+// nil out.
+type batchTwins struct {
+	serial, batch, discard *Hierarchy
+	levels                 map[Level]int // serial service levels seen
+}
+
+func newBatchTwins(cfg Config, seed uint64) *batchTwins {
+	return &batchTwins{
+		serial: newBatchHier(cfg, seed), batch: newBatchHier(cfg, seed), discard: newBatchHier(cfg, seed),
+		levels: map[Level]int{},
 	}
-	return s
+}
+
+// load runs addrs as requestor: per access on the reference, as one
+// LoadBatch on each batch twin. It fails on the first diverging Result.
+func (tw *batchTwins) load(t testing.TB, addrs []mem.Addr, requestor int) {
+	t.Helper()
+	want := make([]Result, len(addrs))
+	for i, a := range addrs {
+		want[i] = tw.serial.Load(a, requestor)
+		tw.levels[want[i].Level]++
+	}
+	got := make([]Result, len(addrs))
+	tw.batch.LoadBatch(addrs, requestor, got)
+	tw.discard.LoadBatch(addrs, requestor, nil)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d diverges: batch %+v, serial %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// check compares the final counters and replacement state of all three
+// hierarchies.
+func (tw *batchTwins) check(t testing.TB) {
+	t.Helper()
+	want := hierStats(tw.serial)
+	if got := hierStats(tw.batch); got != want {
+		t.Fatalf("stats diverge:\nserial:\n%s\nbatch:\n%s", want, got)
+	}
+	if got := hierStats(tw.discard); got != want {
+		t.Fatalf("stats diverge with nil out:\nserial:\n%s\nbatch:\n%s", want, got)
+	}
+}
+
+// requireDeep fails unless the reference served loads from the LLC and
+// from memory, i.e. the LLC pass of the batch path was not empty.
+func (tw *batchTwins) requireDeep(t testing.TB, cfg Config) {
+	t.Helper()
+	if cfg.WithLLC && (tw.levels[LevelLLC] == 0 || tw.levels[LevelMem] == 0) {
+		t.Fatalf("stream never reached the LLC and memory: levels %v", tw.levels)
+	}
+	if tw.levels[LevelL2] == 0 {
+		t.Fatalf("stream never hit the L2: levels %v", tw.levels)
+	}
 }
 
 func TestLoadBatchMatchesLoad(t *testing.T) {
 	for _, cfg := range batchHierConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
-			addrs := batchAddrs(cfg, 600, 42)
-			ca, cb := cfg, cfg
-			if cfg.L1Policy == replacement.Random {
-				ca.RNG, cb.RNG = rng.New(7), rng.New(7)
+			tw := newBatchTwins(cfg, 7)
+			// One-record batches alternating requestors, like a
+			// time-sliced interleave at the finest grain.
+			for i, a := range batchAddrs(cfg, 600, 42) {
+				tw.load(t, []mem.Addr{a}, i%2)
 			}
-			hs, hb := New(ca), New(cb)
-
-			want := make([]Result, len(addrs))
-			for i, a := range addrs {
-				want[i] = hs.Load(a, i%2)
-			}
-			// Split the batch mid-stream across requestors like the
-			// serial loop did — LoadBatch takes one requestor, so feed
-			// it per-requestor runs of one address each via chunks of
-			// the same interleave.
-			got := make([]Result, len(addrs))
-			for i := 0; i < len(addrs); i++ {
-				hb.LoadBatch(addrs[i:i+1], i%2, got[i:i+1])
-			}
-			// Then a second identical pass as real multi-address
-			// batches with a single requestor, against a serial
-			// reference continuing from the same state.
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("record %d diverges: batch %+v, serial %+v", i, got[i], want[i])
-				}
-			}
-			tail := batchAddrs(cfg, 400, 99)
-			tw := make([]Result, len(tail))
-			for i, a := range tail {
-				tw[i] = hs.Load(a, 0)
-			}
-			tg := make([]Result, len(tail))
-			hb.LoadBatch(tail, 0, tg)
-			for i := range tw {
-				if tg[i] != tw[i] {
-					t.Fatalf("tail record %d diverges: batch %+v, serial %+v", i, tg[i], tw[i])
-				}
-			}
-			if a, b := hierStats(hs), hierStats(hb); a != b {
-				t.Fatalf("stats diverge:\nserial:\n%s\nbatch:\n%s", a, b)
-			}
+			// Then real multi-address batches from the same state: a
+			// single-requestor run, and a run that misses the L2 and
+			// crosses a BatchChunk boundary.
+			tw.load(t, batchAddrs(cfg, 400, 99), 0)
+			tw.load(t, deepAddrs(cfg, BatchChunk+500, 5), 1)
+			tw.requireDeep(t, cfg)
+			tw.check(t)
 		})
 	}
 }
@@ -130,43 +193,76 @@ func TestLoadBatchMatchesLoad(t *testing.T) {
 func TestLoadTraceMatchesLoad(t *testing.T) {
 	for _, cfg := range batchHierConfigs() {
 		t.Run(cfgName(cfg), func(t *testing.T) {
-			addrs := batchAddrs(cfg, 800, 4242)
-			ca, cb := cfg, cfg
-			if cfg.L1Policy == replacement.Random {
-				ca.RNG, cb.RNG = rng.New(3), rng.New(3)
-			}
-			hs, hb := New(ca), New(cb)
-
-			want := make([]Result, len(addrs))
-			for i, a := range addrs {
-				want[i] = hs.Load(a, 0)
-			}
-			got := make([]Result, len(addrs))
-			hb.LoadBatch(addrs, 0, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("record %d diverges: batch %+v, serial %+v", i, got[i], want[i])
-				}
-			}
-			if a, b := hierStats(hs), hierStats(hb); a != b {
-				t.Fatalf("stats diverge:\nserial:\n%s\nbatch:\n%s", a, b)
-			}
+			tw := newBatchTwins(cfg, 3)
+			trace := append(batchAddrs(cfg, 800, 4242), deepAddrs(cfg, 1200, 6)...)
+			tw.load(t, trace, 0)
+			tw.requireDeep(t, cfg)
+			tw.check(t)
 		})
 	}
 }
 
 // LoadBatch must stay allocation-free after the first call sized the
-// scratch buffers.
+// scratch buffers, on a stream that reaches every level, with and
+// without an LLC, and with and without Results.
 func TestLoadBatchZeroAllocs(t *testing.T) {
-	cfg := Config{Profile: uarch.SandyBridge(), L1Policy: replacement.TreePLRU,
-		L2Policy: replacement.TreePLRU, WithLLC: true}
-	h := New(cfg)
-	addrs := batchAddrs(cfg, 256, 1)
-	out := make([]Result, len(addrs))
-	h.LoadBatch(addrs, 0, out)
-	if got := testing.AllocsPerRun(100, func() {
-		h.LoadBatch(addrs, 0, out)
-	}); got != 0 {
-		t.Errorf("LoadBatch allocates %.1f allocs/op, want 0", got)
+	for _, llc := range []bool{true, false} {
+		cfg := Config{Profile: uarch.SandyBridge(), L1Policy: replacement.TreePLRU,
+			L2Policy: replacement.TreePLRU, WithLLC: llc}
+		addrs := deepAddrs(cfg, 3*BatchChunk/2, 1)
+		for _, out := range [][]Result{make([]Result, len(addrs)), nil} {
+			h := New(cfg)
+			h.LoadBatch(addrs, 0, out)
+			if got := testing.AllocsPerRun(100, func() {
+				h.LoadBatch(addrs, 0, out)
+			}); got != 0 {
+				t.Errorf("llc=%v nil-out=%v: LoadBatch allocates %.1f allocs/op, want 0", llc, out == nil, got)
+			}
+		}
 	}
+}
+
+// FuzzLoadBatchEquivalence drives a batchHierConfigs configuration
+// with fuzzed addresses cut into fuzzed batches, with or without
+// Results, against per-access Load. Each address byte pair picks a tag
+// and one of 16 low sets, so the lines collide at every level; each
+// split byte gives the next batch's length (low 7 bits, plus one) and
+// requestor (high bit), and the rest of the stream forms one last
+// batch.
+func FuzzLoadBatchEquivalence(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 0, 2, 0, 1, 0, 3, 1}, []byte{1, 0x82}, false)
+	f.Add(uint8(4), []byte{9, 3, 9, 3, 200, 7, 9, 3, 17, 15}, []byte{0x80}, true)
+	f.Add(uint8(7), []byte{0, 0, 255, 255, 128, 1, 0, 0}, []byte{}, false)
+	f.Add(uint8(8), []byte{5, 5, 6, 5, 7, 5, 8, 5, 9, 5, 5, 5}, []byte{2, 2, 2}, true)
+	cfgs := batchHierConfigs()
+	f.Fuzz(func(t *testing.T, cfgIdx uint8, addrBytes, splits []byte, nilOut bool) {
+		cfg := cfgs[int(cfgIdx)%len(cfgs)]
+		l2Sets := uint64(cfg.Profile.L2Sets)
+		addrs := make([]mem.Addr, len(addrBytes)/2)
+		for i := range addrs {
+			addrs[i] = lineAddr(uint64(addrBytes[2*i])*l2Sets + uint64(addrBytes[2*i+1]&15))
+		}
+		hs, hb := newBatchHier(cfg, 9), newBatchHier(cfg, 9)
+		for len(addrs) > 0 {
+			n, requestor := len(addrs), 0
+			if len(splits) > 0 {
+				n, requestor = min(n, int(splits[0]&0x7f)+1), int(splits[0]>>7)
+				splits = splits[1:]
+			}
+			var out []Result
+			if !nilOut {
+				out = make([]Result, n)
+			}
+			hb.LoadBatch(addrs[:n], requestor, out)
+			for i, a := range addrs[:n] {
+				if want := hs.Load(a, requestor); out != nil && out[i] != want {
+					t.Fatalf("record %d diverges: batch %+v, serial %+v", i, out[i], want)
+				}
+			}
+			addrs = addrs[n:]
+		}
+		if a, b := hierStats(hs), hierStats(hb); a != b {
+			t.Fatalf("stats diverge:\nserial:\n%s\nbatch:\n%s", a, b)
+		}
+	})
 }

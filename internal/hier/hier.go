@@ -136,10 +136,9 @@ type Hierarchy struct {
 	// Per-requestor stride-prefetcher state, grown on demand.
 	pref []stridePref
 
-	// Scratch buffers of the batch paths (see batch.go), allocated on
-	// first use and reused across calls.
-	breqs []cache.Request
-	bres  []cache.Result
+	// Scratch buffers of LoadBatch (see batch.go), allocated on first
+	// use and reused across calls.
+	batch batchScratch
 }
 
 // prefPrealloc matches the cache's per-requestor counter pre-sizing.
@@ -203,52 +202,48 @@ func (h *Hierarchy) load(addr mem.Addr, requestor int, op cache.Op, allowPrefetc
 	return h.finish(addr, requestor, r1, allowPrefetch)
 }
 
-// finish completes a load whose L1 access already happened: latency
-// selection for hits, the walk through L2/LLC/memory for misses, and
-// the prefetch trigger. Splitting it from load lets LoadBatch run the
-// L1 access through cache.AccessBatch and still share the exact
-// per-access completion logic.
+// finish completes a load whose L1 access already happened: the walk
+// through L2/LLC/memory for misses and the prefetch trigger.
 func (h *Hierarchy) finish(addr mem.Addr, requestor int, r1 cache.Result, allowPrefetch bool) Result {
-	p := h.cfg.Profile
 	if r1.Hit {
-		res := Result{Level: LevelL1, Latency: p.L1Latency, L1Hit: true}
-		if r1.UtagMiss {
-			// Data present, way predictor wrong: the load replays
-			// through the slow path and observes L1-miss latency.
-			res.UtagMiss = true
-			res.Latency = p.L2Latency
-		}
-		return res
+		return h.result(r1, LevelL1)
 	}
-
 	// L1 miss: the line comes from L2 or beyond. The L1 access already
 	// installed the line (or bypassed, for a locked PL victim).
-	res := Result{Bypassed: r1.Bypassed}
-	r2 := h.l2.Access(cache.Request{
-		PhysLine: addr.PhysLine, LinearLine: addr.VirtLine,
-		Requestor: requestor,
-	})
-	switch {
-	case r2.Hit:
-		res.Level, res.Latency = LevelL2, p.L2Latency
-	case h.llc != nil:
-		r3 := h.llc.Access(cache.Request{
-			PhysLine: addr.PhysLine, LinearLine: addr.VirtLine,
-			Requestor: requestor,
-		})
-		if r3.Hit {
-			res.Level, res.Latency = LevelLLC, h.llcLatency
-		} else {
-			res.Level, res.Latency = LevelMem, p.MemLatency
-		}
-	default:
-		res.Level, res.Latency = LevelMem, p.MemLatency
+	req := cache.Request{PhysLine: addr.PhysLine, LinearLine: addr.VirtLine, Requestor: requestor}
+	lvl := LevelMem
+	if h.l2.Access(req).Hit {
+		lvl = LevelL2
+	} else if h.llc != nil && h.llc.Access(req).Hit {
+		lvl = LevelLLC
 	}
-
+	res := h.result(r1, lvl)
 	if allowPrefetch {
 		res.PrefetchIssued = h.maybePrefetch(addr, requestor)
 	}
 	return res
+}
+
+// result builds the Result of a load served from lvl whose L1 access
+// returned r1: the one place a level's latency is chosen, shared by
+// Load and LoadBatch.
+func (h *Hierarchy) result(r1 cache.Result, lvl Level) Result {
+	p := h.cfg.Profile
+	switch lvl {
+	case LevelL1:
+		if r1.UtagMiss {
+			// Data present, way predictor wrong: the load replays
+			// through the slow path and observes L1-miss latency.
+			return Result{Level: LevelL1, Latency: p.L2Latency, L1Hit: true, UtagMiss: true}
+		}
+		return Result{Level: LevelL1, Latency: p.L1Latency, L1Hit: true}
+	case LevelL2:
+		return Result{Level: LevelL2, Latency: p.L2Latency, Bypassed: r1.Bypassed}
+	case LevelLLC:
+		return Result{Level: LevelLLC, Latency: h.llcLatency, Bypassed: r1.Bypassed}
+	default:
+		return Result{Level: LevelMem, Latency: p.MemLatency, Bypassed: r1.Bypassed}
+	}
 }
 
 // maybePrefetch implements the prefetcher models. Prefetched fills go

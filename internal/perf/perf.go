@@ -83,12 +83,13 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 	refs := cfg.Instructions / cfg.MemRefEvery
 
 	// The reference stream is generator-driven — the addresses never
-	// depend on cache outcomes — so it executes as L1 batches with the
-	// misses walked afterwards in record order. That keeps the CPI
-	// accumulation order (float addition does not commute) and the RNG
-	// draw order exact: the L2 is Tree-PLRU and never draws from the
-	// shared generator, so batching the L1 pass ahead of the L2 walk
-	// reorders no draws even under a Random L1 policy.
+	// depend on cache outcomes — so each chunk runs as one L1 batch and
+	// one L2 batch over the L1 misses, gathered in record order. The L2
+	// is Tree-PLRU and never draws from the shared generator, so running
+	// the L1 pass ahead of the L2 pass reorders no draws even under a
+	// Random L1 policy, and the CPI accumulates over the misses in
+	// record order (float addition does not commute). L1 hits are fully
+	// pipelined in the base CPI.
 	const chunk = 4096
 	reqs := make([]cache.Request, chunk)
 	res := make([]cache.Result, chunk)
@@ -98,13 +99,17 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 			reqs[i].PhysLine = gen.Next().Addr / 64
 		}
 		l1.AccessBatch(reqs[:n], res[:n])
+		m := 0
 		for i := 0; i < n; i++ {
-			if res[i].Hit {
-				// L1 hits are fully pipelined in the base CPI.
-				continue
+			if !res[i].Hit {
+				reqs[m] = reqs[i]
+				m++
 			}
+		}
+		l2.AccessBatch(reqs[:m], res[:m])
+		for j := 0; j < m; j++ {
 			penalty := float64(l2Lat - l1Lat)
-			if !l2.Access(cache.Request{PhysLine: reqs[i].PhysLine}).Hit {
+			if !res[j].Hit {
 				penalty += memLat
 			}
 			// float64() stops a fused multiply-add (see rng.Float64).

@@ -18,7 +18,8 @@ import (
 //
 //	Tree-PLRU  one uint64 per set; bit i is heap node i of the PLRU tree
 //	           (ways-1 node bits, root at bit 0, children of i at 2i+1
-//	           and 2i+2).
+//	           and 2i+2). A touch of way w is one masked update with
+//	           the per-way path masks treeClr[w] and treeSet[w].
 //	Bit-PLRU   one uint64 per set; bit w is way w's MRU bit.
 //	True LRU   a packed age vector: one byte per way in a sets×ways slab,
 //	           age 0 = most recently used, ways-1 = LRU victim.
@@ -42,9 +43,13 @@ type SetArray struct {
 	// (the age vector no longer fits one word); nil otherwise.
 	ages []uint8
 
-	depth int       // log2(ways), Tree-PLRU victim/update walk length
+	depth int       // log2(ways), Tree-PLRU victim walk length
 	full  uint64    // Bit-PLRU all-ways-set mask
 	r     *rng.Rand // Random victim source
+
+	// Tree-PLRU touch masks: a use of way w clears the path nodes in
+	// treeClr[w] and sets those in treeSet[w] (see NewSetArray).
+	treeClr, treeSet []uint64
 
 	// Packed True-LRU constants (ways <= 8): one byte lane per way.
 	lruMask  uint64 // 0x01 in every valid lane
@@ -94,6 +99,25 @@ func NewSetArray(kind Kind, sets, ways int, r *rng.Rand) *SetArray {
 		}
 		for 1<<a.depth < ways {
 			a.depth++
+		}
+		// A touch points every node on the root-to-leaf path AWAY from
+		// the used way (bit 1 = right subtree is LRU): at level l the
+		// direction into way's subtree is bit depth-1-l of way, so the
+		// node is set when the way lies left and cleared when it lies
+		// right. The path is fixed per way, hence two masks.
+		a.treeClr = make([]uint64, ways)
+		a.treeSet = make([]uint64, ways)
+		for way := 0; way < ways; way++ {
+			node := 0
+			for level := a.depth - 1; level >= 0; level-- {
+				dir := (way >> uint(level)) & 1
+				if dir == 0 {
+					a.treeSet[way] |= 1 << uint(node)
+				} else {
+					a.treeClr[way] |= 1 << uint(node)
+				}
+				node = 2*node + 1 + dir
+			}
 		}
 		a.words = make([]uint64, sets)
 	case BitPLRU:
@@ -194,24 +218,7 @@ func (a *SetArray) Victim(set int) int {
 }
 
 func (a *SetArray) touchTree(set, way int) {
-	if a.ways == 1 {
-		return
-	}
-	w := a.words[set]
-	node := 0
-	// Walk root to leaf; at level l the direction into way's subtree is
-	// bit depth-1-l of way. Each node on the path is set to point AWAY
-	// from way's side (bit 1 = right subtree is LRU).
-	for level := a.depth - 1; level >= 0; level-- {
-		dir := (way >> uint(level)) & 1
-		if dir == 0 {
-			w |= 1 << uint(node)
-		} else {
-			w &^= 1 << uint(node)
-		}
-		node = 2*node + 1 + dir
-	}
-	a.words[set] = w
+	a.words[set] = a.words[set]&^a.treeClr[way] | a.treeSet[way]
 }
 
 func (a *SetArray) victimTree(set int) int {

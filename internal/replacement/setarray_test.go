@@ -1,6 +1,7 @@
 package replacement
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/rng"
@@ -257,4 +258,44 @@ func FuzzSetArrayEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The Tree-PLRU touch is one masked update per way; the masks must
+// encode exactly one root-to-leaf path that points away from the way.
+func TestTreeTouchMasks(t *testing.T) {
+	r := rng.New(5)
+	for _, ways := range []int{1, 2, 4, 8, 16, 64} {
+		a := NewSetArray(TreePLRU, 1, ways, nil)
+		nodes := uint64(1)<<uint(ways-1) - 1 // the ways-1 node bits
+		for w := 0; w < ways; w++ {
+			clr, set := a.treeClr[w], a.treeSet[w]
+			if clr&set != 0 {
+				t.Errorf("ways=%d way=%d: clear mask %#x and set mask %#x overlap", ways, w, clr, set)
+			}
+			if n := bits.OnesCount64(clr | set); n != a.depth {
+				t.Errorf("ways=%d way=%d: touch changes %d nodes, want depth %d", ways, w, n, a.depth)
+			}
+			if (clr|set)&^nodes != 0 {
+				t.Errorf("ways=%d way=%d: masks %#x reach past the %d node bits", ways, w, clr|set, ways-1)
+			}
+		}
+		if ways < 2 {
+			continue
+		}
+		// From the power-on state and random states, a touch of w must
+		// never leave w as the victim.
+		for trial := 0; trial < 200; trial++ {
+			start := r.Uint64() & nodes
+			if trial == 0 {
+				start = 0
+			}
+			for w := 0; w < ways; w++ {
+				a.SetPackedState(0, start)
+				a.Touch(0, w)
+				if v := a.Victim(0); v == w {
+					t.Fatalf("ways=%d state=%#x: touch of way %d leaves it the victim", ways, start, w)
+				}
+			}
+		}
+	}
 }

@@ -58,12 +58,21 @@ func (s *sequential) Next() Access {
 // zipf draws lines from a Zipf-like distribution over a working set: the
 // gcc/perlbench-like profile where a hot minority of lines carries most
 // references. Temporal locality is strong, so LRU-family policies shine.
+//
+// A draw inverts the CDF: the rank is the first i with cdf[i] >= u. The
+// guide table answers that without a search: for G the smallest power
+// of two >= lines, guide[k] is the first rank with cdf >= k/G, so a
+// draw starts at guide[floor(u*G)] and scans forward a step or two.
+// Scaling by a power of two is exact, so the scan lands on exactly the
+// rank a binary search of the CDF would return, for every u.
 type zipf struct {
 	name  string
 	lines int
 	skew  float64
 	r     *rng.Rand
 	cdf   []float64
+	guide []int32 // G+1 entries; guide[G] covers u == 1
+	g     float64 // G
 }
 
 func newZipf(name string, lines int, skew float64) *zipf {
@@ -77,26 +86,38 @@ func newZipf(name string, lines int, skew float64) *zipf {
 	for i := range z.cdf {
 		z.cdf[i] /= sum
 	}
+	g := 1
+	for g < lines {
+		g <<= 1
+	}
+	z.g = float64(g)
+	z.guide = make([]int32, g+1)
+	i := 0
+	for k := range z.guide {
+		for i < lines-1 && z.cdf[i] < float64(k)/z.g {
+			i++
+		}
+		z.guide[k] = int32(i)
+	}
 	z.Reset(1)
 	return z
+}
+
+// rank returns the first rank whose CDF value is >= u (the last rank
+// if none is), for u in [0, 1].
+func (z *zipf) rank(u float64) int {
+	i := int(z.guide[int(u*z.g)])
+	for i < len(z.cdf)-1 && z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 func (z *zipf) Name() string      { return z.name }
 func (z *zipf) Reset(seed uint64) { z.r = rng.New(seed) }
 func (z *zipf) Next() Access {
-	u := z.r.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	// Scramble rank -> line so hot lines spread across cache sets.
-	line := uint64(lo) * 0x9e3779b97f4a7c15 % uint64(z.lines)
+	line := uint64(z.rank(z.r.Float64())) * 0x9e3779b97f4a7c15 % uint64(z.lines)
 	return Access{Addr: line * lineSize}
 }
 

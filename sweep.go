@@ -801,28 +801,27 @@ func benignPairReports(a, b, refs, slice int, seed uint64) [2]perfctr.Report {
 		slice = 1
 	}
 	// Each slice is one requestor's run of generator-driven loads, so it
-	// executes as a single LoadBatch (the geometry above is prefetch-free
-	// and deterministic, so the batch is bit-identical to per-access
-	// Load calls).
-	n := min(slice, refs)
-	addrs := make([]mem.Addr, n)
-	res := make([]hier.Result, n)
+	// executes as LoadBatch calls over BatchChunk-sized stages (the
+	// geometry above is prefetch-free and deterministic, so the batch is
+	// bit-identical to per-access Load calls). Only the counters are
+	// read afterwards, so the per-load Results are discarded.
+	addrs := make([]mem.Addr, min(slice, refs, hier.BatchChunk))
 	var issued [2]int
 	for turn := 0; issued[0] < refs || issued[1] < refs; turn++ {
 		p := turn % 2
-		n := min(slice, refs-issued[p])
-		if n <= 0 {
-			continue
-		}
-		for k := 0; k < n; k++ {
-			l := gens[p].Next().Addr / 64
-			if p == 1 {
-				l += benignPairTagStride
+		end := issued[p] + min(slice, refs-issued[p])
+		for issued[p] < end {
+			n := min(len(addrs), end-issued[p])
+			for k := 0; k < n; k++ {
+				l := gens[p].Next().Addr / 64
+				if p == 1 {
+					l += benignPairTagStride
+				}
+				addrs[k] = mem.Addr{Virt: l * 64, Phys: l * 64, VirtLine: l, PhysLine: l}
 			}
-			addrs[k] = mem.Addr{Virt: l * 64, Phys: l * 64, VirtLine: l, PhysLine: l}
+			h.LoadBatch(addrs[:n], p, nil)
+			issued[p] += n
 		}
-		h.LoadBatch(addrs[:n], p, res[:n])
-		issued[p] += n
 	}
 	return [2]perfctr.Report{perfctr.Collect(h, 0), perfctr.Collect(h, 1)}
 }
