@@ -1,314 +1,163 @@
-// Command benchdiff compares a fresh BENCH_JSON run against a committed
-// baseline (BENCH_BASELINE.json) and reports per-benchmark deltas.
+// Command benchdiff enforces sibling-ratio pins on `go test -bench`
+// output. It reads the benchmark text from stdin and checks each
 //
-// Two kinds of numbers live in those files and they are judged very
-// differently:
+//	-require fast:slow:ratio
 //
-//   - ns/op is machine- and load-dependent. Deltas are REPORTED (so the
-//     performance trajectory is visible in CI artifacts) but never fail
-//     the comparison.
+// pin as ns/op(slow) / ns/op(fast) >= ratio. Both benchmarks come from
+// the same run, so a pin is immune to the runner's absolute speed; it
+// is how the parallel-speedup, telemetry-overhead and enumeration pins
+// are expressed. Names are given without the -N GOMAXPROCS suffix that
+// go test appends. A pinned benchmark missing from the run is a
+// warning, not a failure: single-core runners skip the workers=all
+// variants.
 //
-//   - The metrics map holds experiment-quality results — error rates,
-//     recovery accuracy, separable fractions, eviction probabilities —
-//     which are produced by a seeded, deterministic simulator and must
-//     not drift at all between runs with the same trial count. Any
-//     quality metric moving by more than -tol is a behaviour change in
-//     the simulator and FAILS the comparison (exit code 1).
-//
-// Machine-dependent metrics ("workers", "gomaxprocs") and benchmarks
-// whose trial counts differ between the two files (the metrics are
-// per-iteration averages over different seed sets) are compared
-// informationally only.
-//
-// Wall-time ratios are never judged by default (see above), but CI can
-// opt specific benches into a minimum-speedup gate with -require:
-//
-//	-require name:ratio            base-ns(name) / cur-ns(name)  >= ratio
-//	-require name:reference:ratio  cur-ns(reference) / cur-ns(name) >= ratio
-//
-// The two-name form compares siblings inside the current run — immune
-// to the runner's absolute speed — and is how the parallel-speedup and
-// batch-vs-per-access pins are expressed. A required bench missing
-// from the current run is a warning, not a failure: single-core
-// runners legitimately skip the workers=all variants.
+// Exit status: 0 when every pin present in the run holds, 1 when one
+// falls below its ratio, 2 on a usage error or input with no
+// benchmark results.
 //
 // Usage:
 //
-//	BENCH_JSON=bench.json go test -run xxx -bench . -benchtime 1x .
-//	go run ./cmd/benchdiff -baseline BENCH_BASELINE.json -current bench.json -out report.md
+//	go test -run xxx -bench ParallelSpeedup -benchtime 1x . |
+//		go run ./cmd/benchdiff -require 'BenchmarkX/workers=all:BenchmarkX/workers=1:2.0'
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// requirement is one -require pin: the named bench must be at least
-// ratio times faster than its reference (a sibling in the current run
-// when reference is set, its own baseline entry otherwise).
+// requirement is one -require pin: name must run at least ratio times
+// faster than reference.
 type requirement struct {
 	name      string
-	reference string // empty: compare against the baseline file
+	reference string
 	ratio     float64
 }
 
 func parseRequire(s string) (requirement, error) {
 	parts := strings.Split(s, ":")
-	if len(parts) != 2 && len(parts) != 3 {
-		return requirement{}, fmt.Errorf("want name:ratio or name:reference:ratio, got %q", s)
+	if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
+		return requirement{}, fmt.Errorf("want fast:slow:ratio, got %q", s)
 	}
-	ratio, err := strconv.ParseFloat(parts[len(parts)-1], 64)
+	ratio, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil || ratio <= 0 {
 		return requirement{}, fmt.Errorf("bad ratio in %q", s)
 	}
-	req := requirement{name: parts[0], ratio: ratio}
-	if len(parts) == 3 {
-		req.reference = parts[1]
-	}
-	return req, nil
+	return requirement{name: parts[0], reference: parts[1], ratio: ratio}, nil
 }
 
-// checkRequirements evaluates the -require pins against the loaded
-// records, appending failure lines to failures and returning the
-// report section text (empty when no pins were given).
-func checkRequirements(reqs []requirement, base, cur map[string]record, failures *[]string) string {
-	if len(reqs) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("\n## Required speedups\n\n")
-	for _, req := range reqs {
-		c, ok := cur[req.name]
-		if !ok || c.NsPerOp <= 0 {
-			fmt.Fprintf(&b, "- %s: not in this run (skipped — partial or single-core invocation)\n", req.name)
-			continue
-		}
-		var refNs float64
-		var refDesc string
-		if req.reference != "" {
-			r, ok := cur[req.reference]
-			if !ok || r.NsPerOp <= 0 {
-				fmt.Fprintf(&b, "- %s: reference %s not in this run (skipped)\n", req.name, req.reference)
-				continue
-			}
-			refNs, refDesc = r.NsPerOp, req.reference
-		} else {
-			o, ok := base[req.name]
-			if !ok || o.NsPerOp <= 0 {
-				fmt.Fprintf(&b, "- %s: not in the baseline (skipped)\n", req.name)
-				continue
-			}
-			refNs, refDesc = o.NsPerOp, "baseline"
-		}
-		got := refNs / c.NsPerOp
-		if got >= req.ratio {
-			fmt.Fprintf(&b, "- %s: %.2fx vs %s (required %.2fx) ok\n", req.name, got, refDesc, req.ratio)
-		} else {
-			fmt.Fprintf(&b, "- **%s: %.2fx vs %s, required %.2fx** FAIL\n", req.name, got, refDesc, req.ratio)
-			*failures = append(*failures, fmt.Sprintf(
-				"%s: %.2fx vs %s below required %.2fx", req.name, got, refDesc, req.ratio))
-		}
-	}
-	return b.String()
-}
-
-// record mirrors the BENCH_JSON line schema written by emitBench.
-type record struct {
-	Name    string             `json:"name"`
-	Trials  int                `json:"trials"`
-	NsPerOp float64            `json:"ns_per_op"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// informational metrics describe the machine, not the experiment; they
-// may differ between runners without meaning anything.
-var informational = map[string]bool{
-	"workers":    true,
-	"gomaxprocs": true,
-}
-
-func load(path string) (map[string]record, []string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	recs := map[string]record{}
-	var order []string
-	sc := bufio.NewScanner(f)
+// parseBench returns ns/op per benchmark from go test -bench output.
+// Lines that are not benchmark results (goos:, pkg:, PASS, ok, ---
+// SKIP, logs) are ignored.
+func parseBench(r io.Reader) (map[string]float64, error) {
+	ns := map[string]float64{}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for ln := 1; sc.Scan(); ln++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		var r record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, nil, fmt.Errorf("%s:%d: %v", path, ln, err)
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
 		}
-		if _, dup := recs[r.Name]; !dup {
-			order = append(order, r.Name)
+		for i := 2; i+1 < len(f); i += 2 {
+			if f[i+1] == "ns/op" {
+				if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+					ns[stripProcs(f[0])] = v
+				}
+				break
+			}
 		}
-		recs[r.Name] = r
 	}
-	return recs, order, sc.Err()
+	return ns, sc.Err()
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline BENCH_JSON file")
-	currentPath := flag.String("current", "", "freshly generated BENCH_JSON file (required)")
-	outPath := flag.String("out", "", "write the report here instead of stdout")
-	tol := flag.Float64("tol", 1e-9, "maximum allowed absolute drift of a quality metric")
-	var requires []requirement
-	flag.Func("require", "minimum speedup pin, name:ratio or name:reference:ratio (repeatable)", func(s string) error {
+// stripProcs removes the -N GOMAXPROCS suffix go test appends to a
+// benchmark name when GOMAXPROCS > 1.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// checkRequirements evaluates the pins against one run's ns/op and
+// returns the report text plus one line per failed pin.
+func checkRequirements(reqs []requirement, ns map[string]float64) (report string, failures []string) {
+	var b strings.Builder
+	for _, req := range reqs {
+		fast, slow := ns[req.name], ns[req.reference]
+		switch {
+		case fast <= 0:
+			fmt.Fprintf(&b, "- %s: not in this run (skipped: partial or single-core invocation)\n", req.name)
+		case slow <= 0:
+			fmt.Fprintf(&b, "- %s: reference %s not in this run (skipped)\n", req.name, req.reference)
+		case slow/fast >= req.ratio:
+			fmt.Fprintf(&b, "- %s: %.2fx vs %s (required %.2fx) ok\n", req.name, slow/fast, req.reference, req.ratio)
+		default:
+			fmt.Fprintf(&b, "- %s: %.2fx vs %s, required %.2fx FAIL\n", req.name, slow/fast, req.reference, req.ratio)
+			failures = append(failures, fmt.Sprintf("%s: %.2fx vs %s below required %.2fx",
+				req.name, slow/fast, req.reference, req.ratio))
+		}
+	}
+	return b.String(), failures
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var reqs []requirement
+	fs.Func("require", "sibling speedup pin fast:slow:ratio (repeatable)", func(s string) error {
 		req, err := parseRequire(s)
 		if err != nil {
 			return err
 		}
-		requires = append(requires, req)
+		reqs = append(reqs, req)
 		return nil
 	})
-	flag.Parse()
-	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -current is required")
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-
-	base, _, err := load(*baselinePath)
+	if len(reqs) == 0 || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "benchdiff: want one or more -require fast:slow:ratio and bench output on stdin")
+		fs.Usage()
+		return 2
+	}
+	ns, err := parseBench(stdin)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
 	}
-	cur, curOrder, err := load(*currentPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+	if len(ns) == 0 {
+		fmt.Fprintln(stderr, "benchdiff: no benchmark results on stdin")
+		return 2
 	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "# benchdiff: %s vs %s\n\n", *currentPath, *baselinePath)
-	fmt.Fprintf(&b, "| benchmark | ns/op (base → cur) | speedup | quality |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|\n")
-
-	var failures []string
-	for _, name := range curOrder {
-		c := cur[name]
-		o, inBase := base[name]
-		if !inBase {
-			fmt.Fprintf(&b, "| %s | new: %.3gms | — | new benchmark |\n", name, c.NsPerOp/1e6)
-			continue
-		}
-		speed := "—"
-		if c.NsPerOp > 0 {
-			speed = fmt.Sprintf("%.2fx", o.NsPerOp/c.NsPerOp)
-		}
-		quality := describeQuality(name, o, c, *tol, &failures)
-		fmt.Fprintf(&b, "| %s | %.3gms → %.3gms | %s | %s |\n",
-			name, o.NsPerOp/1e6, c.NsPerOp/1e6, speed, quality)
-	}
-
-	// Baseline benchmarks absent from the current run: normal for
-	// partial bench invocations, so informational only.
-	var missing []string
-	for name := range base {
-		if _, ok := cur[name]; !ok {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(missing)
-	if len(missing) > 0 {
-		fmt.Fprintf(&b, "\n%d baseline benchmark(s) not in this run: %s\n",
-			len(missing), strings.Join(missing, ", "))
-	}
-
-	b.WriteString(checkRequirements(requires, base, cur, &failures))
-
+	report, failures := checkRequirements(reqs, ns)
+	fmt.Fprint(stdout, report)
 	if len(failures) > 0 {
-		fmt.Fprintf(&b, "\n## FAILURES (fatal)\n\n")
 		for _, f := range failures {
-			fmt.Fprintf(&b, "- %s\n", f)
+			fmt.Fprintf(stderr, "benchdiff: %s\n", f)
 		}
-	} else {
-		fmt.Fprintf(&b, "\nAll experiment-quality metrics match the baseline.\n")
+		return 1
 	}
-
-	report := b.String()
-	if *outPath != "" {
-		if err := os.WriteFile(*outPath, []byte(report), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	fmt.Print(report)
-	if len(failures) > 0 {
-		os.Exit(1)
-	}
+	return 0
 }
 
-// describeQuality compares one benchmark's metrics and appends fatal
-// drifts to failures. It returns the cell text for the report table.
-func describeQuality(name string, o, c record, tol float64, failures *[]string) string {
-	if len(o.Metrics) == 0 && len(c.Metrics) == 0 {
-		return "no metrics"
-	}
-	if o.Trials != c.Trials {
-		return fmt.Sprintf("trials differ (%d vs %d): metrics informational", o.Trials, c.Trials)
-	}
-	keys := map[string]bool{}
-	for k := range o.Metrics {
-		keys[k] = true
-	}
-	for k := range c.Metrics {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-
-	var notes []string
-	ok := 0
-	for _, k := range sorted {
-		ov, inO := o.Metrics[k]
-		cv, inC := c.Metrics[k]
-		switch {
-		case !inO:
-			notes = append(notes, fmt.Sprintf("%s new (%.6g)", k, cv))
-		case !inC && !informational[k]:
-			// A quality metric vanishing from a benchmark that DID run
-			// is the same class of regression as a drifted value: the
-			// simulator (or the bench) stopped producing the result.
-			notes = append(notes, fmt.Sprintf("**%s gone (was %.6g)**", k, ov))
-			*failures = append(*failures,
-				fmt.Sprintf("%s: quality metric %s disappeared (baseline had %.6g)", name, k, ov))
-		case !inC:
-			notes = append(notes, fmt.Sprintf("%s gone (was %.6g, info)", k, ov))
-		case informational[k]:
-			if ov != cv {
-				notes = append(notes, fmt.Sprintf("%s %g → %g (info)", k, ov, cv))
-			} else {
-				ok++
-			}
-		case math.Abs(ov-cv) > tol:
-			notes = append(notes, fmt.Sprintf("**%s %.6g → %.6g**", k, ov, cv))
-			*failures = append(*failures,
-				fmt.Sprintf("%s: %s drifted %.6g → %.6g (|Δ|=%.3g > tol %.3g)",
-					name, k, ov, cv, math.Abs(ov-cv), tol))
-		default:
-			ok++
-		}
-	}
-	if len(notes) == 0 {
-		return fmt.Sprintf("%d metric(s) match", ok)
-	}
-	return strings.Join(notes, "; ")
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }

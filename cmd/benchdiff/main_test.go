@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -11,12 +12,15 @@ func TestParseRequire(t *testing.T) {
 		want requirement
 		err  bool
 	}{
-		{in: "BenchmarkX:2.0", want: requirement{name: "BenchmarkX", ratio: 2.0}},
 		{in: "BenchmarkY/workers=all:BenchmarkY/workers=1:2.0",
 			want: requirement{name: "BenchmarkY/workers=all", reference: "BenchmarkY/workers=1", ratio: 2.0}},
+		{in: "BenchmarkX:2.0", err: true}, // the one-name form compared against a baseline file
 		{in: "BenchmarkX", err: true},
-		{in: "BenchmarkX:zero", err: true},
-		{in: "BenchmarkX:-1", err: true},
+		{in: "a:b:zero", err: true},
+		{in: "a:b:-1", err: true},
+		{in: "a:b:0", err: true},
+		{in: ":b:2.0", err: true},
+		{in: "a::2.0", err: true},
 		{in: "a:b:c:2.0", err: true},
 	}
 	for _, c := range cases {
@@ -37,57 +41,130 @@ func TestParseRequire(t *testing.T) {
 	}
 }
 
-func TestCheckRequirements(t *testing.T) {
-	base := map[string]record{
-		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 100},
+// benchOutput is go test -bench text from a 4-core runner, with the
+// header, skip, log and trailer lines go test prints around results.
+const benchOutput = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkTableIVParallelSpeedup/workers=1-4         	       1	 150000000 ns/op	         4.000 gomaxprocs	         1.000 workers
+BenchmarkTableIVParallelSpeedup/workers=all-4       	       1	  60000000 ns/op	         4.000 gomaxprocs	         4.000 workers
+BenchmarkMetricsOverhead/telemetry=off-4            	       1	   1400000 ns/op	       256.0 cells
+BenchmarkMetricsOverhead/telemetry=on-4             	       1	   2000000 ns/op	       256.0 cells
+BenchmarkLeakageEnumeration/mode=exhaustive         	       1	  30000000 ns/op	     32768 states
+BenchmarkLeakageEnumeration/mode=sampled            	       1	 400000000 ns/op	         0.0000000 coverage
+--- SKIP: BenchmarkSweepParallelSpeedup/workers=all
+    bench_test.go:32: GOMAXPROCS=1
+PASS
+ok  	repro	2.345s
+`
+
+func TestParseBench(t *testing.T) {
+	ns, err := parseBench(strings.NewReader(benchOutput))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cur := map[string]record{
-		"BenchmarkA":             {Name: "BenchmarkA", NsPerOp: 40},
-		"BenchmarkB/mode=fast":   {Name: "BenchmarkB/mode=fast", NsPerOp: 10},
-		"BenchmarkB/mode=slow":   {Name: "BenchmarkB/mode=slow", NsPerOp: 50},
-		"BenchmarkB/mode=barely": {Name: "BenchmarkB/mode=barely", NsPerOp: 30},
-		"BenchmarkNotInBaseline": {Name: "BenchmarkNotInBaseline", NsPerOp: 5},
+	want := map[string]float64{
+		"BenchmarkTableIVParallelSpeedup/workers=1":   150000000,
+		"BenchmarkTableIVParallelSpeedup/workers=all": 60000000,
+		"BenchmarkMetricsOverhead/telemetry=off":      1400000,
+		"BenchmarkMetricsOverhead/telemetry=on":       2000000,
+		"BenchmarkLeakageEnumeration/mode=exhaustive": 30000000,
+		"BenchmarkLeakageEnumeration/mode=sampled":    400000000,
+	}
+	if len(ns) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d: %v", len(ns), len(want), ns)
+	}
+	for name, v := range want {
+		if ns[name] != v {
+			t.Errorf("%s: ns/op %v, want %v", name, ns[name], v)
+		}
+	}
+}
+
+func TestStripProcs(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkX/workers=1-4":     "BenchmarkX/workers=1",
+		"BenchmarkX/workers=1":       "BenchmarkX/workers=1",
+		"BenchmarkX/workers=all-16":  "BenchmarkX/workers=all",
+		"BenchmarkX/plcache-fix":     "BenchmarkX/plcache-fix",
+		"BenchmarkServiceThroughput": "BenchmarkServiceThroughput",
+	} {
+		if got := stripProcs(in); got != want {
+			t.Errorf("stripProcs(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+func TestCheckRequirements(t *testing.T) {
+	ns := map[string]float64{
+		"BenchmarkB/mode=fast":   10,
+		"BenchmarkB/mode=slow":   50,
+		"BenchmarkB/mode=barely": 30,
 	}
 
-	t.Run("baseline ratio passes", func(t *testing.T) {
-		var failures []string
-		out := checkRequirements([]requirement{{name: "BenchmarkA", ratio: 2.0}}, base, cur, &failures)
-		if len(failures) != 0 {
-			t.Fatalf("unexpected failures: %v", failures)
+	t.Run("sibling ratio passes and fails", func(t *testing.T) {
+		out, failures := checkRequirements([]requirement{
+			{name: "BenchmarkB/mode=fast", reference: "BenchmarkB/mode=slow", ratio: 2.0},
+			{name: "BenchmarkB/mode=barely", reference: "BenchmarkB/mode=slow", ratio: 2.0},
+		}, ns)
+		if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkB/mode=barely") {
+			t.Fatalf("want exactly the below-ratio pin to fail, got %v", failures)
 		}
-		if !strings.Contains(out, "2.50x vs baseline") {
+		if !strings.Contains(out, "5.00x vs BenchmarkB/mode=slow") {
 			t.Fatalf("report missing measured ratio:\n%s", out)
 		}
 	})
 
-	t.Run("sibling ratio passes and fails", func(t *testing.T) {
-		var failures []string
-		checkRequirements([]requirement{
-			{name: "BenchmarkB/mode=fast", reference: "BenchmarkB/mode=slow", ratio: 2.0},
-			{name: "BenchmarkB/mode=barely", reference: "BenchmarkB/mode=slow", ratio: 2.0},
-		}, base, cur, &failures)
-		if len(failures) != 1 {
-			t.Fatalf("want exactly the below-ratio pin to fail, got %v", failures)
-		}
-		if !strings.Contains(failures[0], "BenchmarkB/mode=barely") {
-			t.Fatalf("wrong failing pin: %v", failures)
-		}
-	})
-
 	t.Run("missing bench warns instead of failing", func(t *testing.T) {
-		var failures []string
-		out := checkRequirements([]requirement{
+		out, failures := checkRequirements([]requirement{
 			{name: "BenchmarkZ/workers=all", reference: "BenchmarkZ/workers=1", ratio: 2.0},
 			{name: "BenchmarkB/mode=fast", reference: "BenchmarkGone", ratio: 2.0},
-			{name: "BenchmarkNotInBaseline", ratio: 2.0},
-		}, base, cur, &failures)
+		}, ns)
 		if len(failures) != 0 {
 			t.Fatalf("missing benches must not fail the gate: %v", failures)
 		}
-		for _, want := range []string{"not in this run", "reference BenchmarkGone not in this run", "not in the baseline"} {
+		for _, want := range []string{"BenchmarkZ/workers=all: not in this run", "reference BenchmarkGone not in this run"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("report missing %q:\n%s", want, out)
 			}
 		}
 	})
+}
+
+// TestRunExitStatus drives the command end to end on the CI pins.
+func TestRunExitStatus(t *testing.T) {
+	pins := []string{
+		"-require", "BenchmarkTableIVParallelSpeedup/workers=all:BenchmarkTableIVParallelSpeedup/workers=1:2.0",
+		"-require", "BenchmarkSweepParallelSpeedup/workers=all:BenchmarkSweepParallelSpeedup/workers=1:2.0",
+		"-require", "BenchmarkMetricsOverhead/telemetry=on:BenchmarkMetricsOverhead/telemetry=off:0.8",
+		"-require", "BenchmarkLeakageEnumeration/mode=exhaustive:BenchmarkLeakageEnumeration/mode=sampled:2.0",
+	}
+	cases := []struct {
+		name  string
+		input string
+		args  []string
+		want  int
+	}{
+		// TableIV 2.50x, MetricsOverhead 0.70x: the telemetry pin fails.
+		{"ratio below pin", benchOutput, pins, 1},
+		{"missing workers=all on a single-core runner", `BenchmarkTableIVParallelSpeedup/workers=1 	1	150000000 ns/op
+--- SKIP: BenchmarkTableIVParallelSpeedup/workers=all
+BenchmarkMetricsOverhead/telemetry=off 	1	1400000 ns/op
+BenchmarkMetricsOverhead/telemetry=on 	1	1500000 ns/op
+PASS
+`, pins[:6], 0},
+		{"all pins hold", strings.Replace(benchOutput, "2000000 ns/op", "1500000 ns/op", 1), pins, 0},
+		{"no benchmark results", "PASS\nok  \trepro\t0.1s\n", pins, 2},
+		{"one-name form rejected", benchOutput, []string{"-require", "BenchmarkX:2.0"}, 2},
+		{"no pins", benchOutput, nil, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(c.args, strings.NewReader(c.input), &stdout, &stderr); got != c.want {
+				t.Errorf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", got, c.want, stdout.String(), stderr.String())
+			}
+		})
+	}
 }

@@ -190,9 +190,12 @@ func TestDriversSerialParallelIdentical(t *testing.T) {
 
 // --- golden pinning ---
 //
-// Beyond serial-vs-parallel equality, the perfctr tables (VI, VII), the
-// securesim defence-cost study (Figure 9) and the stream sweep are
-// pinned byte-for-byte at a fixed seed against files in testdata/. The
+// The testdata/ goldens are the spec: every paper table, figure, sweep
+// and ablation is pinned byte-for-byte at a fixed seed. This file pins
+// the perfctr tables (VI, VII), the securesim defence-cost study
+// (Figure 9) and the stream sweep; papergolden_test.go pins the other
+// tables and figures plus ablations.golden; attacksweep_test.go and
+// leakagesweep_test.go pin the attack, ROC and leakage grids. The
 // simulator is exactly reproducible from a seed, so these goldens are
 // machine-independent; a diff means an (intended or not) behaviour
 // change in the simulator, the drivers, or the renderers. Regenerate

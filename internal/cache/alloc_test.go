@@ -125,38 +125,6 @@ func TestConstructionAllocationBudget(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessHit(b *testing.B) {
-	for _, pol := range replacement.Kinds() {
-		b.Run(pol.String(), func(b *testing.B) {
-			c := New(allocConfig(pol))
-			for i := 0; i < 8; i++ {
-				c.Access(Request{PhysLine: lineInSet(c, 5, i)})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Access(Request{PhysLine: lineInSet(c, 5, i&7)})
-			}
-		})
-	}
-}
-
-func BenchmarkAccessMissEvict(b *testing.B) {
-	for _, pol := range replacement.Kinds() {
-		b.Run(pol.String(), func(b *testing.B) {
-			c := New(allocConfig(pol))
-			for i := 0; i < 8; i++ {
-				c.Access(Request{PhysLine: lineInSet(c, 5, i)})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Access(Request{PhysLine: lineInSet(c, 5, 8+i)})
-			}
-		})
-	}
-}
-
 func ExampleCache_Access() {
 	c := New(Config{Name: "L1D", Sets: 64, Ways: 8, LineSize: 64, Policy: replacement.TreePLRU})
 	miss := c.Access(Request{PhysLine: 5})
