@@ -9,7 +9,7 @@
 // Usage:
 //
 //	lruattack [-victim ttable|sqmul|lookup] [-defense none|plcache|plcache-fix|randomfill|dawg]
-//	          [-policy lru|treeplru|bitplru] [-cpu sandy|skylake|zen]
+//	          [-policy lru|treeplru|bitplru|fifo|random] [-cpu sandy|skylake|zen]
 //	          [-probe full|d=1] [-schedule sync|smt|tslice]
 //	          [-secret HEX] [-symbols N] [-trials N] [-profrounds N] [-seed N]
 //	lruattack -sweep [-symbols N] [-trials N] [-reps N]   (full victim × policy × defense matrix)
@@ -46,7 +46,7 @@ func main() {
 	var (
 		victimName = flag.String("victim", "ttable", "victim program: ttable, sqmul or lookup")
 		defense    = flag.String("defense", "none", "cache defense: none, plcache, plcache-fix, randomfill or dawg")
-		policy     = flag.String("policy", "treeplru", "L1 replacement policy: lru, treeplru or bitplru")
+		policy     = flag.String("policy", "treeplru", "L1 replacement policy: lru, treeplru, bitplru, fifo or random")
 		cpu        = flag.String("cpu", "sandy", "CPU profile: sandy, skylake or zen")
 		probeName  = flag.String("probe", "full", "probe strategy: full (canonical prime) or d=N (partial prime, Figure 11 d-split)")
 		schedName  = flag.String("schedule", "sync", "execution schedule: sync, smt or tslice")

@@ -17,7 +17,8 @@ import (
 
 // This file contains one driver per figure of the paper's evaluation. Each
 // returns structured data plus a Render method producing the textual
-// equivalent of the plot. bench_test.go and cmd/lruchan call these.
+// equivalent of the plot. cmd/lruchan and cmd/securesim call these, and
+// the testdata/ goldens pin their rendered output.
 //
 // Every driver declares its evaluation grid as engine jobs — one job per
 // independent experiment cell (one simulated machine) — and hands the grid

@@ -108,6 +108,11 @@ type Target interface {
 	// monitor samples rates over sliding windows, which amortizes any
 	// process's cold-start fill burst away).
 	ResetStats()
+	// Reset returns the target to the exact state NewTargetCfg builds
+	// with Seed set to seed: lines, replacement state, counters and the
+	// generator. Trial loops reuse one target through Reset instead of
+	// rebuilding the machine per trial.
+	Reset(seed uint64)
 }
 
 // RandomFillWindow is the canonical ±line half-width of the random-fill
@@ -121,7 +126,8 @@ type TargetConfig struct {
 	Defense Defense
 	Profile uarch.Profile
 	Policy  replacement.Kind
-	// Seed feeds only the defenses that need randomness (random fill).
+	// Seed feeds the generator of the defenses and policies that need
+	// randomness (random fill, the Random policy).
 	Seed uint64
 	// FillWindow is the random-fill neighbourhood half-width in lines;
 	// 0 selects the canonical RandomFillWindow. Ignored by the other
@@ -140,14 +146,15 @@ func NewTargetCfg(cfg TargetConfig) Target {
 	prof := cfg.Profile
 	switch cfg.Defense {
 	case DefenseNone, DefensePLCache, DefensePLCacheFixed:
+		r := rng.New(cfg.Seed)
 		h := hier.New(hier.Config{
 			Profile:  prof,
 			L1Policy: cfg.Policy, L2Policy: replacement.TreePLRU,
-			RNG:                    rng.New(cfg.Seed),
+			RNG:                    r,
 			PartitionLockedL1:      cfg.Defense != DefenseNone,
 			LockReplacementStateL1: cfg.Defense == DefensePLCacheFixed,
 		})
-		return &hierTarget{h: h, lock: cfg.Defense != DefenseNone, ways: prof.L1Ways}
+		return &hierTarget{h: h, r: r, lock: cfg.Defense != DefenseNone, ways: prof.L1Ways}
 	case DefenseRandomFill:
 		window := cfg.FillWindow
 		if window == 0 {
@@ -159,8 +166,10 @@ func NewTargetCfg(cfg TargetConfig) Target {
 		}
 	case DefenseDAWG:
 		const domains = 2
+		r := rng.New(cfg.Seed)
 		return &dawgTarget{
-			d:       secure.NewDAWGWithPolicy(prof.L1Sets, prof.L1Ways, domains, cfg.Policy),
+			d:       secure.NewDAWGWithPolicy(prof.L1Sets, prof.L1Ways, domains, cfg.Policy, r),
+			r:       r,
 			waysPer: prof.L1Ways / domains,
 		}
 	default:
@@ -188,6 +197,7 @@ type BatchTarget interface {
 // variants).
 type hierTarget struct {
 	h    *hier.Hierarchy
+	r    *rng.Rand // the generator every level of h draws from
 	lock bool
 	ways int
 
@@ -237,6 +247,11 @@ func (t *hierTarget) Report(requestor int) perfctr.Report {
 
 func (t *hierTarget) ResetStats() { t.h.ResetStats() }
 
+func (t *hierTarget) Reset(seed uint64) {
+	t.h.Reset()
+	t.r.Reseed(seed)
+}
+
 // rfTarget adapts the random-fill cache. Warm-up goes through the
 // inner cache (the table was demand-filled before the defense-relevant
 // window, as in secure.RandomFillLeakExperiment); runtime accesses take
@@ -265,6 +280,8 @@ func (t *rfTarget) Report(requestor int) perfctr.Report {
 
 func (t *rfTarget) ResetStats() { t.rf.Inner().ResetStats() }
 
+func (t *rfTarget) Reset(seed uint64) { t.rf.Reset(seed) }
+
 // dawgTarget adapts the way-partitioned cache: requestor == protection
 // domain, and the attacker sizes its prime to its own partition. The
 // DAWG model keeps no counters, so the adapter accounts accesses
@@ -272,6 +289,7 @@ func (t *rfTarget) ResetStats() { t.rf.Inner().ResetStats() }
 // cross-domain evictions are structurally zero).
 type dawgTarget struct {
 	d       *secure.DAWGCache
+	r       *rng.Rand // the Random policy's victim source
 	waysPer int
 	stats   [2]cache.Stats
 }
@@ -301,3 +319,9 @@ func (t *dawgTarget) Report(requestor int) perfctr.Report {
 }
 
 func (t *dawgTarget) ResetStats() { t.stats = [2]cache.Stats{} }
+
+func (t *dawgTarget) Reset(seed uint64) {
+	t.d.Reset()
+	t.r.Reseed(seed)
+	t.ResetStats()
+}

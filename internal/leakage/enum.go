@@ -3,7 +3,8 @@ package leakage
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/replacement"
 	"repro/internal/rng"
@@ -90,8 +91,8 @@ type StateSpace struct {
 // Contains reports whether the canonical packed state s is in the
 // enumerated set.
 func (sp *StateSpace) Contains(s uint64) bool {
-	i := sort.Search(len(sp.States), func(i int) bool { return sp.States[i] >= s })
-	return i < len(sp.States) && sp.States[i] == s
+	_, ok := slices.BinarySearch(sp.States, s)
+	return ok
 }
 
 // Bound is the state-space leakage ceiling in bits: log2(|States|). No
@@ -147,7 +148,8 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	sp := StateSpace{Kind: kind, Ways: ways}
 
 	reset := a.PackedState(0)
-	visited := map[uint64]bool{reset: true}
+	visited := newStateSet()
+	visited.add(reset)
 	frontier := []uint64{reset}
 	var order *rng.Rand
 	if opt.OrderSeed != 0 {
@@ -181,12 +183,12 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 			a.SetPackedState(0, s)
 			Apply(a, sym)
 			next := a.PackedState(0)
-			if !visited[next] {
-				if len(visited) >= opt.MaxStates {
+			if visited.add(next) {
+				// The first new state past the cap abandons the BFS.
+				if visited.n > opt.MaxStates {
 					full = true
 					break
 				}
-				visited[next] = true
 				frontier = append(frontier, next)
 			}
 		}
@@ -196,7 +198,7 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	if !full {
 		sp.Exhaustive = true
 		sp.Coverage = 1
-		sp.States = sortedKeys(visited)
+		sp.States = visited.sorted()
 		return sp
 	}
 
@@ -204,7 +206,8 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	// random access sequences from power-on and record every state on
 	// the way. The result is a certified subset with explicit coverage
 	// accounting — never presented as the closure.
-	found := map[uint64]bool{reset: true}
+	found := make([]uint64, 1, 1+opt.SampleSequences*opt.SampleLength)
+	found[0] = reset
 	r := rng.New(opt.SampleSeed)
 	for seq := 0; seq < opt.SampleSequences; seq++ {
 		a.ResetSet(0)
@@ -214,12 +217,13 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 				sym = MissSymbol
 			}
 			Apply(a, sym)
-			found[a.PackedState(0)] = true
+			found = append(found, a.PackedState(0))
 		}
 	}
+	slices.Sort(found)
 	sp.Exhaustive = false
 	sp.SampledSequences = opt.SampleSequences
-	sp.States = sortedKeys(found)
+	sp.States = slices.Compact(found)
 	if hasTheory {
 		sp.Coverage = float64(len(sp.States)) / theory
 	} else {
@@ -228,11 +232,89 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	return sp
 }
 
+// stateSet is a flat open-addressing set of packed states: a
+// power-of-two table probed linearly from a Fibonacci hash, with slot
+// value 0 meaning empty and the zero state (the power-on word of
+// Tree-PLRU, Bit-PLRU and FIFO) kept in a flag of its own.
+type stateSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	zero  bool
+	n     int // members, the zero state included
+}
+
+func newStateSet() *stateSet {
+	const initial = 1 << 10
+	return &stateSet{slots: make([]uint64, initial), shift: 64 - 10}
+}
+
+// add inserts s and reports whether it was new.
+func (t *stateSet) add(s uint64) bool {
+	if s == 0 {
+		if t.zero {
+			return false
+		}
+		t.zero = true
+		t.n++
+		return true
+	}
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	if !t.insert(s) {
+		return false
+	}
+	t.n++
+	return true
+}
+
+// insert places a non-zero s in the table and reports whether it was
+// absent.
+func (t *stateSet) insert(s uint64) bool {
+	mask := len(t.slots) - 1
+	for i := int(s * 0x9e3779b97f4a7c15 >> t.shift); ; i = (i + 1) & mask {
+		switch t.slots[i] {
+		case s:
+			return false
+		case 0:
+			t.slots[i] = s
+			return true
+		}
+	}
+}
+
+// grow doubles the table and rehashes every member into it.
+func (t *stateSet) grow() {
+	old := t.slots
+	t.slots = make([]uint64, 2*len(old))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+	for _, s := range old {
+		if s != 0 {
+			t.insert(s)
+		}
+	}
+}
+
+// sorted returns the members in ascending order.
+func (t *stateSet) sorted() []uint64 {
+	out := make([]uint64, 0, t.n)
+	if t.zero {
+		out = append(out, 0)
+	}
+	for _, s := range t.slots {
+		if s != 0 {
+			out = append(out, s)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 func sortedKeys[V any](m map[uint64]V) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for s := range m {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

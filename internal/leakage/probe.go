@@ -23,11 +23,11 @@ const (
 // known replacement state over victim and attacker ways, the victim
 // performs (or skips) one secret-dependent touch; the attacker then
 // runs Rounds of pressure-and-probe. Each round hammers
-// KickersPerRound fresh kicker lines, KickerRepeats accesses each (on
-// a deterministic target the first access evicts the policy's victim
-// — or is bypassed while the victim is locked — and the rest hit; on
-// random fill each access is an independent chance to force an in-set
-// fill), then probes every established line. The observation
+// KickersPerRound fresh kicker lines, up to KickerRepeats accesses each
+// (on a deterministic target the first access evicts the policy's
+// victim — or is bypassed while the victim is locked — and the rest
+// hit; on random fill each access is an independent chance to force an
+// in-set fill), then probes every established line. The observation
 // concatenates, per round, each kicker's saturating miss count (extra
 // misses are bypassed accesses, the original PL cache's Figure 11
 // tell) and the probe hit bitmask.
@@ -37,22 +37,28 @@ type Strategy struct {
 	// victims leave a PL cache with nothing to bypass and the
 	// unprotected cache with no attacker residency to displace.
 	VictimLines int
-	// KickerRepeats is the accesses per kicker line (default 96). On a
-	// deterministic target the kicker is resident after at most
-	// VictimLines+2 accesses and the rest hit without touching anything
-	// new; the long hammer is for random fill, where every repeat is an
-	// independent 1/(2*window+1) chance of the in-set fill that makes
-	// the round informative.
+	// KickerRepeats bounds the accesses per kicker line (default 96).
+	// On a deterministic target the kicker is resident after at most
+	// VictimLines+2 accesses; the long bound is for random fill, where
+	// every miss is an independent 1/(2*window+1) chance of the in-set
+	// fill that makes the round informative. The hammer stops early,
+	// after the kicker's second hit, because the rest cannot change the
+	// observation: only misses install lines or draw random numbers, so
+	// once the kicker hits every remaining repeat hits too, and a hit
+	// only applies Touch(way), which reaches its fixed point after two
+	// touches of one way in every family (one is not enough for
+	// Bit-PLRU, whose generation rollover clears the touched way's own
+	// bit).
 	KickerRepeats int
 	// KickersPerRound is the number of fresh kicker lines hammered per
 	// round (default 2: the second eviction drains replacement state
 	// the first one re-normalizes, e.g. Tree-PLRU's off-path node
 	// bits).
 	KickersPerRound int
-	// Rounds is the number of pressure-and-probe rounds (default 3).
+	// Rounds is the number of pressure-and-probe rounds (default 4).
 	Rounds int
 	// TrialsPerSecret is the observation sample size per secret value
-	// (default 32). Deterministic cells need only enough to certify
+	// (default 64). Deterministic cells need only enough to certify
 	// determinism; stochastic cells trade trials for estimate variance.
 	TrialsPerSecret int
 }
@@ -127,6 +133,42 @@ type Result struct {
 // machine. Panics when the observation would not fit one uint64
 // ((V + attacker lines) * Rounds > 64).
 func Eval(cfg Config) Result {
+	p := newProber(cfg)
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	secrets := len(p.vlines) + 1
+	master := rng.New(seed)
+	counts := make([]map[uint64]int, secrets)
+	for s := range counts {
+		counts[s] = make(map[uint64]int)
+	}
+	for s := 0; s < secrets; s++ {
+		for trial := 0; trial < p.st.TrialsPerSecret; trial++ {
+			counts[s][p.trial(master.Uint64(), s)]++
+		}
+	}
+	return score(counts, secrets, p.st, len(p.vlines), master)
+}
+
+// prober is one cell's probe session: the target every trial reuses
+// and the lines each trial touches.
+type prober struct {
+	tg             attack.Target
+	st             Strategy
+	vlines, alines []uint64
+	sets           uint64
+	// primeCap is the priming attempts per attacker line: two suffice
+	// on a deterministic target (miss-fill, then the confirming hit);
+	// random fill caches a missed line only when the fill neighbourhood
+	// draw lands on the line itself, at 1/(2*window+1) per access.
+	primeCap int
+}
+
+// newProber validates cfg, builds the cell's one target and lays out
+// its victim and attacker lines.
+func newProber(cfg Config) *prober {
 	prof := cfg.Profile
 	if prof.Name == "" {
 		prof = uarch.SandyBridge()
@@ -136,10 +178,6 @@ func Eval(cfg Config) Result {
 	}
 	ways := prof.L1Ways
 	st := cfg.Strategy.withDefaults(ways)
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	if st.VictimLines <= 0 || st.VictimLines >= ways {
 		panic(fmt.Sprintf("leakage: VictimLines %d out of range for %d ways", st.VictimLines, ways))
 	}
@@ -148,12 +186,9 @@ func Eval(cfg Config) Result {
 		Defense: cfg.Defense, Profile: prof, Policy: cfg.Policy,
 		FillWindow: cfg.FillWindow,
 	}
-	attackerWays := attack.NewTargetCfg(tcfg).AttackerWays()
+	tg := attack.NewTargetCfg(tcfg)
 	v := st.VictimLines
-	a := ways - v
-	if a > attackerWays {
-		a = attackerWays
-	}
+	a := min(ways-v, tg.AttackerWays())
 	if need := (st.KickersPerRound*missCountBits + v) * st.Rounds; need > 64 {
 		panic(fmt.Sprintf("leakage: observation needs %d bits, one word holds 64", need))
 	}
@@ -168,33 +203,18 @@ func Eval(cfg Config) Result {
 		alines[i] = uint64(probeTagBase+i) * sets
 	}
 
-	window := cfg.FillWindow
-	if window == 0 {
-		window = attack.RandomFillWindow
-	}
-	// Priming attempts per attacker line: two suffice on a
-	// deterministic target (miss-fill, then the confirming hit); random
-	// fill caches a missed line only when the fill neighbourhood draw
-	// lands on the line itself, at 1/(2*window+1) per access.
 	primeCap := 2
 	if cfg.Defense == attack.DefenseRandomFill {
+		window := cfg.FillWindow
+		if window == 0 {
+			window = attack.RandomFillWindow
+		}
 		primeCap = 4 * (2*int(window) + 1)
 	}
-
-	secrets := v + 1
-	master := rng.New(seed)
-	counts := make([]map[uint64]int, secrets)
-	for s := range counts {
-		counts[s] = make(map[uint64]int)
+	return &prober{
+		tg: tg, st: st,
+		vlines: vlines, alines: alines, sets: sets, primeCap: primeCap,
 	}
-	for s := 0; s < secrets; s++ {
-		for trial := 0; trial < st.TrialsPerSecret; trial++ {
-			tcfg.Seed = master.Uint64()
-			obs := runTrial(tcfg, st, s, vlines, alines, sets, primeCap)
-			counts[s][obs]++
-		}
-	}
-	return score(counts, secrets, st, v, master)
 }
 
 // projections returns the canonical observation compressions the
@@ -233,43 +253,50 @@ func projections(st Strategy, v int) []func(uint64) uint64 {
 	}
 }
 
-// runTrial runs one establishment → secret → pressure/probe session
-// and returns the packed observation.
-func runTrial(tcfg attack.TargetConfig, st Strategy, secret int, vlines, alines []uint64, sets uint64, primeCap int) uint64 {
-	tg := attack.NewTargetCfg(tcfg)
+// trial resets the target to the one NewTargetCfg builds with seed,
+// runs one establishment → secret → pressure/probe session and returns
+// the packed observation.
+func (p *prober) trial(seed uint64, secret int) uint64 {
+	tg, st := p.tg, p.st
+	tg.Reset(seed)
 
 	// Establishment: victim table resident (and locked, under PL),
 	// attacker lines resident, then one victim pass and one attacker
 	// pass so the recency order — and with it the first eviction victim
 	// — is a known function of the policy alone.
-	tg.WarmVictim(vlines)
-	for _, ln := range alines {
-		for try := 0; try < primeCap; try++ {
+	tg.WarmVictim(p.vlines)
+	for _, ln := range p.alines {
+		for try := 0; try < p.primeCap; try++ {
 			if tg.Access(ln, attack.ReqAttacker) {
 				break
 			}
 		}
 	}
-	for _, ln := range vlines {
+	for _, ln := range p.vlines {
 		tg.Access(ln, attack.ReqVictim)
 	}
-	for _, ln := range alines {
+	for _, ln := range p.alines {
 		tg.Access(ln, attack.ReqAttacker)
 	}
 
 	// The secret: one victim hit on table line `secret`, or idle.
-	if secret < len(vlines) {
-		tg.Access(vlines[secret], attack.ReqVictim)
+	if secret < len(p.vlines) {
+		tg.Access(p.vlines[secret], attack.ReqVictim)
 	}
 
 	var obs uint64
 	bit := 0
 	for round := 0; round < st.Rounds; round++ {
 		for k := 0; k < st.KickersPerRound; k++ {
-			kicker := uint64(kickerTagBase+round*st.KickersPerRound+k) * sets
-			misses := 0
-			for m := 0; m < st.KickerRepeats; m++ {
-				if !tg.Access(kicker, attack.ReqAttacker) {
+			kicker := uint64(kickerTagBase+round*st.KickersPerRound+k) * p.sets
+			// Hammer until the kicker's second hit: every later repeat
+			// would hit and leave the state where it is (see
+			// Strategy.KickerRepeats).
+			misses, hits := 0, 0
+			for m := 0; m < st.KickerRepeats && hits < 2; m++ {
+				if tg.Access(kicker, attack.ReqAttacker) {
+					hits++
+				} else {
 					misses++
 				}
 			}
@@ -283,13 +310,13 @@ func runTrial(tcfg attack.TargetConfig, st Strategy, secret int, vlines, alines 
 		// observation (evictions land there by construction); attacker
 		// lines are re-probed for establishment pressure but their bits
 		// are noise under a randomized defense, so they are not recorded.
-		for _, ln := range vlines {
+		for _, ln := range p.vlines {
 			if tg.Access(ln, attack.ReqAttacker) {
 				obs |= 1 << uint(bit)
 			}
 			bit++
 		}
-		for _, ln := range alines {
+		for _, ln := range p.alines {
 			tg.Access(ln, attack.ReqAttacker)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/replacement"
+	"repro/internal/rng"
 )
 
 // DAWGCache models the relevant property of DAWG (Kiriansky et al.,
@@ -34,13 +35,14 @@ type dawgLine struct {
 // evenly among `domains` protection domains, running Tree-PLRU inside
 // each partition.
 func NewDAWG(sets, ways, domains int) *DAWGCache {
-	return NewDAWGWithPolicy(sets, ways, domains, replacement.TreePLRU)
+	return NewDAWGWithPolicy(sets, ways, domains, replacement.TreePLRU, nil)
 }
 
 // NewDAWGWithPolicy is NewDAWG with an explicit per-partition
 // replacement policy, for the secret-recovery defense matrix that
-// sweeps the attack across policies.
-func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind) *DAWGCache {
+// sweeps the attack across policies. The rng is required when pol is
+// replacement.Random, whose victim choice draws from it.
+func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind, r *rng.Rand) *DAWGCache {
 	if domains < 1 || ways%domains != 0 {
 		panic(fmt.Sprintf("secure: %d ways not divisible among %d domains", ways, domains))
 	}
@@ -48,7 +50,7 @@ func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind) *DAWGCache
 	return &DAWGCache{
 		sets: sets, waysPer: waysPer, domains: domains,
 		lines: make([]dawgLine, sets*ways),
-		repl:  replacement.NewSetArray(pol, sets*domains, waysPer, nil),
+		repl:  replacement.NewSetArray(pol, sets*domains, waysPer, r),
 	}
 }
 

@@ -40,6 +40,16 @@ func NewRandomFillWithPolicy(sets, ways int, window uint64, pol replacement.Kind
 	}
 }
 
+// Reset returns the cache to the exact state NewRandomFillWithPolicy
+// builds with a generator seeded from seed: every line invalid,
+// replacement state and counters at power-on, and the generator (which
+// also drives a Random policy's victim choice) reseeded in place.
+// Trial loops reuse one cache through Reset instead of rebuilding it.
+func (c *RandomFillCache) Reset(seed uint64) {
+	c.inner.Reset()
+	c.r.Reseed(seed)
+}
+
 // AccessResult reports what one random-fill access did.
 type AccessResult struct {
 	Hit bool

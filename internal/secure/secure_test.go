@@ -172,7 +172,7 @@ func TestDAWGEvictsWithinDomainOnly(t *testing.T) {
 // round-robin mitigation), so its pointer has to advance on every fill:
 // after six fills into a 4-way partition the two oldest lines are gone.
 func TestDAWGFIFOEvictsInFillOrder(t *testing.T) {
-	d := NewDAWGWithPolicy(64, 8, 2, replacement.FIFO)
+	d := NewDAWGWithPolicy(64, 8, 2, replacement.FIFO, nil)
 	const set = 5
 	line := func(i int) uint64 { return uint64(i)*64 + set }
 	for i := 0; i < 6; i++ {
