@@ -124,18 +124,15 @@ type Stats struct {
 	UtagMisses     uint64
 }
 
-// EmitEvents exports the counters as unprefixed named events — the
-// metrics.Source interface, satisfied structurally so this package
-// stays free of a metrics import. Wrap with metrics.Prefixed("l1d", s)
-// to place the counters in a level's event namespace.
-func (s Stats) EmitEvents(emit func(string, float64)) {
-	emit("accesses", float64(s.Accesses))
-	emit("hits", float64(s.Hits))
-	emit("misses", float64(s.Misses))
-	emit("evictions", float64(s.Evictions))
-	emit("cross_evictions", float64(s.CrossEvictions))
-	emit("bypasses", float64(s.Bypasses))
-	emit("utag_misses", float64(s.UtagMisses))
+// Add sums o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.CrossEvictions += o.CrossEvictions
+	s.Bypasses += o.Bypasses
+	s.UtagMisses += o.UtagMisses
 }
 
 // MissRate returns Misses/Accesses, or 0 when idle.
@@ -144,6 +141,15 @@ func (s Stats) MissRate() float64 {
 		return 0
 	}
 	return float64(s.Misses) / float64(s.Accesses)
+}
+
+// CrossEvictionRate returns CrossEvictions/Accesses, or 0 when idle:
+// how much of the reference stream displaces other requestors' lines.
+func (s Stats) CrossEvictionRate() float64 {
+	if s.Accesses == 0 {
+		return 0
+	}
+	return float64(s.CrossEvictions) / float64(s.Accesses)
 }
 
 // line flag bits.
@@ -454,10 +460,6 @@ func (c *Cache) RequestorStats(requestor int) Stats {
 func (c *Cache) PolicyState(set int) string {
 	return c.repl.StateString(set)
 }
-
-// VictimOf reports which way the policy would evict next in the given set
-// (read-only for deterministic policies).
-func (c *Cache) VictimOf(set int) int { return c.repl.Victim(set) }
 
 // SetOccupancy returns the physical line numbers currently valid in a set,
 // indexed by way; invalid ways carry ok=false.

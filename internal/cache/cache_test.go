@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -171,13 +172,43 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("idle miss rate != 0")
+	cases := []struct {
+		name            string
+		s               Stats
+		miss, crossEvic float64
+	}{
+		{"idle", Stats{}, 0, 0},
+		{"idle with stray counts", Stats{Misses: 3, CrossEvictions: 2}, 0, 0},
+		{"quarter misses", Stats{Accesses: 4, Misses: 1}, 0.25, 0},
+		{"cross evictions", Stats{Accesses: 1000, Misses: 37, Evictions: 21, CrossEvictions: 9},
+			float64(37) / float64(1000), float64(9) / float64(1000)},
+		{"all miss", Stats{Accesses: 3, Misses: 3, CrossEvictions: 3}, 1, 1},
 	}
-	s = Stats{Accesses: 4, Misses: 1}
-	if got := s.MissRate(); got != 0.25 {
-		t.Errorf("miss rate = %v", got)
+	for _, tc := range cases {
+		if got := tc.s.MissRate(); got != tc.miss {
+			t.Errorf("%s: MissRate = %v, want %v", tc.name, got, tc.miss)
+		}
+		if got := tc.s.CrossEvictionRate(); got != tc.crossEvic {
+			t.Errorf("%s: CrossEvictionRate = %v, want %v", tc.name, got, tc.crossEvic)
+		}
+	}
+}
+
+func TestStatsAddSumsEveryField(t *testing.T) {
+	a := Stats{Accesses: 1, Hits: 2, Misses: 3, Evictions: 4, CrossEvictions: 5, Bypasses: 6, UtagMisses: 7}
+	b := Stats{Accesses: 10, Hits: 20, Misses: 30, Evictions: 40, CrossEvictions: 50, Bypasses: 60, UtagMisses: 70}
+	a.Add(b)
+	want := Stats{Accesses: 11, Hits: 22, Misses: 33, Evictions: 44, CrossEvictions: 55, Bypasses: 66, UtagMisses: 77}
+	if a != want {
+		t.Errorf("Add = %+v, want %+v", a, want)
+	}
+	// Every field is a distinct non-zero count in b, so a field Add
+	// forgot (or summed into the wrong place) cannot match.
+	v := reflect.ValueOf(b)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Uint() == 0 {
+			t.Errorf("Stats.%s is zero in the test input; extend it", v.Type().Field(i).Name)
+		}
 	}
 }
 

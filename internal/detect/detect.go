@@ -6,10 +6,10 @@
 // indistinguishable from benign contention — this package makes that claim
 // executable.
 //
-// The monitor's criteria are data, not code: each Rule names a derived
-// metric from the internal/metrics expression layer ("l1d.miss_rate" =
-// "l1d.misses / l1d.accesses") and the threshold it is compared against,
-// so Explain can cite the exact formula a verdict was computed from.
+// The monitor tests three criteria in a fixed order — L1D cross-eviction
+// rate (when enabled), L1D miss rate, L2 miss rate — each a strict > on a
+// cache.Stats rate, and Explain cites the formula of the one that tripped
+// ("l1d.miss_rate = l1d.misses / l1d.accesses").
 package detect
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/hier"
-	"repro/internal/metrics"
 	"repro/internal/perfctr"
 )
 
@@ -92,51 +91,9 @@ func AttackThresholds() Thresholds {
 	return th
 }
 
-// Gate is a precondition on a Rule: the named event must have reached
-// Min before the rule's metric is even consulted (sample-size floors).
-type Gate struct {
-	Event string
-	Min   float64
-}
-
-// Rule is one detector criterion as data: a named derived metric from
-// the metrics-definition layer, the threshold it is compared against
-// (strict >), and the gates that make the comparison meaningful. Label
-// is the human name used in Explain output.
-type Rule struct {
-	Metric    string
-	Label     string
-	Threshold float64
-	Gates     []Gate
-}
-
-// rules compiles the configured thresholds into the ordered criterion
-// table. The cross-eviction criterion comes first when enabled: it is
-// the discriminative one (a benign memory-heavy program can exceed any
-// miss-rate line, but it churns its own working set — systematically
-// displacing another process's lines is the prime-and-probe signature).
-func (th Thresholds) rules() []Rule {
-	var rules []Rule
-	if th.L1CrossEvictionRate > 0 {
-		rules = append(rules, Rule{
-			Metric: "l1d.cross_eviction_rate", Label: "L1D cross-eviction rate",
-			Threshold: th.L1CrossEvictionRate,
-			Gates:     []Gate{{Event: "l1d.cross_evictions", Min: float64(th.MinCrossEvictions)}},
-		})
-	}
-	rules = append(rules,
-		Rule{Metric: "l1d.miss_rate", Label: "L1D miss rate", Threshold: th.L1MissRate},
-		Rule{Metric: "l2.miss_rate", Label: "L2 miss rate", Threshold: th.L2MissRate,
-			Gates: []Gate{{Event: "l2.accesses", Min: float64(th.MinL2Refs)}}},
-	)
-	return rules
-}
-
 // Monitor samples per-process counters from a hierarchy and classifies.
 type Monitor struct {
-	th    Thresholds
-	rules []Rule
-	set   *metrics.Set
+	th Thresholds
 }
 
 // NewMonitor builds a monitor; zero-value thresholds take the defaults.
@@ -144,12 +101,7 @@ func NewMonitor(th Thresholds) *Monitor {
 	if th == (Thresholds{}) {
 		th = DefaultThresholds()
 	}
-	return &Monitor{th: th, rules: th.rules(), set: metrics.Default()}
-}
-
-// Rules returns the compiled criterion table, in evaluation order.
-func (m *Monitor) Rules() []Rule {
-	return append([]Rule(nil), m.rules...)
+	return &Monitor{th: th}
 }
 
 // Classify inspects one process's counters.
@@ -158,35 +110,38 @@ func (m *Monitor) Classify(rep perfctr.Report) Verdict {
 	return v
 }
 
-// classify returns the verdict together with the reason: which rule
-// tripped (citing its defining expression), or why the monitor stayed
-// quiet.
+// classify returns the verdict together with the reason: which
+// criterion tripped (citing its defining formula), or why the monitor
+// stayed quiet. The cross-eviction criterion comes first when enabled:
+// it is the discriminative one (a benign memory-heavy program can exceed
+// any miss-rate line, but it churns its own working set — systematically
+// displacing another process's lines is the prime-and-probe signature).
 func (m *Monitor) classify(rep perfctr.Report) (Verdict, string) {
-	if rep.L1D.Accesses < m.th.MinAccesses {
-		return Benign, fmt.Sprintf("below the %d-access decision floor", m.th.MinAccesses)
+	th := m.th
+	if rep.L1D.Accesses < th.MinAccesses {
+		return Benign, fmt.Sprintf("below the %d-access decision floor", th.MinAccesses)
 	}
-	es := metrics.Snapshot(rep)
-	for _, rule := range m.rules {
-		gated := false
-		for _, g := range rule.Gates {
-			if es[g.Event] < g.Min {
-				gated = true
-				break
-			}
+	if th.L1CrossEvictionRate > 0 && rep.L1D.CrossEvictions >= th.MinCrossEvictions {
+		if r := rep.L1D.CrossEvictionRate(); r > th.L1CrossEvictionRate {
+			return Suspicious, tripped("L1D cross-eviction rate", r, th.L1CrossEvictionRate,
+				"l1d.cross_eviction_rate = l1d.cross_evictions / l1d.accesses")
 		}
-		if gated {
-			continue
-		}
-		v, err := m.set.Eval(rule.Metric, es)
-		if err != nil {
-			continue // metric over events the report did not emit (no LLC, say)
-		}
-		if v > rule.Threshold {
-			return Suspicious, fmt.Sprintf("%s %.2f%% > threshold %.2f%% [%s = %s]",
-				rule.Label, 100*v, 100*rule.Threshold, rule.Metric, m.set.ExprOf(rule.Metric))
+	}
+	if r := rep.L1D.MissRate(); r > th.L1MissRate {
+		return Suspicious, tripped("L1D miss rate", r, th.L1MissRate,
+			"l1d.miss_rate = l1d.misses / l1d.accesses")
+	}
+	if rep.L2.Accesses >= th.MinL2Refs {
+		if r := rep.L2.MissRate(); r > th.L2MissRate {
+			return Suspicious, tripped("L2 miss rate", r, th.L2MissRate,
+				"l2.miss_rate = l2.misses / l2.accesses")
 		}
 	}
 	return Benign, "no threshold exceeded"
+}
+
+func tripped(label string, rate, threshold float64, formula string) string {
+	return fmt.Sprintf("%s %.2f%% > threshold %.2f%% [%s]", label, 100*rate, 100*threshold, formula)
 }
 
 // ClassifyProcess reads the counters for one requestor and classifies.
@@ -194,27 +149,19 @@ func (m *Monitor) ClassifyProcess(h *hier.Hierarchy, requestor int) Verdict {
 	return m.Classify(perfctr.Collect(h, requestor))
 }
 
-// Explain renders the decision with the evidence and names the rule
+// Explain renders the decision with the evidence and names the criterion
 // that triggered it (or states that none did), for reports. The
 // evidence block always shows the miss-rate metrics; the cross-eviction
 // rate and count are included whenever that criterion is enabled.
 func (m *Monitor) Explain(rep perfctr.Report) string {
 	v, reason := m.classify(rep)
-	es := metrics.Snapshot(rep)
-	rate := func(name string) float64 {
-		r, err := m.set.Eval(name, es)
-		if err != nil {
-			return 0
-		}
-		return r
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%s; L1D miss %.2f%% over %d refs, L2 miss %.2f%% over %d refs",
-		v, reason, 100*rate("l1d.miss_rate"), rep.L1D.Accesses,
-		100*rate("l2.miss_rate"), rep.L2.Accesses)
+		v, reason, 100*rep.L1D.MissRate(), rep.L1D.Accesses,
+		100*rep.L2.MissRate(), rep.L2.Accesses)
 	if m.th.L1CrossEvictionRate > 0 {
 		fmt.Fprintf(&b, ", L1D cross-eviction %.2f%% (%d displaced)",
-			100*rate("l1d.cross_eviction_rate"), rep.L1D.CrossEvictions)
+			100*rep.L1D.CrossEvictionRate(), rep.L1D.CrossEvictions)
 	}
 	b.WriteString(")")
 	return b.String()

@@ -10,12 +10,10 @@ import (
 // report builds a synthetic counter view with the given L1 geometry.
 func report(accesses, misses, crossEv uint64) perfctr.Report {
 	var rep perfctr.Report
-	rep.L1D.Level = "L1D"
 	rep.L1D.Accesses = accesses
 	rep.L1D.Misses = misses
 	rep.L1D.Evictions = crossEv
 	rep.L1D.CrossEvictions = crossEv
-	rep.L2.Level = "L2"
 	return rep
 }
 

@@ -1,29 +1,6 @@
-// Package metrics is the repository's metrics-definition layer and
-// runtime-telemetry registry — the one surface every derived quantity
-// and every operational counter reports through.
-//
-// It has two halves, mirroring the two meanings of "metrics" in a
-// measurement system like PerfSpect's perfmon event lists:
-//
-// # Named events and derived-metric expressions
-//
-// A Source exports a flat set of named PMU-style events
-// ("l1d.accesses", "l1d.cross_evictions", "l2.misses", ...). Both
-// perfctr.Report and cache.Stats implement Source structurally, so the
-// simulator's exact counters flow into the same namespace a real
-// machine's perf events would. Derived quantities are then
-// *definitions, not methods*: a Def names an expression over events
-//
-//	l1d.miss_rate = l1d.misses / l1d.accesses
-//
-// parsed once by a Set and evaluated against any Source. The grammar is
-// the PerfSpect derived-metric shape: + - * /, parentheses, numeric
-// literals, event/metric names, and a safe_div guard (every division —
-// the bare / operator included — yields 0 on a zero denominator, so
-// rates over idle counters are 0, never NaN). DefaultDefs ships the
-// repository's standard metric set; internal/detect compiles its
-// threshold rules against these names, so a detector criterion is a
-// row of data citing its own formula rather than a hand-coded method.
+// Package metrics is the repository's runtime-telemetry layer: the one
+// registry every operational counter reports through, and the named
+// event surface that reads it.
 //
 // # Runtime telemetry
 //
@@ -31,8 +8,17 @@
 // (plus label-vector variants) with lock-free atomic updates, and
 // renders them in the Prometheus text exposition format (hand-rolled;
 // no dependencies) via WriteText or as an http.Handler — the body of
-// lruleakd's GET /metrics. A Registry is itself a Source: every series
-// it holds is exported as an event (label values dot-joined and
-// sanitized), so the same expression layer that defines cache miss
-// rates can define service-level ratios over live telemetry.
+// lruleakd's GET /metrics.
+//
+// # Named events
+//
+// A Source exports a flat set of named events. A Registry is itself a
+// Source: every series it holds is exported as an event (label values
+// dot-joined and sanitized onto [A-Za-z0-9_]; histograms as name.count
+// and name.sum), and Snapshot materializes any Source into an EventSet
+// that tests and benchmarks read by name.
+//
+// Simulator cache counters do not pass through this package: they live
+// in cache.Stats, whose MissRate is the one miss-rate definition that
+// perfctr reports and internal/detect thresholds on.
 package metrics

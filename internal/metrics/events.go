@@ -1,14 +1,8 @@
 package metrics
 
-import (
-	"fmt"
-	"sync"
-)
-
-// Source exports named events — the PMU-event surface of this package.
-// It is satisfied structurally (no import of this package needed), so
-// perfctr.Report, cache.Stats and the runtime Registry all implement
-// it: each calls emit once per event it knows.
+// Source exports named events. It is satisfied structurally (no import
+// of this package needed); the runtime Registry implements it, calling
+// emit once per series it holds.
 type Source interface {
 	EmitEvents(emit func(event string, value float64))
 }
@@ -16,8 +10,7 @@ type Source interface {
 // EventSet is a flat snapshot of a Source; it is itself a Source.
 type EventSet map[string]float64
 
-// EmitEvents replays the snapshot (iteration order unspecified; the
-// expression evaluator only ever looks names up).
+// EmitEvents replays the snapshot (iteration order unspecified).
 func (s EventSet) EmitEvents(emit func(string, float64)) {
 	for k, v := range s {
 		emit(k, v)
@@ -35,198 +28,3 @@ func Snapshot(src Source) EventSet {
 	src.EmitEvents(func(name string, v float64) { es[name] += v })
 	return es
 }
-
-// Prefixed wraps a Source, prepending prefix + "." to every event name
-// — how a bare cache.Stats becomes the "l1d." family of a report.
-func Prefixed(prefix string, src Source) Source {
-	return prefixedSource{prefix: prefix + ".", src: src}
-}
-
-type prefixedSource struct {
-	prefix string
-	src    Source
-}
-
-func (p prefixedSource) EmitEvents(emit func(string, float64)) {
-	p.src.EmitEvents(func(name string, v float64) { emit(p.prefix+name, v) })
-}
-
-// Def is one derived-metric definition: a name, its expression over
-// events (and earlier-defined metrics), and a help string for reports.
-type Def struct {
-	Name, Expr, Help string
-}
-
-// Set is a compiled collection of metric definitions. Definitions may
-// reference events and metrics defined EARLIER in the same set; forward
-// and self references are rejected at compile time, which also rules
-// out evaluation cycles.
-type Set struct {
-	order []string
-	defs  map[string]*compiledDef
-}
-
-type compiledDef struct {
-	def  Def
-	expr *Expr
-}
-
-// NewSet compiles definitions in order.
-func NewSet(defs ...Def) (*Set, error) {
-	s := &Set{defs: map[string]*compiledDef{}}
-	for _, d := range defs {
-		if d.Name == "" {
-			return nil, fmt.Errorf("metrics: definition with empty name (expr %q)", d.Expr)
-		}
-		if _, dup := s.defs[d.Name]; dup {
-			return nil, fmt.Errorf("metrics: duplicate definition of %q", d.Name)
-		}
-		e, err := Parse(d.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: definition %q: %w", d.Name, err)
-		}
-		if err := checkName(d.Name); err != nil {
-			return nil, err
-		}
-		for _, ref := range e.Refs() {
-			if ref == d.Name {
-				return nil, fmt.Errorf("metrics: definition %q references itself", d.Name)
-			}
-		}
-		s.order = append(s.order, d.Name)
-		s.defs[d.Name] = &compiledDef{def: d, expr: e}
-	}
-	// Forward references: a def may only use metrics defined before it.
-	pos := map[string]int{}
-	for i, name := range s.order {
-		pos[name] = i
-	}
-	for i, name := range s.order {
-		for _, ref := range s.defs[name].expr.Refs() {
-			if j, isDef := pos[ref]; isDef && j >= i {
-				return nil, fmt.Errorf("metrics: definition %q references %q before its definition", name, ref)
-			}
-		}
-	}
-	return s, nil
-}
-
-// MustNewSet is NewSet for definition tables that are compile-time
-// constants.
-func MustNewSet(defs ...Def) *Set {
-	s, err := NewSet(defs...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func checkName(name string) error {
-	if !isNameStart(name[0]) {
-		return fmt.Errorf("metrics: definition name %q is not a valid identifier", name)
-	}
-	for i := 1; i < len(name); i++ {
-		if !isNameByte(name[i]) {
-			return fmt.Errorf("metrics: definition name %q is not a valid identifier", name)
-		}
-	}
-	return nil
-}
-
-// Defs returns the definitions in compile order.
-func (s *Set) Defs() []Def {
-	out := make([]Def, len(s.order))
-	for i, name := range s.order {
-		out[i] = s.defs[name].def
-	}
-	return out
-}
-
-// ExprOf returns the defining expression of a metric ("" when name is
-// not defined in the set — a bare event, say).
-func (s *Set) ExprOf(name string) string {
-	if d, ok := s.defs[name]; ok {
-		return d.def.Expr
-	}
-	return ""
-}
-
-// Eval resolves name against the source: a defined metric evaluates
-// its expression (definitions shadow same-named events); anything else
-// reads the event directly. Unknown names error.
-func (s *Set) Eval(name string, src Source) (float64, error) {
-	es := Snapshot(src)
-	return s.eval(name, es)
-}
-
-// EvalExpr evaluates a one-off expression (not a named definition)
-// against the source, with the set's definitions in scope.
-func (s *Set) EvalExpr(expr string, src Source) (float64, error) {
-	e, err := Parse(expr)
-	if err != nil {
-		return 0, err
-	}
-	es := Snapshot(src)
-	var inner error
-	v, err := e.Eval(s.lookup(es, &inner))
-	if inner != nil {
-		return 0, inner
-	}
-	return v, err
-}
-
-func (s *Set) eval(name string, es EventSet) (float64, error) {
-	if d, ok := s.defs[name]; ok {
-		var inner error
-		v, err := d.expr.Eval(s.lookup(es, &inner))
-		if inner != nil {
-			return 0, inner
-		}
-		return v, err
-	}
-	if v, ok := es[name]; ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("metrics: unknown event %q", name)
-}
-
-// lookup builds the resolver the expression evaluator uses: defined
-// metrics first (recursively — NewSet guarantees the recursion is
-// finite), then raw events. A nested definition's evaluation error is
-// reported through inner.
-func (s *Set) lookup(es EventSet, inner *error) func(string) (float64, bool) {
-	return func(name string) (float64, bool) {
-		if d, ok := s.defs[name]; ok {
-			v, err := d.expr.Eval(s.lookup(es, inner))
-			if err != nil && *inner == nil {
-				*inner = err
-			}
-			return v, true
-		}
-		v, ok := es[name]
-		return v, ok
-	}
-}
-
-// DefaultDefs is the repository's standard derived-metric table: the
-// quantities Tables VI/VII and the detection monitor report, as data.
-// internal/detect compiles its threshold rules against these names.
-func DefaultDefs() []Def {
-	return []Def{
-		{Name: "l1d.miss_rate", Expr: "l1d.misses / l1d.accesses",
-			Help: "fraction of L1D references that missed"},
-		{Name: "l1d.eviction_rate", Expr: "l1d.evictions / l1d.accesses",
-			Help: "valid-line displacements per L1D reference"},
-		{Name: "l1d.cross_eviction_rate", Expr: "l1d.cross_evictions / l1d.accesses",
-			Help: "displacements of OTHER processes' L1 lines per reference — the prime-and-probe interference signature"},
-		{Name: "l2.miss_rate", Expr: "l2.misses / l2.accesses",
-			Help: "fraction of L2 references that missed"},
-		{Name: "llc.miss_rate", Expr: "llc.misses / llc.accesses",
-			Help: "fraction of LLC references that missed"},
-	}
-}
-
-var defaultSet = sync.OnceValue(func() *Set { return MustNewSet(DefaultDefs()...) })
-
-// Default returns the process-wide Set compiled from DefaultDefs.
-func Default() *Set { return defaultSet() }

@@ -331,10 +331,10 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.WriteText(w)
 }
 
-// EmitEvents exports every series as an expression-layer event, making
-// the Registry a Source: unlabeled series under their family name,
-// labeled series as name.value1.value2 with values sanitized onto the
-// name charset; histograms export name.count and name.sum.
+// EmitEvents exports every series as a named event, making the
+// Registry a Source: unlabeled series under their family name, labeled
+// series as name.value1.value2 with values sanitized onto
+// [A-Za-z0-9_]; histograms export name.count and name.sum.
 func (r *Registry) EmitEvents(emit func(string, float64)) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
@@ -368,4 +368,21 @@ func (r *Registry) EmitEvents(emit func(string, float64)) {
 			}
 		}
 	}
+}
+
+// sanitizeEvent maps an arbitrary string (a Prometheus label value,
+// say) onto [A-Za-z0-9_], replacing every other byte with '_', so a
+// label value never introduces a '.' into an event name.
+func sanitizeEvent(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') {
+			b.WriteByte(c)
+		} else {
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
 }

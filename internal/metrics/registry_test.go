@@ -86,12 +86,28 @@ func TestRegistryAsSource(t *testing.T) {
 		t.Errorf("histogram events: count=%v sum=%v", es["lat_seconds.count"], es["lat_seconds.sum"])
 	}
 
-	// The expression layer can compute over live telemetry.
-	v, err := Default().EvalExpr("lat_seconds.sum / lat_seconds.count", r)
-	if err != nil || v != 0.5 {
-		t.Fatalf("mean latency = %v, %v; want 0.5", v, err)
+	if mean := es["lat_seconds.sum"] / es["lat_seconds.count"]; mean != 0.5 {
+		t.Fatalf("mean latency = %v; want 0.5", mean)
 	}
 }
+
+func TestSnapshotAccumulatesDuplicateEmits(t *testing.T) {
+	dup := Snapshot(sourceFunc(func(emit func(string, float64)) {
+		emit("n", 1)
+		emit("n", 2)
+	}))
+	if dup["n"] != 3 {
+		t.Fatalf("duplicate emits: got %v, want 3", dup["n"])
+	}
+	es := EventSet{"n": 4}
+	if got := Snapshot(es); got["n"] != 4 {
+		t.Fatalf("EventSet snapshot = %v", got)
+	}
+}
+
+type sourceFunc func(emit func(string, float64))
+
+func (f sourceFunc) EmitEvents(emit func(string, float64)) { f(emit) }
 
 func TestRegistryIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()

@@ -83,10 +83,3 @@ func TestCombinedSumsAndRenders(t *testing.T) {
 		t.Errorf("render %q incomplete", out)
 	}
 }
-
-func TestMissRateIdle(t *testing.T) {
-	var l LevelCounters
-	if l.MissRate() != 0 {
-		t.Error("idle miss rate not 0")
-	}
-}

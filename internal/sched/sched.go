@@ -5,7 +5,6 @@ import (
 	"iter"
 	"runtime/debug"
 
-	"repro/internal/cache"
 	"repro/internal/hier"
 	"repro/internal/mem"
 	"repro/internal/rng"
@@ -147,7 +146,7 @@ type Machine struct {
 // for programs that model their memory system outside the shared
 // hierarchy (the scheduled key-recovery attack drives its Target
 // adapters directly and charges latencies through Busy); such programs
-// must not call Access, AccessOp, Flush, Measure or MeasureSingle.
+// must not call Access, Flush, Measure or MeasureSingle.
 func New(cfg Config) *Machine {
 	if cfg.RNG == nil {
 		panic("sched: Config requires RNG")
@@ -417,13 +416,6 @@ func (e *Env) requireHier() *hier.Hierarchy {
 // Access performs a load and blocks for its latency.
 func (e *Env) Access(a mem.Addr) hier.Result {
 	res := e.requireHier().Load(a, e.t.req)
-	e.charge(uint64(res.Latency))
-	return res
-}
-
-// AccessOp performs a load with a PL-cache lock/unlock side effect.
-func (e *Env) AccessOp(a mem.Addr, op cache.Op) hier.Result {
-	res := e.requireHier().LoadOp(a, e.t.req, op)
 	e.charge(uint64(res.Latency))
 	return res
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/uarch"
 )
 
@@ -99,9 +98,4 @@ func RunPLCacheExperiment(fixed bool, samples int, seed uint64) PLExperimentResu
 func PLLeakDetectable(res PLExperimentResult) bool {
 	gap := float64(uarch.SandyBridge().L2Latency-uarch.SandyBridge().L1Latency) / 4
 	return res.Separation > gap
-}
-
-// OtsuSplit exposes the threshold used on a PL trace (for reports).
-func OtsuSplit(res PLExperimentResult) float64 {
-	return stats.OtsuThreshold(res.Trace.Latencies())
 }

@@ -334,12 +334,3 @@ func (a *Attack) Train() {
 func (a *Attack) Leak(idx int) {
 	a.CallVictim(a.array1Size + idx)
 }
-
-// TrainAndLeak is the convenience composition used by simple callers. Note
-// that the attacks proper train BEFORE priming (training calls touch
-// array2's first line architecturally and would otherwise pollute the
-// primed state).
-func (a *Attack) TrainAndLeak(idx int) {
-	a.Train()
-	a.Leak(idx)
-}

@@ -18,14 +18,14 @@ const (
 	hotTagBase   = 1 << 14 // benign hot-loop lines
 )
 
-// Background traffic defaults: per event window, the number of noise
+// Background traffic: per event window, the number of noise
 // accesses drawn from the workload generator and the length of the
 // benign hot loop. The hot loop dominates the victim's counter profile
 // (almost all hits), keeping a working victim's miss rate benign.
 const (
-	defaultNoisePerWindow = 4
-	defaultHotPerWindow   = 320
-	hotLineCount          = 8
+	noisePerWindow = 4
+	hotPerWindow   = 320
+	hotLineCount   = 8
 	// noiseDepth is the per-set depth of the noise footprint; 3 lines
 	// plus one table line fit even a half-associativity DAWG partition,
 	// so background traffic alone never thrashes the victim.
@@ -68,11 +68,9 @@ type Victim interface {
 // background is the benign traffic mixed around every victim's
 // secret-dependent access.
 type background struct {
-	sets           int
-	gen            workload.Generator
-	noisePerWindow int
-	hotPerWindow   int
-	hotLines       []uint64
+	sets     int
+	gen      workload.Generator
+	hotLines []uint64
 }
 
 func newBackground(sets int, genName string) background {
@@ -80,12 +78,7 @@ func newBackground(sets int, genName string) background {
 	if err != nil {
 		panic(err) // victim constructors pass fixed, known names
 	}
-	b := background{
-		sets:           sets,
-		gen:            g,
-		noisePerWindow: defaultNoisePerWindow,
-		hotPerWindow:   defaultHotPerWindow,
-	}
+	b := background{sets: sets, gen: g}
 	// The hot loop lives in the last few sets, away from the table
 	// regions the attacker monitors.
 	for i := 0; i < hotLineCount; i++ {
@@ -125,17 +118,17 @@ func (b *background) warmLines() []uint64 {
 // draw is reseeded per window so the sequence is a pure function of
 // (steps, seed).
 func (b *background) wrap(secret []Step, seed uint64) []Step {
-	out := make([]Step, 0, b.hotPerWindow+b.noisePerWindow+len(secret))
-	half := b.hotPerWindow / 2
+	out := make([]Step, 0, hotPerWindow+noisePerWindow+len(secret))
+	half := hotPerWindow / 2
 	for i := 0; i < half; i++ {
 		out = append(out, Step{Line: b.hotLines[i%len(b.hotLines)]})
 	}
 	out = append(out, secret...)
 	b.gen.Reset(seed)
-	for i := 0; i < b.noisePerWindow; i++ {
+	for i := 0; i < noisePerWindow; i++ {
 		out = append(out, Step{Line: b.noiseLine(b.gen.Next())})
 	}
-	for i := half; i < b.hotPerWindow; i++ {
+	for i := half; i < hotPerWindow; i++ {
 		out = append(out, Step{Line: b.hotLines[i%len(b.hotLines)]})
 	}
 	return out
@@ -278,14 +271,6 @@ func NewTableLookup(sets, baseSet, width int, genName string) (*TableLookup, err
 		return nil, err
 	}
 	return &TableLookup{bg: newBackground(sets, genName), sets: sets, base: baseSet, width: width}, nil
-}
-
-// SetNoise overrides the per-window background-noise access count (the
-// knob the evaluation sweeps to stress the classifier).
-func (l *TableLookup) SetNoise(perWindow int) {
-	if perWindow >= 0 {
-		l.bg.noisePerWindow = perWindow
-	}
 }
 
 // Name identifies the victim.

@@ -40,7 +40,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/transport"
-	"repro/internal/transport/codec"
 	"repro/internal/uarch"
 	"repro/internal/victim"
 )
@@ -78,15 +77,8 @@ type (
 	RunOptions = engine.Options
 	// JobEvent is one progress notification from a running driver.
 	JobEvent = engine.Event
-	// StreamConfig parameterizes the streaming covert-channel transport
-	// (framing, ECC, lane striping) over the LRU channel.
-	StreamConfig = transport.Config
-	// Stream is an instantiated covert-channel transport.
-	Stream = transport.Stream
 	// StreamPoint is one end-to-end goodput/frame-error measurement.
 	StreamPoint = transport.CapacityPoint
-	// StreamCodec is the transport's pluggable error-correcting code.
-	StreamCodec = codec.Codec
 	// VictimProgram is a secret-dependent victim (internal/victim):
 	// the program the key-recovery attack observes.
 	VictimProgram = victim.Victim
@@ -131,27 +123,14 @@ func AttackDefenses() []AttackDefense { return attack.Defenses() }
 // "d1") for command-line flags.
 func AttackProbeByName(name string) (AttackProbe, error) { return attack.ParseProbe(name) }
 
-// AttackProbes lists the evaluated probe strategies.
-func AttackProbes() []AttackProbe { return attack.Probes() }
-
 // AttackScheduleByName resolves a schedule name ("sync", "smt",
 // "tslice") for command-line flags.
 func AttackScheduleByName(name string) (AttackSchedule, error) { return attack.ParseSchedule(name) }
-
-// AttackSchedules lists the execution disciplines in evaluation order.
-func AttackSchedules() []AttackSchedule { return attack.Schedules() }
 
 // AttackChanceGuesses is the guesses-to-first-correct a blind attacker
 // achieves against the victim — the chance baseline attack reports are
 // compared to.
 func AttackChanceGuesses(v VictimProgram) float64 { return attack.ChanceGuesses(v) }
-
-// NewStream builds a streaming transport over a fresh multi-set LRU
-// channel.
-func NewStream(cfg StreamConfig) *Stream { return transport.New(cfg) }
-
-// StreamCodecByName resolves "none", "repK" or "hamming74" to a codec.
-func StreamCodecByName(name string) (StreamCodec, error) { return codec.ByName(name) }
 
 // DefaultWorkers is the worker-pool size drivers use when
 // RunOptions.Workers is 0: $LRULEAK_WORKERS if set, else GOMAXPROCS.
