@@ -8,6 +8,7 @@ package lruleak
 // property — full recovery on the unprotected cache, chance under DAWG.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/attack"
@@ -18,7 +19,7 @@ import (
 func attackGoldenSpec() AttackSpec {
 	return AttackSpec{
 		Victims:  []string{"ttable"},
-		Policies: []ReplacementKind{TreePLRU},
+		Policies: []string{"treeplru"},
 		Symbols:  6,
 	}
 }
@@ -80,9 +81,9 @@ func TestAttackSweepGridShape(t *testing.T) {
 func TestDSplitSweepGoldenPinned(t *testing.T) {
 	spec := AttackSpec{
 		Victims:  []string{"ttable"},
-		Policies: []ReplacementKind{TreePLRU},
-		Defenses: []AttackDefense{attack.DefenseNone, attack.DefensePLCache, attack.DefensePLCacheFixed},
-		Probes:   []AttackProbe{attack.ProbeDSplit(1)},
+		Policies: []string{"treeplru"},
+		Defenses: []string{"none", "plcache", "plcache-fix"},
+		Probes:   []string{"d=1"},
 		Symbols:  6,
 		Trials:   3,
 	}
@@ -118,9 +119,9 @@ func TestDSplitSweepGoldenPinned(t *testing.T) {
 func TestScheduledSweepGoldenPinned(t *testing.T) {
 	spec := AttackSpec{
 		Victims:   []string{"ttable"},
-		Policies:  []ReplacementKind{TrueLRU, TreePLRU},
-		Defenses:  []AttackDefense{attack.DefenseNone},
-		Schedules: []AttackSchedule{attack.ScheduleSync, attack.ScheduleSMT, attack.ScheduleTimeSliced},
+		Policies:  []string{"lru", "treeplru"},
+		Defenses:  []string{"none"},
+		Schedules: []string{"sync", "smt", "tslice"},
 		Symbols:   6,
 		Votes:     8,
 	}
@@ -211,8 +212,8 @@ func TestROCSweepGoldenPinned(t *testing.T) {
 func TestAttackSweepTrialsAggregate(t *testing.T) {
 	spec := AttackSpec{
 		Victims:  []string{"sqmul"},
-		Policies: []ReplacementKind{TreePLRU},
-		Defenses: []AttackDefense{attack.DefenseNone},
+		Policies: []string{"treeplru"},
+		Defenses: []string{"none"},
 		Symbols:  4, Votes: 2, ProfilingRounds: 4,
 		Trials: 2,
 	}
@@ -226,5 +227,48 @@ func TestAttackSweepTrialsAggregate(t *testing.T) {
 	}
 	if c.AttackerFlagged < 0 || c.AttackerFlagged > 1 || c.VictimFlagged < 0 || c.VictimFlagged > 1 {
 		t.Errorf("flagged fractions out of range: %v %v", c.AttackerFlagged, c.VictimFlagged)
+	}
+}
+
+// Grid names resolve once, before any cell runs: an unknown name panics
+// the way an unknown victim does, and alias spellings run one grid.
+func TestSweepsResolveNames(t *testing.T) {
+	mustPanic := func(name string, run func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		run()
+	}
+	for _, spec := range []AttackSpec{
+		{Policies: []string{"mru2"}},
+		{Defenses: []string{"magic"}},
+		{Probes: []string{"d=x"}},
+		{Schedules: []string{"cooperative"}},
+		{Profiles: []ProfileRef{{CPU: "m1"}}},
+	} {
+		spec.Victims = []string{"ttable"}
+		mustPanic(fmt.Sprintf("AttackSweep(%+v)", spec), func() { AttackSweep(spec, 1, RunOptions{Workers: 1}) })
+	}
+	mustPanic("ROCSweep(policy mru2)", func() { ROCSweep(ROCSpec{Policies: []string{"mru2"}}, 1, RunOptions{Workers: 1}) })
+	mustPanic("ROCSweep(defense magic)", func() { ROCSweep(ROCSpec{Defenses: []string{"magic"}}, 1, RunOptions{Workers: 1}) })
+
+	tiny := func(pol, def, probe, sched, cpu string) string {
+		return RenderAttackSweep(AttackSweep(AttackSpec{
+			Victims: []string{"ttable"}, Policies: []string{pol}, Defenses: []string{def},
+			Probes: []string{probe}, Schedules: []string{sched}, Profiles: []ProfileRef{{CPU: cpu}},
+			Symbols: 2, Votes: 1, ProfilingRounds: 1,
+		}, 3, RunOptions{Workers: 1}))
+	}
+	if a, b := tiny("Tree-PLRU", "plcache", "d=1", "smt", "Sandy Bridge"), tiny("tree", "pl", "d1", "hyperthreaded", "sandy"); a != b {
+		t.Errorf("alias spellings render differently:\n%s\n%s", a, b)
+	}
+
+	sets := 128
+	prof, err := ProfileRef{CPU: "zen", L1Sets: &sets}.Profile()
+	if err != nil || prof.Arch != "Zen" || prof.L1Sets != 128 || prof.L1Ways != Zen().L1Ways {
+		t.Errorf("ProfileRef{zen, l1Sets 128} = %s %d×%d, %v", prof.Arch, prof.L1Sets, prof.L1Ways, err)
 	}
 }

@@ -70,6 +70,7 @@ func main() {
 		opt.Progress = lruleak.ProgressTo(os.Stderr)
 	}
 
+	// Parsed even for -sweep, so a bad name exits 2 instead of panicking.
 	probe, err := lruleak.AttackProbeByName(*probeName)
 	fail(err)
 	schedule, err := lruleak.AttackScheduleByName(*schedName)
@@ -77,7 +78,7 @@ func main() {
 
 	if *sweep {
 		cells := lruleak.AttackSweep(lruleak.AttackSpec{
-			Probes: []lruleak.AttackProbe{probe}, Schedules: []lruleak.AttackSchedule{schedule},
+			Probes: []string{*probeName}, Schedules: []string{*schedName},
 			Symbols: *symbols, Votes: *trials, ProfilingRounds: *profrounds,
 			Trials: *reps,
 		}, *seed, opt)

@@ -9,13 +9,18 @@
 //	         [-store-dir dir] [-max-job-wall dur]
 //	         [-debug-addr host:port] [-quiet]
 //
-// The server validates every submitted spec up front (a bad spec is a
-// 400 with field-level messages), deduplicates identical (spec, seed)
-// submissions through a content-addressed result cache, shards cells
-// across one persistent engine worker pool shared by all jobs, streams
-// per-cell progress, and renders reports with the same renderers the
-// CLIs use — so a server-side run is byte-identical to the equivalent
-// CLI run (and to the goldens under testdata/).
+// A job's "attack", "stream" and "roc" sections are the root package's
+// AttackSpec, StreamSpec and ROCSpec, whose json tags are the wire
+// schema; every grid dimension is a name, as the CLI flags spell it.
+// The server validates each spec up front (a bad spec is a 400 with
+// field-level messages), rewrites names to one canonical spelling
+// ("treeplru" → "Tree-PLRU"), and deduplicates submissions through a
+// content-addressed result cache keyed by the SHA-256 of
+// (ResultsVersion, kind, seed, canonical spec with defaults applied).
+// It shards cells across one persistent engine worker pool shared by
+// all jobs, streams per-cell progress, and renders reports with the
+// same renderers the CLIs use — so a server-side run is byte-identical
+// to the equivalent CLI run (and to the goldens under testdata/).
 //
 // API (all JSON unless noted):
 //

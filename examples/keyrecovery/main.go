@@ -47,7 +47,7 @@ func main() {
 	fmt.Println("\n=== 4. The defense matrix: which design stops the attack ===")
 	cells := lruleak.AttackSweep(lruleak.AttackSpec{
 		Victims:  []string{"ttable"},
-		Policies: []lruleak.ReplacementKind{lruleak.TreePLRU},
+		Policies: []string{"treeplru"},
 		Symbols:  8,
 	}, 7, lruleak.RunOptions{})
 	fmt.Print(lruleak.RenderAttackSweep(cells))

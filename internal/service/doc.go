@@ -12,17 +12,17 @@
 // per-cell progress (the engine's Event stream) is recorded and
 // streamable while the grid runs.
 //
-// Jobs are content-addressed: the key is a hash of the normalized spec
-// (defaults applied, so two spellings of the same grid collide) plus
-// the seed, and identical (spec, seed) submissions deduplicate onto
-// one job whose finished report is the cache entry. This is sound
-// because of the engine's determinism contract — the same (spec, seed)
-// produces byte-identical output at any worker count, on any machine —
-// which is also what makes the CLI goldens under testdata/ the
-// service's conformance suite: the server renders its reports through
-// the same lruleak.Render* functions the CLIs use, so a server-side
-// attack/stream/ROC run is pinned byte-for-byte by the existing
-// golden files.
+// Jobs are content-addressed: the key hashes ResultsVersion, the kind,
+// the seed and the normalized spec (names canonical, defaults applied,
+// so two spellings of one grid collide), and identical submissions
+// deduplicate onto one job whose finished report is the cache entry.
+// This is sound because of the engine's determinism contract — the
+// same (spec, seed) produces byte-identical output at any worker
+// count, on any machine — which is also what makes the CLI goldens
+// under testdata/ the service's conformance suite: the server renders
+// its reports through the same lruleak.Render* functions the CLIs
+// use, so a server-side attack/stream/ROC run is pinned byte-for-byte
+// by the existing golden files.
 //
 // Daemon safety rests on the engine's panic containment: a job whose
 // cell panics fails that job alone (the panic is recovered per cell,

@@ -60,10 +60,7 @@ type ProgressEvent struct {
 type Job struct {
 	ID   string // "j-" + first 16 hex digits of Key, plus a retry suffix
 	Key  string // content address of (normalized spec, seed)
-	Spec Spec   // as submitted
-
-	// compiled is the validated, resolved grid (set once at submit).
-	compiled *compiledSpec
+	Spec *Spec  // as compile returned it: validated, names canonical
 	// tel, when set by the owning server, accounts lifecycle
 	// transitions; nil for jobs constructed outside a server.
 	tel *telemetry
@@ -82,7 +79,7 @@ type Job struct {
 	done      chan struct{}      // closed on any terminal transition
 }
 
-func newJob(id, key string, spec Spec) *Job {
+func newJob(id, key string, spec *Spec) *Job {
 	return &Job{
 		ID: id, Key: key, Spec: spec,
 		status:    StatusQueued,
@@ -95,7 +92,7 @@ func newJob(id, key string, spec Spec) *Job {
 // loaded from the durable result store (a previous process lifetime
 // computed it) rather than executed. It never visits the queue, so no
 // queue/running gauges move for it.
-func newRestoredJob(id, key string, spec Spec, report string) *Job {
+func newRestoredJob(id, key string, spec *Spec, report string) *Job {
 	j := newJob(id, key, spec)
 	j.status = StatusDone
 	j.restored = true

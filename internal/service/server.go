@@ -79,8 +79,8 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in HTTP instrumentation
 
-	// exec runs a compiled spec; replaced by tests to inject failures.
-	exec func(*compiledSpec, lruleak.RunOptions) string
+	// exec runs a validated spec; replaced by tests to inject failures.
+	exec func(*Spec, lruleak.RunOptions) string
 }
 
 // New starts a server: the engine pool and the job runners come up
@@ -104,7 +104,7 @@ func New(cfg Config) *Server {
 		byKey:    map[string]*Job{},
 		attempts: map[string]int{},
 		queue:    make(chan *Job, cfg.QueueDepth),
-		exec:     (*compiledSpec).run,
+		exec:     (*Spec).run,
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -165,11 +165,11 @@ func (s *Server) Registry() *metrics.Registry { return s.tel.reg }
 // job. The bool reports a dedup/store hit. It is the programmatic
 // core of POST /v1/jobs.
 func (s *Server) Submit(spec Spec) (*Job, bool, error) {
-	compiled, fieldErrs := compile(spec)
+	valid, fieldErrs := compile(spec)
 	if len(fieldErrs) > 0 {
 		return nil, false, &ValidationError{Fields: fieldErrs}
 	}
-	key := compiled.key()
+	key := valid.key()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,13 +184,12 @@ func (s *Server) Submit(spec Spec) (*Job, bool, error) {
 			return prev, true, nil
 		}
 	}
-	if j, ok := s.restoreLocked(key, spec); ok {
+	if j, ok := s.restoreLocked(key, valid); ok {
 		return j, true, nil
 	}
 	s.attempts[key]++
 	id := s.jobIDLocked(key)
-	j := newJob(id, key, spec)
-	j.compiled = compiled
+	j := newJob(id, key, valid)
 	j.tel = s.tel
 	select {
 	case s.queue <- j:
@@ -222,7 +221,7 @@ func (s *Server) jobIDLocked(key string) string {
 // it. Store read errors (including a quarantined-corrupt entry) are
 // misses: the job recomputes, and determinism guarantees the rewrite
 // is byte-identical. Caller holds s.mu.
-func (s *Server) restoreLocked(key string, spec Spec) (*Job, bool) {
+func (s *Server) restoreLocked(key string, spec *Spec) (*Job, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
 	}
@@ -298,7 +297,7 @@ func (s *Server) runJob(j *Job) {
 			j.finish(StatusFailed, "", msg)
 		}
 	}()
-	report := s.exec(j.compiled, lruleak.RunOptions{
+	report := s.exec(j.Spec, lruleak.RunOptions{
 		Pool:     s.pool,
 		Context:  ctx,
 		Progress: j.recordEvent,
@@ -321,7 +320,7 @@ func (s *Server) runJob(j *Job) {
 // jobDeadline resolves a job's effective wall-clock budget: the spec's
 // deadline_ms, capped by (or defaulting to) the server's MaxJobWall.
 func (s *Server) jobDeadline(j *Job) time.Duration {
-	d := j.compiled.deadline
+	d := time.Duration(j.Spec.DeadlineMS) * time.Millisecond
 	if max := s.cfg.MaxJobWall; max > 0 && (d == 0 || d > max) {
 		d = max
 	}

@@ -241,6 +241,76 @@ func TestContentKeyCanonicalizesDefaults(t *testing.T) {
 	if a.key() == c.key() {
 		t.Error("different seeds share a content key")
 	}
+
+	// Alias spellings and spelled-out defaults name the same grid as
+	// the canonical or omitted form: each group shares one key, and no
+	// two groups do.
+	groups := [][]string{
+		{ // the attacksweep golden grid
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"policies":["treeplru"],"symbols":6}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"policies":["Tree-PLRU"],"symbols":6}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"policies":["plru"],"symbols":6,"defenses":["none","plcache","plcache-fix","randomfill","dawg"],"probes":["full"],"schedules":["sync"],"profiles":[{"cpu":"Sandy Bridge"}]}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"policies":["tree"],"symbols":6,"defenses":["baseline","pl","pl-fix","rf","DAWG"],"probes":["canonical"],"schedules":["synchronous"],"profiles":[{"cpu":"sandy","l1Sets":64,"l1Ways":8}]}}`,
+		},
+		{
+			`{"kind":"attack","seed":7}`,
+			`{"kind":"attack","seed":7,"attack":{}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable","sqmul","lookup"],"policies":["LRU","Tree-PLRU","Bit-PLRU"]}}`,
+			`{"kind":"attack","seed":7,"attack":{"policies":["lru","treeplru","bitplru"],"profiles":[{"cpu":"sandy"}]}}`,
+		},
+		{
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"probes":["d=1"]}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"probes":["d1"]}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"probes":["dsplit"]}}`,
+		},
+		{
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"schedules":["smt","tslice"]}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"schedules":["hyper-threaded","time-sliced"]}}`,
+		},
+		{
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"profiles":[{"cpu":"skylake"}]}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"profiles":[{"cpu":"Intel Xeon E3-1245 v5"}]}}`,
+		},
+		{
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"profiles":[{"cpu":"sandy","l1Sets":128}]}}`,
+			`{"kind":"attack","seed":7,"attack":{"victims":["ttable"],"profiles":[{"cpu":"Sandy Bridge","l1Sets":128,"l1Ways":8}]}}`,
+		},
+		{
+			`{"kind":"roc","seed":7}`,
+			`{"kind":"roc","seed":7,"roc":{"victims":["ttable"],"policies":["Tree-PLRU"],"defenses":["none","plcache","plcache-fix","randomfill","dawg"]}}`,
+			`{"kind":"roc","seed":7,"roc":{"policies":["treeplru"],"defenses":["baseline","pl","plcachefix","random-fill","dawg"],"trials":4,"symbols":4}}`,
+		},
+		{
+			`{"kind":"stream","seed":7}`,
+			`{"kind":"stream","seed":7,"stream":{"points":[{"tr":2000,"ts":8000}],"codecs":["none","rep3","hamming74"],"laneCounts":[1,4],"noiseThreads":[0,3],"noisePeriod":2000,"payloadBytes":96,"framePayload":32}}`,
+		},
+	}
+	owner := map[string]int{}
+	for g, specs := range groups {
+		for _, spec := range specs {
+			sp, errs := compile(parse(spec))
+			if errs != nil {
+				t.Fatalf("%s: %v", spec, errs)
+			}
+			k := sp.key()
+			if prev, ok := owner[k]; ok && prev != g {
+				t.Errorf("%s shares a key with group %d", spec, prev)
+			}
+			if spec != specs[0] && k != mustKey(t, parse(specs[0])) {
+				t.Errorf("%s hashes differently from %s", spec, specs[0])
+			}
+			owner[k] = g
+		}
+	}
+}
+
+func mustKey(t *testing.T, sp Spec) string {
+	t.Helper()
+	v, errs := compile(sp)
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	return v.key()
 }
 
 // --- concurrency: dedup, cancel, panic isolation (run with -race) ---
@@ -254,7 +324,7 @@ func TestDedupReturnsCachedResult(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	var execs int32
 	inner := s.exec
-	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
+	s.exec = func(c *Spec, opt lruleak.RunOptions) string {
 		atomic.AddInt32(&execs, 1)
 		return inner(c, opt)
 	}
@@ -378,8 +448,8 @@ func TestCancelMidGridKeepsServerAlive(t *testing.T) {
 func TestPanicInOneJobLeavesSiblingsIntact(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	inner := s.exec
-	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
-		if c.seed == 666 {
+	s.exec = func(c *Spec, opt lruleak.RunOptions) string {
+		if c.Seed == 666 {
 			panic("injected: invalid config reached a constructor")
 		}
 		return inner(c, opt)
@@ -439,13 +509,12 @@ func TestPanicInOneJobLeavesSiblingsIntact(t *testing.T) {
 func TestCellPanicFailsJobNotProcess(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	inner := s.exec
-	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
-		if c.seed == 31337 {
-			bad := c.attack
-			small := lruleak.SandyBridge()
-			small.L1Sets = 2 // ttable needs >= 16; NewTTable panics
-			bad.Profiles = []lruleak.Profile{small}
-			return lruleak.RenderAttackSweep(lruleak.AttackSweep(bad, c.seed, opt))
+	s.exec = func(c *Spec, opt lruleak.RunOptions) string {
+		if c.Seed == 31337 {
+			bad := *c.Attack
+			sets := 2 // ttable needs >= 16; NewTTable panics
+			bad.Profiles = []lruleak.ProfileRef{{CPU: "sandy", L1Sets: &sets}}
+			return lruleak.RenderAttackSweep(lruleak.AttackSweep(bad, c.Seed, opt))
 		}
 		return inner(c, opt)
 	}
@@ -465,9 +534,9 @@ func TestCellPanicFailsJobNotProcess(t *testing.T) {
 func TestSchedPanicFailsJobNotProcess(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	inner := s.exec
-	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
-		if c.seed == 4242 {
-			m := sched.New(sched.Config{RNG: rng.New(c.seed), Mode: sched.TimeSliced})
+	s.exec = func(c *Spec, opt lruleak.RunOptions) string {
+		if c.Seed == 4242 {
+			m := sched.New(sched.Config{RNG: rng.New(c.Seed), Mode: sched.TimeSliced})
 			m.AddThread("receiver", 0, func(e *sched.Env) {
 				for {
 					e.Busy(100)
@@ -504,7 +573,7 @@ func TestQueueOverflowRejectsWith503(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once
 	inner := s.exec
-	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
+	s.exec = func(c *Spec, opt lruleak.RunOptions) string {
 		<-block
 		return inner(c, opt)
 	}

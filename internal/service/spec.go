@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro"
 )
@@ -24,11 +23,12 @@ func Kinds() []string { return []string{KindAttack, KindStream, KindROC} }
 
 // Spec is the submission schema of POST /v1/jobs: an experiment kind,
 // the root seed the whole grid derives its randomness from, and the
-// kind's spec section. All dimensions are named with the same strings
-// the CLI flags accept (victim, policy, defense, probe, schedule, CPU
-// and codec names); omitted dimensions take the documented sweep
-// defaults, exactly as the zero-valued Go specs do. A nil section is
-// the fully-defaulted grid of its kind.
+// kind's spec section. The sections are the root package's sweep
+// specs, whose json tags are the wire schema: every dimension is named
+// with the string the CLI flags accept (victim, policy, defense,
+// probe, schedule, CPU and codec names), and omitted dimensions take
+// the documented sweep defaults. A nil section is the fully-defaulted
+// grid of its kind.
 type Spec struct {
 	Kind string `json:"kind"`
 	Seed uint64 `json:"seed"`
@@ -44,90 +44,26 @@ type Spec struct {
 	// queued under a different deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
-	Attack *AttackSpec `json:"attack,omitempty"`
-	Stream *StreamSpec `json:"stream,omitempty"`
-	ROC    *ROCSpec    `json:"roc,omitempty"`
+	Attack *lruleak.AttackSpec `json:"attack,omitempty"`
+	Stream *lruleak.StreamSpec `json:"stream,omitempty"`
+	ROC    *lruleak.ROCSpec    `json:"roc,omitempty"`
 }
 
-// AttackSpec is the JSON form of lruleak.AttackSpec: the secret-
-// recovery defense-evaluation matrix.
-type AttackSpec struct {
-	Victims         []string      `json:"victims,omitempty"`
-	Policies        []string      `json:"policies,omitempty"`
-	Defenses        []string      `json:"defenses,omitempty"`
-	Profiles        []ProfileSpec `json:"profiles,omitempty"`
-	Probes          []string      `json:"probes,omitempty"`
-	Schedules       []string      `json:"schedules,omitempty"`
-	Symbols         int           `json:"symbols,omitempty"`
-	Votes           int           `json:"votes,omitempty"`
-	ProfilingRounds int           `json:"profilingRounds,omitempty"`
-	Trials          int           `json:"trials,omitempty"`
-}
+// ResultsVersion is part of every content key. Bump it whenever a
+// change alters a report any job kind renders, so a daemon restarted on
+// an old store recomputes instead of serving the stale report.
+// TestResultsVersionPinsGoldens fails until the bump is made.
+const ResultsVersion = 1
 
-// ProfileSpec names a CPU profile ("sandy", "skylake", "zen") with an
-// optional L1 geometry override. The overrides are pointers so an
-// explicit invalid value (zero ways, a non-power-of-two set count) is
-// distinguishable from "keep the profile's geometry" and can be
-// rejected by the validator instead of panicking in cache.New.
-type ProfileSpec struct {
-	CPU    string `json:"cpu"`
-	L1Sets *int   `json:"l1Sets,omitempty"`
-	L1Ways *int   `json:"l1Ways,omitempty"`
-}
-
-// Point is one covert-channel operating point.
-type Point struct {
-	Tr uint64 `json:"tr"`
-	Ts uint64 `json:"ts"`
-}
-
-// StreamSpec is the JSON form of lruleak.StreamSpec: the transport-
-// layer capacity grid.
-type StreamSpec struct {
-	Points       []Point  `json:"points,omitempty"`
-	Codecs       []string `json:"codecs,omitempty"`
-	LaneCounts   []int    `json:"laneCounts,omitempty"`
-	NoiseThreads []int    `json:"noiseThreads,omitempty"`
-	NoisePeriod  uint64   `json:"noisePeriod,omitempty"`
-	PayloadBytes int      `json:"payloadBytes,omitempty"`
-	FramePayload int      `json:"framePayload,omitempty"`
-}
-
-// ROCSpec is the JSON form of lruleak.ROCSpec: the detection
-// threshold sweep.
-type ROCSpec struct {
-	Victims     []string  `json:"victims,omitempty"`
-	Policies    []string  `json:"policies,omitempty"`
-	Defenses    []string  `json:"defenses,omitempty"`
-	Trials      int       `json:"trials,omitempty"`
-	Symbols     int       `json:"symbols,omitempty"`
-	BenignRefs  int       `json:"benignRefs,omitempty"`
-	BenignSlice int       `json:"benignSlice,omitempty"`
-	Thresholds  []float64 `json:"thresholds,omitempty"`
-}
-
-// compiledSpec is a validated spec resolved onto the root package's
-// sweep types, ready to execute. Exactly one of the three grid fields
-// is meaningful, per kind.
-type compiledSpec struct {
-	kind string
-	seed uint64
-	// deadline is the job's wall-clock budget (0 = none); not part of
-	// the content key.
-	deadline time.Duration
-
-	attack lruleak.AttackSpec
-	stream lruleak.StreamSpec
-	roc    lruleak.ROCSpec
-}
-
-// keyPayload is what the content address covers: the kind, the seed,
-// and the *normalized* grid (WithDefaults applied), so spec spellings
-// that evaluate the same grid share one cache entry. The lruleak spec
+// keyPayload is what the content address covers: the results version,
+// the kind, the seed, and the validated grid with defaults applied.
+// compile has already rewritten every name to its canonical spelling,
+// so spellings of one grid share one cache entry. The lruleak spec
 // types marshal deterministically (fixed struct field order, no maps).
 // ROC thresholds travel as strings because the defaulted grid contains
 // +Inf (the monitor-off point), which JSON cannot encode as a number.
 type keyPayload struct {
+	Version       int                 `json:"v"`
 	Kind          string              `json:"kind"`
 	Seed          uint64              `json:"seed"`
 	Attack        *lruleak.AttackSpec `json:"attack,omitempty"`
@@ -136,26 +72,26 @@ type keyPayload struct {
 	ROCThresholds []string            `json:"rocThresholds,omitempty"`
 }
 
-// key returns the job's content address: hex SHA-256 of the normalized
-// (spec, seed) pair. Determinism makes this a result address too — the
-// finished report is a pure function of the key.
-func (c *compiledSpec) key() string {
-	p := keyPayload{Kind: c.kind, Seed: c.seed}
-	switch c.kind {
+// key returns the job's content address: hex SHA-256 of the keyPayload
+// of a spec compile returned. Determinism makes this a result address
+// too — the finished report is a pure function of the key.
+func (sp *Spec) key() string {
+	p := keyPayload{Version: ResultsVersion, Kind: sp.Kind, Seed: sp.Seed}
+	switch sp.Kind {
 	case KindAttack:
-		sp := c.attack.WithDefaults()
-		p.Attack = &sp
+		a := sp.Attack.WithDefaults()
+		p.Attack = &a
 	case KindStream:
-		sp := c.stream.WithDefaults()
-		p.Stream = &sp
+		st := sp.Stream.WithDefaults()
+		p.Stream = &st
 	case KindROC:
-		sp := c.roc.WithDefaults()
-		p.ROCThresholds = make([]string, len(sp.Thresholds))
-		for i, th := range sp.Thresholds {
+		r := sp.ROC.WithDefaults()
+		p.ROCThresholds = make([]string, len(r.Thresholds))
+		for i, th := range r.Thresholds {
 			p.ROCThresholds[i] = strconv.FormatFloat(th, 'g', -1, 64)
 		}
-		sp.Thresholds = nil
-		p.ROC = &sp
+		r.Thresholds = nil
+		p.ROC = &r
 	}
 	raw, err := json.Marshal(p)
 	if err != nil {
@@ -165,19 +101,19 @@ func (c *compiledSpec) key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// run executes the compiled grid through the engine with the given
-// options (the server passes its persistent pool, the job context and
-// the progress recorder) and renders the report with the same
+// run executes a spec compile returned through the engine with the
+// given options (the server passes its persistent pool, the job context
+// and the progress recorder) and renders the report with the same
 // renderers the CLIs use — which is what lets testdata/*.golden pin
 // the service's output byte-for-byte.
-func (c *compiledSpec) run(opt lruleak.RunOptions) string {
-	switch c.kind {
+func (sp *Spec) run(opt lruleak.RunOptions) string {
+	switch sp.Kind {
 	case KindAttack:
-		return lruleak.RenderAttackSweep(lruleak.AttackSweep(c.attack, c.seed, opt))
+		return lruleak.RenderAttackSweep(lruleak.AttackSweep(*sp.Attack, sp.Seed, opt))
 	case KindStream:
-		return lruleak.RenderStreamSweep(lruleak.StreamSweep(c.stream, c.seed, opt))
+		return lruleak.RenderStreamSweep(lruleak.StreamSweep(*sp.Stream, sp.Seed, opt))
 	case KindROC:
-		return lruleak.RenderROC(lruleak.ROCSweep(c.roc, c.seed, opt))
+		return lruleak.RenderROC(lruleak.ROCSweep(*sp.ROC, sp.Seed, opt))
 	}
-	panic(fmt.Sprintf("service: unvalidated kind %q reached run", c.kind))
+	panic(fmt.Sprintf("service: unvalidated kind %q reached run", sp.Kind))
 }

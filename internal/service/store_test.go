@@ -83,7 +83,7 @@ func TestRestartServesPersistedGoldenWithoutRecompute(t *testing.T) {
 	// Lifetime 2: same directory, fresh process state, execution banned.
 	s2, ts2 := newTestServer(t, Config{Store: openTestDisk(t, dir, nil)})
 	var execs int32
-	s2.exec = func(*compiledSpec, lruleak.RunOptions) string {
+	s2.exec = func(*Spec, lruleak.RunOptions) string {
 		atomic.AddInt32(&execs, 1)
 		return "recomputed — durability broken"
 	}
@@ -129,7 +129,7 @@ func TestRestartReportIsByteIdentical(t *testing.T) {
 	}
 
 	s2, ts2 := newTestServer(t, Config{Store: openTestDisk(t, dir, nil)})
-	s2.exec = func(*compiledSpec, lruleak.RunOptions) string { return "MUST NOT RUN" }
+	s2.exec = func(*Spec, lruleak.RunOptions) string { return "MUST NOT RUN" }
 	body, _ = postJob(t, ts2, tinyAttack(11))
 	restored, code := fetchReport(t, ts2, body.ID)
 	if code != http.StatusOK {
@@ -252,7 +252,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, tc.cfg)
-			s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
+			s.exec = func(c *Spec, opt lruleak.RunOptions) string {
 				<-opt.Context.Done() // a grid that never finishes in time
 				return ""
 			}
@@ -328,7 +328,7 @@ func TestQueueFullSetsRetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once
 	inner := s.exec
-	s.exec = func(c *compiledSpec, opt lruleak.RunOptions) string {
+	s.exec = func(c *Spec, opt lruleak.RunOptions) string {
 		<-block
 		return inner(c, opt)
 	}

@@ -24,7 +24,7 @@
 //
 // Every experiment of the paper's evaluation — Tables I-VII and Figures
 // 3-15 — has a driver in this package (see figures.go and tables.go) and a
-// regenerating benchmark in bench_test.go.
+// golden under testdata/ that papergolden_test.go pins.
 package lruleak
 
 import (

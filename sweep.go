@@ -14,6 +14,7 @@ import (
 	"repro/internal/leakage"
 	"repro/internal/mem"
 	"repro/internal/perfctr"
+	"repro/internal/replacement"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -31,7 +32,8 @@ import (
 
 // TrTs is one operating point of the covert channel.
 type TrTs struct {
-	Tr, Ts uint64
+	Tr uint64 `json:"tr"`
+	Ts uint64 `json:"ts"`
 }
 
 // SweepSpec declares a cross-product grid of SMT error-rate
@@ -175,22 +177,23 @@ func Sweep(spec SweepSpec, seed uint64, opt RunOptions) []SweepCell {
 // experiments: end-to-end goodput and frame-error rate of the streaming
 // covert channel (internal/transport) as functions of the operating
 // point, the error-correcting code, the lane count and the noise level.
-// Zero-valued dimensions get sensible defaults.
+// Zero-valued dimensions get sensible defaults. The json tags are the
+// lruleakd wire schema of the "stream" section.
 type StreamSpec struct {
 	// Points defaults to the stream demo point (Tr=2000, Ts=8000).
-	Points []TrTs
+	Points []TrTs `json:"points,omitempty"`
 	// Codecs defaults to the full codec family (none, rep3, hamming74).
-	Codecs []string
+	Codecs []string `json:"codecs,omitempty"`
 	// LaneCounts defaults to {1, 4}.
-	LaneCounts []int
+	LaneCounts []int `json:"laneCounts,omitempty"`
 	// NoiseThreads defaults to {0, 3}.
-	NoiseThreads []int
+	NoiseThreads []int `json:"noiseThreads,omitempty"`
 	// NoisePeriod is the cycles between noise accesses (default 2000).
-	NoisePeriod uint64
+	NoisePeriod uint64 `json:"noisePeriod,omitempty"`
 	// PayloadBytes is the per-cell transfer size (default 96).
-	PayloadBytes int
+	PayloadBytes int `json:"payloadBytes,omitempty"`
 	// FramePayload is the payload bytes per frame (default 32).
-	FramePayload int
+	FramePayload int `json:"framePayload,omitempty"`
 }
 
 // WithDefaults returns the spec with every zero-valued dimension
@@ -323,59 +326,112 @@ func RenderStreamDemo(points []StreamPoint) string {
 // victims × replacement policies × defenses × uarch profiles, each cell
 // running the full template attack of internal/attack and reporting
 // recovery quality plus the detection verdicts. Zero-valued dimensions
-// get sensible defaults, so the zero spec is a runnable matrix.
+// get sensible defaults, so the zero spec is a runnable matrix. Each
+// dimension is a name as the lruattack flags spell it (AttackSweep
+// panics on an unknown one), and the json tags are the lruleakd wire
+// schema of the "attack" section.
 type AttackSpec struct {
 	// Victims defaults to every victim kind (ttable, sqmul, lookup).
-	Victims []string
+	Victims []string `json:"victims,omitempty"`
 	// Policies defaults to the LRU family the paper studies
 	// (true LRU, Tree-PLRU, Bit-PLRU).
-	Policies []ReplacementKind
+	Policies []string `json:"policies,omitempty"`
 	// Defenses defaults to the full Section IX matrix (baseline, both
 	// PL-cache variants, random fill, DAWG).
-	Defenses []AttackDefense
+	Defenses []string `json:"defenses,omitempty"`
 	// Profiles defaults to Sandy Bridge only (the attack depends on
 	// geometry, which all three Table III parts share).
-	Profiles []Profile
-	// Probes defaults to the canonical full prime only; add
-	// attack.ProbeDSplit(1) for the Figure 11 d=1 partial prime that
-	// separates the PL-cache variants.
-	Probes []AttackProbe
+	Profiles []ProfileRef `json:"profiles,omitempty"`
+	// Probes defaults to the canonical full prime only; add "d=1" for
+	// the Figure 11 partial prime that separates the PL-cache variants.
+	Probes []string `json:"probes,omitempty"`
 	// Schedules defaults to the synchronous attack-driven baseline
-	// only; add the SMT and time-sliced schedules to price scheduling
-	// jitter into the matrix.
-	Schedules []AttackSchedule
+	// only; add "smt" and "tslice" to price scheduling jitter into the
+	// matrix.
+	Schedules []string `json:"schedules,omitempty"`
 	// Symbols is the demo-secret length per cell (default 8).
-	Symbols int
+	Symbols int `json:"symbols,omitempty"`
 	// Votes is the observation windows fused per symbol (default 4).
-	Votes int
+	Votes int `json:"votes,omitempty"`
 	// ProfilingRounds is the per-symbol-value template windows
 	// (default 8).
-	ProfilingRounds int
+	ProfilingRounds int `json:"profilingRounds,omitempty"`
 	// Trials is the independent repetitions per cell, each with its own
 	// split seed (default 1).
-	Trials int
+	Trials int `json:"trials,omitempty"`
+}
+
+// ProfileRef names a CPU profile the way -cpu does ("sandy", "skylake",
+// "zen"), with optional L1 geometry overrides. The overrides are
+// pointers so a validator can tell an explicit invalid value (zero
+// ways) from "keep the profile's geometry".
+type ProfileRef struct {
+	CPU    string `json:"cpu"`
+	L1Sets *int   `json:"l1Sets,omitempty"`
+	L1Ways *int   `json:"l1Ways,omitempty"`
+}
+
+// Profile resolves the reference through ProfileByName and applies its
+// overrides.
+func (r ProfileRef) Profile() (Profile, error) {
+	p, err := ProfileByName(r.CPU)
+	if err != nil {
+		return p, err
+	}
+	if r.L1Sets != nil {
+		p.L1Sets = *r.L1Sets
+	}
+	if r.L1Ways != nil {
+		p.L1Ways = *r.L1Ways
+	}
+	return p, nil
+}
+
+// names spells each value by its String method: the canonical form of
+// a grid dimension, which its parser reads back.
+func names[T fmt.Stringer](vs []T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
+// mustResolve resolves a grid dimension through its parser, panicking
+// on a bad entry as the sweeps do for an unknown victim or codec.
+func mustResolve[S, T any](sweep string, in []S, parse func(S) (T, error)) []T {
+	out := make([]T, len(in))
+	for i, s := range in {
+		v, err := parse(s)
+		if err != nil {
+			panic(fmt.Sprintf("lruleak: %s: %v", sweep, err))
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // WithDefaults returns the spec with every zero-valued dimension
-// replaced by its documented default (see SweepSpec.WithDefaults).
+// replaced by its documented default (see SweepSpec.WithDefaults),
+// spelled canonically.
 func (sp AttackSpec) WithDefaults() AttackSpec {
 	if len(sp.Victims) == 0 {
 		sp.Victims = victim.Names()
 	}
 	if len(sp.Policies) == 0 {
-		sp.Policies = []ReplacementKind{TrueLRU, TreePLRU, BitPLRU}
+		sp.Policies = names([]ReplacementKind{TrueLRU, TreePLRU, BitPLRU})
 	}
 	if len(sp.Defenses) == 0 {
-		sp.Defenses = attack.Defenses()
+		sp.Defenses = names(attack.Defenses())
 	}
 	if len(sp.Profiles) == 0 {
-		sp.Profiles = []Profile{SandyBridge()}
+		sp.Profiles = []ProfileRef{{CPU: SandyBridge().Arch}}
 	}
 	if len(sp.Probes) == 0 {
-		sp.Probes = []AttackProbe{attack.ProbeFull()}
+		sp.Probes = []string{attack.ProbeFull().String()}
 	}
 	if len(sp.Schedules) == 0 {
-		sp.Schedules = []AttackSchedule{attack.ScheduleSync}
+		sp.Schedules = []string{attack.ScheduleSync.String()}
 	}
 	if sp.Symbols == 0 {
 		sp.Symbols = 8
@@ -428,18 +484,23 @@ func AttackSweep(spec AttackSpec, seed uint64, opt RunOptions) []AttackCell {
 		probe AttackProbe
 		sched AttackSchedule
 	}
+	profiles := mustResolve("AttackSweep", spec.Profiles, ProfileRef.Profile)
+	policies := mustResolve("AttackSweep", spec.Policies, replacement.ParseKind)
+	defenses := mustResolve("AttackSweep", spec.Defenses, attack.ParseDefense)
+	probes := mustResolve("AttackSweep", spec.Probes, attack.ParseProbe)
+	schedules := mustResolve("AttackSweep", spec.Schedules, attack.ParseSchedule)
 	var ids []cellID
 	for _, vname := range spec.Victims {
-		for _, prof := range spec.Profiles {
+		for _, prof := range profiles {
 			// Validate every (victim, profile) pairing up front so a
 			// bad spec fails here, not inside an engine worker.
 			if _, err := victim.ByName(vname, prof.L1Sets); err != nil {
 				panic(fmt.Sprintf("lruleak: AttackSweep: %s on %s: %v", vname, prof.Arch, err))
 			}
-			for _, pol := range spec.Policies {
-				for _, def := range spec.Defenses {
-					for _, probe := range spec.Probes {
-						for _, sched := range spec.Schedules {
+			for _, pol := range policies {
+				for _, def := range defenses {
+					for _, probe := range probes {
+						for _, sched := range schedules {
 							ids = append(ids, cellID{vname, prof, pol, def, probe, sched})
 						}
 					}
@@ -606,32 +667,34 @@ func RenderVoteOverhead(rows []VoteOverheadRow) string {
 // ROCSpec declares the detection threshold sweep: attacker counter
 // profiles (positives) per defense against benign Figure 9 suite
 // co-runs (negatives), swept over the monitor's cross-eviction
-// threshold grid. Zero-valued dimensions get sensible defaults.
+// threshold grid. Zero-valued dimensions get sensible defaults. As in
+// AttackSpec, every dimension is a name and the json tags are the
+// lruleakd wire schema of the "roc" section.
 type ROCSpec struct {
 	// Victims defaults to the T-table victim only.
-	Victims []string
+	Victims []string `json:"victims,omitempty"`
 	// Policies defaults to Tree-PLRU.
-	Policies []ReplacementKind
+	Policies []string `json:"policies,omitempty"`
 	// Defenses defaults to the full Section IX matrix.
-	Defenses []AttackDefense
+	Defenses []string `json:"defenses,omitempty"`
 	// Trials is the attack runs per (victim, policy, defense), each an
 	// independent positive sample (default 4).
-	Trials int
+	Trials int `json:"trials,omitempty"`
 	// Symbols is the per-attack demo-secret length (default 4; the
 	// sweep needs counter profiles, not long recoveries).
-	Symbols int
+	Symbols int `json:"symbols,omitempty"`
 	// BenignRefs is the reference count each benign process issues
 	// (default 300_000).
-	BenignRefs int
+	BenignRefs int `json:"benignRefs,omitempty"`
 	// BenignSlice is the time-slice granularity of the benign co-run,
 	// in references per turn (default 100_000). Cross-evictions cost a
 	// sliced process roughly one shared-cache refill per slice, so
 	// this knob sets where the benign population sits on the
 	// cross-eviction axis — real quanta are millions of references, so
 	// the default is already pessimistic about benign interference.
-	BenignSlice int
+	BenignSlice int `json:"benignSlice,omitempty"`
 	// Thresholds defaults to detect.DefaultROCThresholds().
-	Thresholds []float64
+	Thresholds []float64 `json:"thresholds,omitempty"`
 }
 
 // WithDefaults returns the spec with every zero-valued dimension
@@ -641,10 +704,10 @@ func (sp ROCSpec) WithDefaults() ROCSpec {
 		sp.Victims = []string{"ttable"}
 	}
 	if len(sp.Policies) == 0 {
-		sp.Policies = []ReplacementKind{TreePLRU}
+		sp.Policies = []string{TreePLRU.String()}
 	}
 	if len(sp.Defenses) == 0 {
-		sp.Defenses = attack.Defenses()
+		sp.Defenses = names(attack.Defenses())
 	}
 	if sp.Trials == 0 {
 		sp.Trials = 4
@@ -697,13 +760,15 @@ func ROCSweep(spec ROCSpec, seed uint64, opt RunOptions) ROCResult {
 		vname string
 		pol   ReplacementKind
 	}
+	policies := mustResolve("ROCSweep", spec.Policies, replacement.ParseKind)
+	defenses := mustResolve("ROCSweep", spec.Defenses, attack.ParseDefense)
 	var posIDs []posID
-	for _, def := range spec.Defenses {
+	for _, def := range defenses {
 		for _, vname := range spec.Victims {
 			if _, err := victim.ByName(vname, SandyBridge().L1Sets); err != nil {
 				panic(fmt.Sprintf("lruleak: ROCSweep: %v", err))
 			}
-			for _, pol := range spec.Policies {
+			for _, pol := range policies {
 				posIDs = append(posIDs, posID{def, vname, pol})
 			}
 		}
@@ -763,7 +828,7 @@ func ROCSweep(spec ROCSpec, seed uint64, opt RunOptions) ROCResult {
 	base := detect.ROCBaseThresholds()
 	out := ROCResult{BenignProcesses: len(negReports), Deployed: base.L1CrossEvictionRate}
 	perDefense := spec.Trials * len(spec.Victims) * len(spec.Policies)
-	for di, def := range spec.Defenses {
+	for di, def := range defenses {
 		pos := posReports[di*perDefense : (di+1)*perDefense]
 		out.Curves = append(out.Curves, DefenseROC{
 			Defense: def,
