@@ -33,7 +33,7 @@ func speedupVariants(b *testing.B, run func(b *testing.B, workers int)) {
 				b.Skip("GOMAXPROCS=1: workers=all would be the workers=1 run; skipping the meaningless 1.0x ratio")
 			}
 			run(b, bc.workers)
-			b.ReportMetric(float64(RunOptions{Workers: bc.workers}.ResolvedWorkers()), "workers")
+			b.ReportMetric(float64(bc.workers), "workers")
 			b.ReportMetric(float64(procs), "gomaxprocs")
 		})
 	}
@@ -76,9 +76,9 @@ func BenchmarkSweepParallelSpeedup(b *testing.B) {
 // BenchmarkMetricsOverhead prices the engine's per-cell telemetry: the
 // same many-small-cell grid on a persistent pool, uninstrumented vs
 // instrumented. The cells are deliberately tiny (~µs of xorshift work
-// through a pooled workspace) so the per-cell hooks — a handful of
-// atomic adds plus a histogram observe — are as visible as they can
-// ever be; real experiment cells are orders of magnitude heavier. CI
+// into a local buffer) so the per-cell hooks — a handful of atomic
+// adds plus a histogram observe — are as visible as they can ever be;
+// real experiment cells are orders of magnitude heavier. CI
 // pins telemetry=on to >= 0.8x the telemetry=off sibling via
 // cmd/benchdiff -require, a box-speed-immune guard that the hooks stay
 // in the noise.
@@ -89,8 +89,8 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		jobs[i] = engine.Job[uint64]{
 			Name: fmt.Sprintf("cell%d", i),
 			Seed: uint64(i + 1),
-			RunW: func(seed uint64, ws *engine.Workspace) uint64 {
-				buf := ws.Get("scratch", func() any { return make([]uint64, 64) }).([]uint64)
+			Run: func(seed uint64) uint64 {
+				var buf [64]uint64
 				x := seed
 				for k := 0; k < 2048; k++ {
 					x ^= x << 13
@@ -125,11 +125,10 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		pool := engine.NewPoolWithTelemetry(0, tel)
 		defer pool.Close()
 		run(b, pool)
-		es := metrics.Snapshot(reg)
-		want := float64(b.N * cells)
-		if es["engine_cells_completed_total"] != want || es["engine_cell_wall_seconds.count"] != want {
-			b.Fatalf("telemetry lost cells: completed=%v histogram=%v, want %v",
-				es["engine_cells_completed_total"], es["engine_cell_wall_seconds.count"], want)
+		completed := reg.Counter("engine_cells_completed_total", "").Value()
+		timed := reg.Histogram("engine_cell_wall_seconds", "", nil).Count()
+		if want := uint64(b.N * cells); completed != want || timed != want {
+			b.Fatalf("telemetry lost cells: completed=%d histogram=%d, want %d", completed, timed, want)
 		}
 		b.ReportMetric(cells, "cells")
 	})

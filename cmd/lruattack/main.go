@@ -64,6 +64,14 @@ func main() {
 		progress   = flag.Bool("progress", false, "report per-cell progress on stderr (multi-cell modes)")
 	)
 	flag.Parse()
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"symbols", *symbols}, {"trials", *trials}, {"reps", *reps}, {"profrounds", *profrounds}, {"maxvotes", *maxvotes}} {
+		if c.v < 1 {
+			fail(fmt.Errorf("-%s must be >= 1, got %d", c.name, c.v))
+		}
+	}
 
 	opt := lruleak.RunOptions{Workers: *workers}
 	if *progress {

@@ -46,6 +46,21 @@ func main() {
 		noise    = flag.Int("noise", 3, "stream demo noise threads")
 	)
 	flag.Parse()
+	if *alg != 1 && *alg != 2 {
+		fmt.Fprintf(os.Stderr, "lruchan: -alg must be 1 or 2, got %d\n", *alg)
+		os.Exit(2)
+	}
+	// A zero sample count would run the receiver until the simulator's
+	// cycle wall, so every count flag must be at least 1.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"samples", *samples}, {"bits", *bits}, {"repeats", *repeats}} {
+		if c.v < 1 {
+			fmt.Fprintf(os.Stderr, "lruchan: -%s must be >= 1, got %d\n", c.name, c.v)
+			os.Exit(2)
+		}
+	}
 
 	opt := lruleak.RunOptions{Workers: *workers}
 	if *progress {

@@ -40,6 +40,10 @@ func main() {
 		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "lrutables: -trials must be >= 1, got %d\n", *trials)
+		os.Exit(2)
+	}
 
 	opt := lruleak.RunOptions{Workers: *workers}
 	if *progress {

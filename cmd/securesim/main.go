@@ -35,6 +35,15 @@ func main() {
 		progress     = flag.Bool("progress", false, "report per-cell progress on stderr")
 	)
 	flag.Parse()
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"samples", *samples}, {"instructions", *instructions}} {
+		if c.v < 1 {
+			fmt.Fprintf(os.Stderr, "securesim: -%s must be >= 1, got %d\n", c.name, c.v)
+			os.Exit(2)
+		}
+	}
 
 	opt := lruleak.RunOptions{Workers: *workers}
 	if *progress {

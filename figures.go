@@ -181,11 +181,11 @@ func Figure4(prof Profile, alg core.Algorithm, msgBits, repeats int, seed uint64
 				jobs = append(jobs, engine.Job[Figure4Point]{
 					Name: fmt.Sprintf("fig4/tr=%d/ts=%d/d=%d", tr, ts, d),
 					Seed: seed + ts + tr + uint64(d),
-					RunW: func(s uint64, ws *engine.Workspace) Figure4Point {
-						c := NewChannelW(ChannelConfig{
+					Run: func(s uint64) Figure4Point {
+						c := NewChannel(ChannelConfig{
 							Profile: prof, Algorithm: alg, Mode: sched.SMT,
 							Tr: tr, Ts: ts, D: d, Seed: s,
-						}, ws)
+						})
 						res := c.MeasureErrorRate(msgBits, repeats)
 						return Figure4Point{
 							Tr: tr, Ts: ts, D: d,
@@ -332,13 +332,13 @@ func Figure6(prof Profile, trs []uint64, measurements int, seed uint64, opt RunO
 				jobs = append(jobs, engine.Job[Figure6Point]{
 					Name: fmt.Sprintf("fig6/bit=%d/tr=%d/d=%d", bit, tr, d),
 					Seed: seed + tr + uint64(d) + uint64(bit)<<32,
-					RunW: func(s uint64, ws *engine.Workspace) Figure6Point {
-						c := NewChannelW(ChannelConfig{
+					Run: func(s uint64) Figure6Point {
+						c := NewChannel(ChannelConfig{
 							Profile: prof, Algorithm: Alg1SharedMemory,
 							Mode: sched.TimeSliced,
 							Tr:   tr, Ts: 1 << 62, D: d,
 							Seed: s,
-						}, ws)
+						})
 						return Figure6Point{
 							Tr: tr, D: d, SendingBit: bit,
 							FractionOnes: c.MeasureFractionOnes(bit, measurements),

@@ -430,9 +430,9 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) Reset() {
 	c.InvalidateAll()
 	c.ResetStats()
-	// Truncate (not just zero) the per-requestor table so a pooled
-	// machine is indistinguishable from a freshly constructed one,
-	// whose table starts empty.
+	// Truncate (not just zero) the per-requestor table so a reset
+	// cache is indistinguishable from a freshly constructed one, whose
+	// table starts empty.
 	c.perReq = c.perReq[:0]
 }
 
@@ -459,23 +459,4 @@ func (c *Cache) RequestorStats(requestor int) Stats {
 // Table I study.
 func (c *Cache) PolicyState(set int) string {
 	return c.repl.StateString(set)
-}
-
-// SetOccupancy returns the physical line numbers currently valid in a set,
-// indexed by way; invalid ways carry ok=false.
-func (c *Cache) SetOccupancy(set int) []struct {
-	Line uint64
-	OK   bool
-} {
-	out := make([]struct {
-		Line uint64
-		OK   bool
-	}, c.cfg.Ways)
-	for w, ln := range c.set(set) {
-		if ln.flags&lineValid != 0 {
-			out[w].Line = c.lineNumber(set, ln.tag)
-			out[w].OK = true
-		}
-	}
-	return out
 }

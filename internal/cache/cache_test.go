@@ -351,25 +351,6 @@ func TestNegativeRequestorPanics(t *testing.T) {
 	c.Access(Request{PhysLine: 1, Requestor: -1})
 }
 
-func TestSetOccupancy(t *testing.T) {
-	c := New(l1Config(replacement.TreePLRU))
-	c.Access(Request{PhysLine: lineInSet(c, 4, 0)})
-	c.Access(Request{PhysLine: lineInSet(c, 4, 1)})
-	occ := c.SetOccupancy(4)
-	valid := 0
-	for _, e := range occ {
-		if e.OK {
-			valid++
-			if e.Line != lineInSet(c, 4, 0) && e.Line != lineInSet(c, 4, 1) {
-				t.Errorf("unexpected occupant %d", e.Line)
-			}
-		}
-	}
-	if valid != 2 {
-		t.Errorf("valid ways = %d, want 2", valid)
-	}
-}
-
 func TestRandomPolicyCacheWorks(t *testing.T) {
 	cfg := l1Config(replacement.Random)
 	cfg.RNG = rng.New(11)

@@ -25,7 +25,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/hier"
 	"repro/internal/mem"
 	"repro/internal/replacement"
@@ -192,54 +191,21 @@ type Setup struct {
 }
 
 // NewSetup builds all machinery for a channel experiment.
-func NewSetup(cfg Config) *Setup { return newSetup(cfg, nil) }
-
-// NewSetupW is NewSetup with a worker Workspace: the hierarchy — the
-// expensive part of a machine, dominated by its line slabs — is pooled
-// per (worker, geometry) and Reset between cells instead of being
-// reconstructed. The pooled machine's generator is SplitInto the state
-// a fresh construction would have given it, so a Workspace-built setup
-// is bit-identical to a fresh one. ws may be nil.
-func NewSetupW(cfg Config, ws *engine.Workspace) *Setup { return newSetup(cfg, ws) }
-
-// pooledMachine is the Workspace entry for one hierarchy geometry: the
-// hierarchy plus the generator object it was constructed around (kept
-// so internal references survive reseeding).
-type pooledMachine struct {
-	h *hier.Hierarchy
-	r *rng.Rand
-}
-
-func newSetup(cfg Config, ws *engine.Workspace) *Setup {
+func NewSetup(cfg Config) *Setup {
 	cfg = cfg.withDefaults()
 	prof := cfg.Profile
 	r := rng.New(cfg.Seed)
 	s := &Setup{Cfg: cfg, RNG: r}
 
-	hcfg := hier.Config{
+	s.Hier = hier.New(hier.Config{
 		Profile:  prof,
 		L1Policy: cfg.L1Policy, L2Policy: replacement.TreePLRU,
 		Prefetcher:             cfg.Prefetcher,
 		PartitionLockedL1:      cfg.PartitionLocked,
 		LockReplacementStateL1: cfg.LockReplacementState,
 		WithLLC:                true,
-	}
-	if ws == nil {
-		hcfg.RNG = r.Split()
-		s.Hier = hier.New(hcfg)
-	} else {
-		key := fmt.Sprintf("core.machine/%s/%dx%d/%v/%v/pl=%v/lrs=%v",
-			prof.Name, prof.L1Sets, prof.L1Ways, cfg.L1Policy, cfg.Prefetcher,
-			cfg.PartitionLocked, cfg.LockReplacementState)
-		m := ws.Get(key, func() any {
-			hr := rng.New(0)
-			hcfg.RNG = hr
-			return &pooledMachine{h: hier.New(hcfg), r: hr}
-		}).(*pooledMachine)
-		r.SplitInto(m.r)
-		m.h.Reset()
-		s.Hier = m.h
-	}
+		RNG:                    r.Split(),
+	})
 	s.TSC = timing.NewTSC(prof, r.Split())
 	s.Sys = mem.NewSystem(prof.LineSize)
 

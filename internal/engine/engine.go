@@ -14,41 +14,12 @@ import (
 
 // Job is one independent experiment cell: a name for progress
 // reporting, the seed from which the cell derives all randomness, and
-// the function that runs it. Exactly one of Run and RunW must be set;
-// RunW additionally receives the worker's Workspace so consecutive
-// cells on one worker can share a reusable simulated machine.
+// the function that runs it. The function builds its own simulated
+// machine, so cells share no mutable state.
 type Job[T any] struct {
 	Name string
 	Seed uint64
 	Run  func(seed uint64) T
-	RunW func(seed uint64, ws *Workspace) T
-}
-
-// Workspace is per-worker keyed storage for state that is expensive to
-// construct and cheap to Reset: simulated machines, scratch buffers.
-// Each worker goroutine owns exactly one Workspace for the lifetime of
-// a Run call, so values need no locking — but a job reusing a pooled
-// machine MUST return it to a seed-determined state (Reset, Reseed)
-// before use, or results would depend on which worker ran which cell.
-type Workspace struct {
-	m   map[string]any
-	tel *Telemetry
-}
-
-// Get returns the value stored under key, constructing it with mk on
-// the worker's first use.
-func (w *Workspace) Get(key string, mk func() any) any {
-	if w.m == nil {
-		w.m = make(map[string]any)
-	}
-	v, ok := w.m[key]
-	if !ok {
-		v = mk()
-		w.m[key] = v
-	} else {
-		w.tel.reuseHit()
-	}
-	return v
 }
 
 // Result pairs a job's output with its identity and wall-time cost.
@@ -115,17 +86,11 @@ type Options struct {
 	// first one (in submission order) after the pool drains, preserving
 	// fail-fast behavior on the caller's goroutine.
 	ContainPanics bool
-	// Pool, if set, runs the jobs on a shared persistent worker pool
-	// instead of spawning per-call goroutines. Consecutive Run calls on
-	// one pool reuse each worker's Workspace, so pooled machines
-	// survive across grids — the daemon configuration. Determinism is
-	// unaffected: jobs derive everything from their seeds.
+	// Pool, if set, runs the jobs on a shared persistent worker pool —
+	// the daemon configuration, whose pool also carries the telemetry.
+	// When nil, Run starts a pool of Workers goroutines (capped at the
+	// job count) and closes it before returning.
 	Pool *Pool
-	// Telemetry, if set, records per-cell lifecycle counters, the
-	// wall-time histogram and load gauges for this run. When nil and
-	// Pool carries telemetry (NewPoolWithTelemetry), the pool's is
-	// used; otherwise the run is uninstrumented.
-	Telemetry *Telemetry
 }
 
 // WorkersEnv is the environment variable that overrides the default
@@ -151,13 +116,6 @@ func (o Options) workers() int {
 	return DefaultWorkers()
 }
 
-// ResolvedWorkers reports the pool size Run will actually use (before
-// the cap to the job count): Workers when positive, otherwise the
-// session default. Benchmarks record this — not the requested value —
-// so a "workers=all" measurement taken on a single-core runner is
-// visibly a 1-worker run in the emitted results.
-func (o Options) ResolvedWorkers() int { return o.workers() }
-
 // Run executes jobs over the worker pool and returns one Result per
 // job, in submission order. The output is independent of the worker
 // count provided each job is deterministic in its seed.
@@ -176,11 +134,15 @@ func Run[T any](jobs []Job[T], opts Options) []Result[T] {
 		return out
 	}
 	ctx := opts.Context
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
-	tel := opts.Telemetry
-	if tel == nil && opts.Pool != nil {
-		tel = opts.Pool.tel
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewPool(min(opts.workers(), len(jobs)))
+		defer pool.Close()
+	}
+	tel := pool.tel
 	tel.enqueue(len(jobs))
 
 	var mu sync.Mutex // serializes Progress calls and the done counter
@@ -194,15 +156,16 @@ func Run[T any](jobs []Job[T], opts Options) []Result[T] {
 		opts.Progress(Event{Index: i, Done: done, Total: len(jobs), Name: jobs[i].Name, Wall: wall})
 		mu.Unlock()
 	}
-	// runOne executes job i on ws, or skips it (recording the context
-	// error) when the run has been cancelled. Each index reaches
-	// exactly one runOne/skip call, so out needs no locking.
+	// Each index reaches exactly one runOne or skip call, so out needs
+	// no locking.
 	skip := func(i int) {
 		tel.skip()
 		out[i] = Result[T]{Name: jobs[i].Name, Seed: jobs[i].Seed, Err: ctx.Err()}
 	}
-	runOne := func(i int, ws *Workspace) {
-		if cancelled() {
+	// runOne executes job i, or skips it when the run was cancelled
+	// after the job was handed to a worker but before it started.
+	runOne := func(i int) {
+		if ctx.Err() != nil {
 			skip(i)
 			return
 		}
@@ -214,11 +177,7 @@ func Run[T any](jobs []Job[T], opts Options) []Result[T] {
 					out[i].Err = &PanicError{Job: jobs[i].Name, Value: r, Stack: debug.Stack()}
 				}
 			}()
-			if jobs[i].RunW != nil {
-				out[i].Value = jobs[i].RunW(jobs[i].Seed, ws)
-			} else {
-				out[i].Value = jobs[i].Run(jobs[i].Seed)
-			}
+			out[i].Value = jobs[i].Run(jobs[i].Seed)
 		}()
 		wall := time.Since(start)
 		_, panicked := out[i].Err.(*PanicError)
@@ -226,56 +185,7 @@ func Run[T any](jobs []Job[T], opts Options) []Result[T] {
 		out[i].Name, out[i].Seed, out[i].Wall = jobs[i].Name, jobs[i].Seed, wall
 		finish(i, wall)
 	}
-
-	switch {
-	case opts.Pool != nil:
-		opts.Pool.run(len(jobs), ctx, func(i int, ws *Workspace) { runOne(i, ws) }, skip)
-	case opts.workers() == 1 || len(jobs) == 1:
-		ws := &Workspace{tel: tel}
-		for i := range jobs {
-			runOne(i, ws)
-		}
-	default:
-		workers := opts.workers()
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				ws := &Workspace{tel: tel}
-				for i := range idx {
-					runOne(i, ws)
-				}
-			}()
-		}
-		feed := len(jobs)
-		for i := 0; i < len(jobs); i++ {
-			if ctx == nil {
-				idx <- i
-				continue
-			}
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				feed = i
-			}
-			if feed == i {
-				break
-			}
-		}
-		close(idx)
-		// Indices never fed are skipped here; indices fed after the
-		// cancel are skipped by the worker's runOne. Either way every
-		// job gets exactly one Result.
-		for i := feed; i < len(jobs); i++ {
-			skip(i)
-		}
-		wg.Wait()
-	}
+	pool.run(len(jobs), ctx, runOne, skip)
 
 	if !opts.ContainPanics {
 		for i := range out {

@@ -5,20 +5,18 @@ import (
 	"sync"
 )
 
-// Pool is a persistent worker pool shared across Run calls. Each worker
-// goroutine owns one Workspace for the pool's whole lifetime, so pooled
-// machines (hierarchies, schedulers, scratch buffers) built for one
-// grid are reused by every later grid that lands on the same worker —
-// the configuration a long-running job server wants, where per-call
-// goroutine+machine construction would dominate small jobs.
+// Pool is a persistent worker pool. Run starts a transient one per call
+// unless Options.Pool supplies a shared one; a long-running job server
+// shares one across every grid, so its worker count bounds the whole
+// process and its telemetry sees every cell.
 //
 // A pool may serve several Run calls concurrently; their cells simply
 // interleave over the same workers. Determinism is preserved for the
-// same reason it holds within one Run: every job restores any reused
-// machine to a seed-determined state before use, so results cannot
-// depend on which worker (or which interleaving) executed which cell.
+// same reason it holds within one Run: every job builds its own machine
+// from its seed, so results cannot depend on which worker (or which
+// interleaving) executed which cell.
 type Pool struct {
-	tasks chan func(*Workspace)
+	tasks chan func()
 	wg    sync.WaitGroup
 	size  int
 	once  sync.Once
@@ -30,21 +28,19 @@ type Pool struct {
 func NewPool(n int) *Pool { return NewPoolWithTelemetry(n, nil) }
 
 // NewPoolWithTelemetry is NewPool with instrumentation attached: every
-// Run on the pool that does not set its own Options.Telemetry records
-// through tel, and the workers' Workspaces count their reuse hits
-// there. A nil tel yields an uninstrumented pool.
+// Run on the pool records through tel. A nil tel yields an
+// uninstrumented pool.
 func NewPoolWithTelemetry(n int, tel *Telemetry) *Pool {
 	if n <= 0 {
 		n = DefaultWorkers()
 	}
-	p := &Pool{tasks: make(chan func(*Workspace)), size: n, tel: tel}
+	p := &Pool{tasks: make(chan func()), size: n, tel: tel}
 	p.wg.Add(n)
 	for w := 0; w < n; w++ {
 		go func() {
 			defer p.wg.Done()
-			ws := &Workspace{tel: tel}
 			for f := range p.tasks {
-				f(ws)
+				f()
 			}
 		}()
 	}
@@ -67,32 +63,22 @@ func (p *Pool) Close() {
 // draining) and skip is called for every index not yet handed to a
 // worker; exec itself is responsible for skipping indices that were
 // queued before the cancel but start after it.
-func (p *Pool) run(n int, ctx context.Context, exec func(int, *Workspace), skip func(int)) {
+func (p *Pool) run(n int, ctx context.Context, exec, skip func(int)) {
 	var wg sync.WaitGroup
-	fed := n
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		task := func(ws *Workspace) {
-			defer wg.Done()
-			exec(i, ws)
-		}
-		if ctx == nil {
-			p.tasks <- task
-			continue
-		}
+	wg.Add(n)
+	i := 0
+feed:
+	for ; i < n; i++ {
+		task := i
 		select {
-		case p.tasks <- task:
+		case p.tasks <- func() { defer wg.Done(); exec(task) }:
 		case <-ctx.Done():
-			wg.Done()
-			fed = i
-		}
-		if fed == i {
-			break
+			break feed
 		}
 	}
-	for i := fed; i < n; i++ {
+	for ; i < n; i++ {
 		skip(i)
+		wg.Done()
 	}
 	wg.Wait()
 }

@@ -16,7 +16,6 @@ type Telemetry struct {
 	completed  *metrics.Counter
 	panicked   *metrics.Counter
 	skipped    *metrics.Counter
-	reuse      *metrics.Counter
 	queueDepth *metrics.Gauge
 	busy       *metrics.Gauge
 	cellWall   *metrics.Histogram
@@ -35,8 +34,6 @@ func NewTelemetry(r *metrics.Registry) *Telemetry {
 			"cells whose job function panicked (recovered per cell)"),
 		skipped: r.Counter("engine_cells_skipped_total",
 			"cells skipped by context cancellation before starting"),
-		reuse: r.Counter("engine_workspace_reuse_total",
-			"workspace Get calls served from a previously built value (pooled-machine reuse hits)"),
 		queueDepth: r.Gauge("engine_queue_depth",
 			"cells enqueued in Run calls and not yet started or skipped"),
 		busy: r.Gauge("engine_workers_busy",
@@ -84,11 +81,4 @@ func (t *Telemetry) skip() {
 	}
 	t.queueDepth.Dec()
 	t.skipped.Inc()
-}
-
-func (t *Telemetry) reuseHit() {
-	if t == nil {
-		return
-	}
-	t.reuse.Inc()
 }

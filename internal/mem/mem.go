@@ -66,9 +66,6 @@ func (s *System) NewSegment(npages int) *Segment {
 	return seg
 }
 
-// Pages returns the number of pages in the segment.
-func (seg *Segment) Pages() int { return len(seg.physPages) }
-
 // AddressSpace is one process's page table.
 type AddressSpace struct {
 	sys       *System
@@ -90,9 +87,6 @@ func (s *System) NewAddressSpace() *AddressSpace {
 		nextVPage: uint64(pid+1) << 24, // disjoint 64 GiB-aligned regions
 	}
 }
-
-// PID returns the process id of the space.
-func (as *AddressSpace) PID() int { return as.pid }
 
 // Alloc maps npages fresh private physical pages and returns the virtual
 // base address of the run.

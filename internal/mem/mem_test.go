@@ -74,7 +74,7 @@ func TestAddressSpacesDisjointVirtual(t *testing.T) {
 	if va == vb {
 		t.Fatal("two address spaces returned the same virtual base")
 	}
-	if a.PID() == b.PID() {
+	if a.pid == b.pid {
 		t.Fatal("duplicate PIDs")
 	}
 }
@@ -93,8 +93,8 @@ func TestSharedSegmentAliases(t *testing.T) {
 	s := NewSystem(64)
 	a, b := s.NewAddressSpace(), s.NewAddressSpace()
 	seg := s.NewSegment(2)
-	if seg.Pages() != 2 {
-		t.Fatalf("segment pages = %d", seg.Pages())
+	if len(seg.physPages) != 2 {
+		t.Fatalf("segment pages = %d", len(seg.physPages))
 	}
 	va, vb := a.MapShared(seg), b.MapShared(seg)
 	if va == vb {

@@ -330,59 +330,3 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.WriteText(w)
 }
-
-// EmitEvents exports every series as a named event, making the
-// Registry a Source: unlabeled series under their family name, labeled
-// series as name.value1.value2 with values sanitized onto
-// [A-Za-z0-9_]; histograms export name.count and name.sum.
-func (r *Registry) EmitEvents(emit func(string, float64)) {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		series := make([]any, len(keys))
-		for i, k := range keys {
-			series[i] = f.series[k]
-		}
-		f.mu.Unlock()
-		for i, key := range keys {
-			name := f.name
-			if len(f.labels) > 0 {
-				for _, v := range strings.Split(key, labelSep) {
-					name += "." + sanitizeEvent(v)
-				}
-			}
-			switch s := series[i].(type) {
-			case *Counter:
-				emit(name, float64(s.Value()))
-			case *Gauge:
-				emit(name, float64(s.Value()))
-			case *Histogram:
-				emit(name+".count", float64(s.Count()))
-				emit(name+".sum", s.Sum())
-			}
-		}
-	}
-}
-
-// sanitizeEvent maps an arbitrary string (a Prometheus label value,
-// say) onto [A-Za-z0-9_], replacing every other byte with '_', so a
-// label value never introduces a '.' into an event name.
-func sanitizeEvent(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') {
-			b.WriteByte(c)
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}

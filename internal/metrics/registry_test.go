@@ -67,7 +67,9 @@ func TestRegistryServeHTTP(t *testing.T) {
 	}
 }
 
-func TestRegistryAsSource(t *testing.T) {
+// Re-registering a name hands back the live series, which is how the
+// engine, service and benchmark tests read their instruments.
+func TestRegistryReregistrationReadsSeries(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_done_total", "").Add(5)
 	r.CounterVec("http_requests_total", "", "route", "code").With("/v1/jobs", "200").Add(9)
@@ -75,39 +77,17 @@ func TestRegistryAsSource(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(0.75)
 
-	es := Snapshot(r)
-	if es["jobs_done_total"] != 5 {
-		t.Errorf("jobs_done_total = %v", es["jobs_done_total"])
+	if got := r.Counter("jobs_done_total", "").Value(); got != 5 {
+		t.Errorf("jobs_done_total = %d", got)
 	}
-	if es["http_requests_total._v1_jobs.200"] != 9 {
-		t.Errorf("labeled series event = %v (events: %v)", es["http_requests_total._v1_jobs.200"], es)
+	if got := r.CounterVec("http_requests_total", "", "route", "code").With("/v1/jobs", "200").Value(); got != 9 {
+		t.Errorf("labeled series = %d", got)
 	}
-	if es["lat_seconds.count"] != 2 || es["lat_seconds.sum"] != 1 {
-		t.Errorf("histogram events: count=%v sum=%v", es["lat_seconds.count"], es["lat_seconds.sum"])
-	}
-
-	if mean := es["lat_seconds.sum"] / es["lat_seconds.count"]; mean != 0.5 {
-		t.Fatalf("mean latency = %v; want 0.5", mean)
+	again := r.Histogram("lat_seconds", "", []float64{1})
+	if again.Count() != 2 || again.Sum() != 1 {
+		t.Errorf("histogram: count=%d sum=%v, want 2/1", again.Count(), again.Sum())
 	}
 }
-
-func TestSnapshotAccumulatesDuplicateEmits(t *testing.T) {
-	dup := Snapshot(sourceFunc(func(emit func(string, float64)) {
-		emit("n", 1)
-		emit("n", 2)
-	}))
-	if dup["n"] != 3 {
-		t.Fatalf("duplicate emits: got %v, want 3", dup["n"])
-	}
-	es := EventSet{"n": 4}
-	if got := Snapshot(es); got["n"] != 4 {
-		t.Fatalf("EventSet snapshot = %v", got)
-	}
-}
-
-type sourceFunc func(emit func(string, float64))
-
-func (f sourceFunc) EmitEvents(emit func(string, float64)) { f(emit) }
 
 func TestRegistryIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()

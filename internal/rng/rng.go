@@ -49,10 +49,10 @@ func New(seed uint64) *Rand {
 }
 
 // Reseed resets r in place to the exact state New(seed) would return,
-// without allocating. Worker-local machine reuse depends on this: a
-// pooled machine whose generator is Reseeded before a trial produces
-// the same stream as a freshly constructed one, so reuse stays
-// bit-identical to per-cell construction.
+// without allocating. A target reused across a cell's trials depends
+// on this: its generator, Reseeded before each trial, produces the same
+// stream as a freshly constructed one, so reuse stays bit-identical to
+// per-trial construction.
 func (r *Rand) Reseed(seed uint64) {
 	x := seed
 	for i := range r.s {
@@ -68,14 +68,6 @@ func (r *Rand) Reseed(seed uint64) {
 // generators without consuming each other's sequences.
 func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
-// SplitInto reseeds dst to the exact state Split would have returned,
-// consuming the same single draw from r. Pooled machines keep their
-// generator object (internal references stay valid) and SplitInto it
-// back to construction state between cells.
-func (r *Rand) SplitInto(dst *Rand) {
-	dst.Reseed(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }

@@ -20,15 +20,9 @@ type RandomFillCache struct {
 	Window uint64
 }
 
-// NewRandomFill builds a random-fill cache with the paper's L1D
-// geometry and Tree-PLRU replacement.
-func NewRandomFill(sets, ways int, window uint64, r *rng.Rand) *RandomFillCache {
-	return NewRandomFillWithPolicy(sets, ways, window, replacement.TreePLRU, r)
-}
-
-// NewRandomFillWithPolicy is NewRandomFill with an explicit replacement
-// policy, for the secret-recovery defense matrix. The rng is required
-// when pol is replacement.Random and for the fill randomness itself.
+// NewRandomFillWithPolicy builds a random-fill cache with the given
+// geometry and replacement policy. The rng is required when pol is
+// replacement.Random and for the fill randomness itself.
 func NewRandomFillWithPolicy(sets, ways int, window uint64, pol replacement.Kind, r *rng.Rand) *RandomFillCache {
 	return &RandomFillCache{
 		inner: cache.New(cache.Config{

@@ -43,7 +43,7 @@ func TestPLFixReducesSeparation(t *testing.T) {
 }
 
 func TestRandomFillHitUpdatesState(t *testing.T) {
-	c := NewRandomFill(64, 8, 16, rng.New(1))
+	c := NewRandomFillWithPolicy(64, 8, 16, replacement.TreePLRU, rng.New(1))
 	const set = 3
 	line := func(i int) uint64 { return uint64(i)*64 + set }
 	for i := 0; i < 8; i++ {
@@ -58,7 +58,7 @@ func TestRandomFillHitUpdatesState(t *testing.T) {
 }
 
 func TestRandomFillMissDoesNotInstallRequested(t *testing.T) {
-	c := NewRandomFill(64, 8, 16, rng.New(2))
+	c := NewRandomFillWithPolicy(64, 8, 16, replacement.TreePLRU, rng.New(2))
 	res := c.Access(999_999, 0)
 	if res.Hit {
 		t.Fatal("cold access hit")
@@ -77,7 +77,7 @@ func TestRandomFillMissDoesNotInstallRequested(t *testing.T) {
 }
 
 func TestRandomFillFillsWithinWindow(t *testing.T) {
-	c := NewRandomFill(64, 8, 4, rng.New(3))
+	c := NewRandomFillWithPolicy(64, 8, 4, replacement.TreePLRU, rng.New(3))
 	for i := 0; i < 200; i++ {
 		target := uint64(10_000 + i*100)
 		res := c.Access(target, 0)

@@ -8,9 +8,9 @@
 // front with field-level errors (a bad spec is a 400, never a panic
 // deep inside a cache constructor), then runs it as a job: cells are
 // sharded across one persistent engine.Pool shared by every job, so
-// worker-local machines (engine.Workspace) are reused across jobs, and
-// per-cell progress (the engine's Event stream) is recorded and
-// streamable while the grid runs.
+// the pool's size bounds the daemon's concurrency, and per-cell
+// progress (the engine's Event stream) is recorded and streamable
+// while the grid runs.
 //
 // Jobs are content-addressed: the key hashes ResultsVersion, the kind,
 // the seed and the normalized spec (names canonical, defaults applied,

@@ -15,8 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 const tinySpec = `{"kind":"attack","seed":3,"attack":{"victims":["ttable"],"policies":["treeplru"],"defenses":["none"],"symbols":2,"votes":1,"profilingRounds":1,"trials":4}}`
@@ -103,10 +101,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("report latency count = %v, want 1", got)
 	}
 
-	// The registry doubles as a metrics.Source.
-	es := metrics.Snapshot(s.Registry())
-	if n, sum := es["engine_cell_wall_seconds.count"], es["engine_cell_wall_seconds.sum"]; n != 4 || sum < 0 {
-		t.Fatalf("cell wall events: count %v sum %v, want count 4 and sum >= 0", n, sum)
+	// Re-registering the histogram reads the live series back.
+	h := s.Registry().Histogram("engine_cell_wall_seconds", "", nil)
+	if n, sum := h.Count(), h.Sum(); n != 4 || sum < 0 {
+		t.Fatalf("cell wall histogram: count %d sum %v, want count 4 and sum >= 0", n, sum)
 	}
 }
 

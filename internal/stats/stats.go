@@ -259,18 +259,3 @@ func Classify(xs []float64, threshold float64, below, above byte) []byte {
 	}
 	return out
 }
-
-// FractionAbove returns the fraction of samples strictly above the
-// threshold (the "% of 1s received" metric of Figures 6, 8, 15).
-func FractionAbove(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}

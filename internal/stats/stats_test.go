@@ -167,15 +167,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestFractionAbove(t *testing.T) {
-	if got := FractionAbove([]float64{1, 2, 3, 4}, 2.5); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("FractionAbove = %v", got)
-	}
-	if got := FractionAbove(nil, 0); got != 0 {
-		t.Errorf("empty FractionAbove = %v", got)
-	}
-}
-
 func TestEditDistanceKnownCases(t *testing.T) {
 	cases := []struct {
 		a, b string

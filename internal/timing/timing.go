@@ -184,9 +184,3 @@ func (c *Chaser) MeasureSingle(target mem.Addr) Measurement {
 		L1Hit:    res.L1Hit && !res.UtagMiss,
 	}
 }
-
-// ChaseCost returns the true (unobserved) cycle cost of one full probe when
-// every access hits L1: the floor of the receiver's per-measurement budget.
-func (c *Chaser) ChaseCost() int {
-	return (len(c.elems) + 1) * c.h.Profile().L1Latency
-}

@@ -73,13 +73,6 @@ func (p Profile) BitsPerSecond(cyclesPerBit float64) float64 {
 	return p.Freq * 1e9 / cyclesPerBit
 }
 
-// L1MissDistinguishable reports whether a single L1-hit/L1-miss latency
-// difference exceeds one TSC readout quantum, i.e. whether the receiver can
-// decode single measurements (Intel) or must average (AMD).
-func (p Profile) L1MissDistinguishable() bool {
-	return p.L2Latency-p.L1Latency >= p.TSCQuantum
-}
-
 // SandyBridge returns the Intel Xeon E5-2690 profile (Table III, column 1).
 func SandyBridge() Profile {
 	return Profile{

@@ -205,12 +205,6 @@ func ProfileByName(name string) (Profile, error) { return uarch.ByName(name) }
 // NewChannel instantiates an LRU channel experiment.
 func NewChannel(cfg ChannelConfig) *Channel { return core.NewSetup(cfg) }
 
-// NewChannelW is NewChannel with a worker Workspace: the simulated
-// machine's cache hierarchy is pooled per worker and Reset between
-// grid cells, bit-identical to fresh construction. The grid drivers
-// pass the Workspace the engine hands their jobs; ws may be nil.
-func NewChannelW(cfg ChannelConfig, ws *engine.Workspace) *Channel { return core.NewSetupW(cfg, ws) }
-
 // NewMultiChannel instantiates the parallel multi-set channel over the
 // given target L1 sets (Section IV's rate-multiplying extension).
 func NewMultiChannel(cfg ChannelConfig, targetSets []int) *MultiChannel {

@@ -146,13 +146,13 @@ func Sweep(spec SweepSpec, seed uint64, opt RunOptions) []SweepCell {
 				Name: fmt.Sprintf("sweep/%s/%v/alg=%d/tr=%d/ts=%d/d=%d/trial=%d",
 					id.prof.Arch, id.pol, int(id.alg), id.pt.Tr, id.pt.Ts, id.d, trial),
 				Seed: seeds[len(jobs)],
-				RunW: func(s uint64, ws *engine.Workspace) ErrorRateResult {
-					c := NewChannelW(ChannelConfig{
+				Run: func(s uint64) ErrorRateResult {
+					c := NewChannel(ChannelConfig{
 						Profile: id.prof, L1Policy: id.pol, Algorithm: id.alg,
 						Mode: sched.SMT, Tr: id.pt.Tr, Ts: id.pt.Ts, D: id.d,
 						SameAddressSpace: id.prof.Arch == "Zen" && id.alg == Alg1SharedMemory,
 						Seed:             s,
-					}, ws)
+					})
 					return c.MeasureErrorRate(spec.MsgBits, spec.Repeats)
 				},
 			})

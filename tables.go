@@ -114,12 +114,12 @@ func TableIV(msgBits, repeats int, seed uint64, opt RunOptions) []TableIVCell {
 			jobs = append(jobs, engine.Job[TableIVCell]{
 				Name: fmt.Sprintf("tableIV/%s/alg=%d", prof.Arch, int(alg)),
 				Seed: seed,
-				RunW: func(s uint64, ws *engine.Workspace) TableIVCell {
-					c := NewChannelW(ChannelConfig{
+				Run: func(s uint64) TableIVCell {
+					c := NewChannel(ChannelConfig{
 						Profile: prof, Algorithm: alg, Mode: sched.SMT,
 						Tr: tr, Ts: ts, Seed: s,
 						SameAddressSpace: same && alg == Alg1SharedMemory,
-					}, ws)
+					})
 					res := c.MeasureErrorRate(msgBits, repeats)
 					return TableIVCell{
 						Profile: prof, Mode: sched.SMT, Algorithm: alg,
@@ -189,9 +189,9 @@ func TableV(seed uint64, opt RunOptions) []TableVRow {
 		jobs[i] = engine.Job[TableVRow]{
 			Name: fmt.Sprintf("tableV/%s", prof.Arch),
 			Seed: seed,
-			RunW: func(s uint64, ws *engine.Workspace) TableVRow {
+			Run: func(s uint64) TableVRow {
 				mk := func() *Channel {
-					return NewChannelW(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory, Seed: s}, ws)
+					return NewChannel(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory, Seed: s})
 				}
 				return TableVRow{
 					Profile: prof,
@@ -230,17 +230,17 @@ func TableVI(samples int, seed uint64, opt RunOptions) []TableVIRow {
 		samples = 200
 	}
 	var jobs []engine.Job[TableVIRow]
-	add := func(name string, run func(seed uint64, ws *engine.Workspace) TableVIRow) {
-		jobs = append(jobs, engine.Job[TableVIRow]{Name: name, Seed: seed, RunW: run})
+	add := func(name string, run func(seed uint64) TableVIRow) {
+		jobs = append(jobs, engine.Job[TableVIRow]{Name: name, Seed: seed, Run: run})
 	}
 	for _, prof := range []Profile{SandyBridge(), Skylake()} {
 		prof := prof
 		// F+R variants and the LRU channels.
 		for _, kind := range []baseline.Kind{baseline.FlushReloadMem, baseline.FlushReloadL1} {
 			kind := kind
-			add(fmt.Sprintf("tableVI/%s/%v", prof.Arch, kind), func(s uint64, ws *engine.Workspace) TableVIRow {
-				c := NewChannelW(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
-					Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s}, ws)
+			add(fmt.Sprintf("tableVI/%s/%v", prof.Arch, kind), func(s uint64) TableVIRow {
+				c := NewChannel(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
+					Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s})
 				ch := baseline.New(kind, c)
 				ch.Run([]byte{1, 0}, true, samples, 1<<40)
 				return TableVIRow{prof, kind.String(), perfctr.Collect(c.Hier, core.ReqSender)}
@@ -252,19 +252,19 @@ func TableVI(samples int, seed uint64, opt RunOptions) []TableVIRow {
 			if alg == Alg2NoSharedMemory {
 				name = "L1 LRU Alg.2"
 			}
-			add(fmt.Sprintf("tableVI/%s/%s", prof.Arch, name), func(s uint64, ws *engine.Workspace) TableVIRow {
-				c := NewChannelW(ChannelConfig{Profile: prof, Algorithm: alg,
-					Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s}, ws)
+			add(fmt.Sprintf("tableVI/%s/%s", prof.Arch, name), func(s uint64) TableVIRow {
+				c := NewChannel(ChannelConfig{Profile: prof, Algorithm: alg,
+					Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s})
 				c.Run([]byte{1, 0}, true, samples, 1<<40)
 				return TableVIRow{prof, name, perfctr.Collect(c.Hier, core.ReqSender)}
 			})
 		}
 		// sender & gcc: the sender shares the core with a benign noisy
 		// workload instead of a receiver.
-		add(fmt.Sprintf("tableVI/%s/sender&gcc", prof.Arch), func(s uint64, ws *engine.Workspace) TableVIRow {
-			c := NewChannelW(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
+		add(fmt.Sprintf("tableVI/%s/sender&gcc", prof.Arch), func(s uint64) TableVIRow {
+			c := NewChannel(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
 				Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s,
-				NoiseThreads: 1, NoisePeriod: 300}, ws)
+				NoiseThreads: 1, NoisePeriod: 300})
 			m := c.NewMachine()
 			c.WarmSender()
 			m.AddThread("sender", core.ReqSender, c.SenderProgram([]byte{1, 0}, true))
@@ -273,9 +273,9 @@ func TableVI(samples int, seed uint64, opt RunOptions) []TableVIRow {
 			return TableVIRow{prof, "sender & gcc", perfctr.Collect(c.Hier, core.ReqSender)}
 		})
 		// sender only.
-		add(fmt.Sprintf("tableVI/%s/sender-only", prof.Arch), func(s uint64, ws *engine.Workspace) TableVIRow {
-			c := NewChannelW(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
-				Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s}, ws)
+		add(fmt.Sprintf("tableVI/%s/sender-only", prof.Arch), func(s uint64) TableVIRow {
+			c := NewChannel(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
+				Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s})
 			m := c.NewMachine()
 			c.WarmSender()
 			m.AddThread("sender", core.ReqSender, c.SenderProgram([]byte{1, 0}, true))
