@@ -44,15 +44,6 @@ type Config struct {
 	// ScheduleTimeSliced run both parties as internal/sched threads,
 	// so probe windows carry real scheduling jitter.
 	Schedule Schedule
-	// SymbolPeriod is the wall-clock cycles the scheduled victim
-	// spends per secret symbol (scheduled modes only; default 16_000
-	// under SMT, 160_000 time-sliced).
-	SymbolPeriod uint64
-	// Quantum overrides the time-sliced scheduler quantum (default
-	// 10_000 — scaled down with SymbolPeriod the same way the covert
-	// channel scales Figure 6; the period/quantum ratio is what
-	// matters).
-	Quantum uint64
 	// Seed drives every random choice (default 0x5eed).
 	Seed uint64
 }
@@ -66,16 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProfilingRounds == 0 {
 		c.ProfilingRounds = 8
-	}
-	if c.SymbolPeriod == 0 {
-		if c.Schedule == ScheduleTimeSliced {
-			c.SymbolPeriod = 160_000
-		} else {
-			c.SymbolPeriod = 16_000
-		}
-	}
-	if c.Quantum == 0 {
-		c.Quantum = 10_000
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed

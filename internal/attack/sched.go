@@ -4,14 +4,15 @@ package attack
 // sequencing of the original subsystem (victim window, then probe, in
 // lockstep), victim and attacker run as internal/sched threads on an
 // SMT or time-sliced machine. The victim paces itself by wall clock —
-// one secret symbol per SymbolPeriod cycles — and the attacker paces
-// Votes probe windows per period on its own deadlines, bucketing each
-// window by the symbol period it nominally covers. Neither party
-// observes the other's progress: windows drift against the victim's
-// event under per-access SMT jitter or time-slice quantization, probes
-// catch events mid-sequence or miss them entirely, and the classifier
-// pays for it in votes — which is exactly the overhead MinVotes
-// measures against the synchronous baseline.
+// one secret symbol per symbol period (16_000 cycles under SMT, 160_000
+// time-sliced) — and the attacker paces Votes probe windows per period
+// on its own deadlines, bucketing each window by the symbol period it
+// nominally covers. Neither party observes the other's progress:
+// windows drift against the victim's event under per-access SMT jitter
+// or time-slice quantization, probes catch events mid-sequence or miss
+// them entirely, and the classifier pays for it in votes — which is
+// exactly the overhead MinVotes measures against the synchronous
+// baseline.
 
 import (
 	"fmt"
@@ -71,6 +72,20 @@ func Schedules() []Schedule {
 	return []Schedule{ScheduleSync, ScheduleSMT, ScheduleTimeSliced}
 }
 
+// symbolPeriod is the wall-clock cycles the scheduled victim spends per
+// secret symbol.
+func (s Schedule) symbolPeriod() uint64 {
+	if s == ScheduleTimeSliced {
+		return 160_000
+	}
+	return 16_000
+}
+
+// schedQuantum is the time-sliced scheduler quantum, scaled down with
+// the symbol period the same way the covert channel scales Figure 6:
+// the period/quantum ratio is what matters.
+const schedQuantum = 10_000
+
 // mode maps a scheduled discipline onto the sched.Machine mode.
 func (s Schedule) mode() sched.Mode {
 	if s == ScheduleTimeSliced {
@@ -108,7 +123,7 @@ func roundRobinStream(space, rounds int) []int {
 // jitters, and under time-slicing a deadline reached mid-quantum slips
 // to the thread's next slice.
 func scheduleStream(cfg Config, s *session, stream []int, seed uint64) [][]Observation {
-	period := cfg.SymbolPeriod
+	period := cfg.Schedule.symbolPeriod()
 	votes := cfg.Votes
 	if votes < 1 {
 		votes = 1
@@ -122,7 +137,7 @@ func scheduleStream(cfg Config, s *session, stream []int, seed uint64) [][]Obser
 	m := sched.New(sched.Config{
 		RNG:     rng.New(seed ^ 0x5c4ed11e),
 		Mode:    cfg.Schedule.mode(),
-		Quantum: cfg.Quantum,
+		Quantum: schedQuantum,
 	})
 	// The attacker is thread 0: under time-slicing it owns the first
 	// quantum, mirroring the synchronous protocol's attacker-first
@@ -170,12 +185,12 @@ func scheduleStream(cfg Config, s *session, stream []int, seed uint64) [][]Obser
 	m.Run(uint64(len(stream)+2) * period)
 	// Every bucket gets exactly `votes` observations by construction
 	// (labels follow the attacker's own window index), so a shortfall
-	// means the wall-clock limit truncated the attack: the configured
-	// SymbolPeriod cannot fit the probe windows it promises. Failing
+	// means the wall-clock limit truncated the attack: the schedule's
+	// symbol period cannot fit the probe windows it promises. Failing
 	// loudly beats classifying empty buckets as uniform posteriors.
 	if completed < len(stream)*votes {
 		panic(fmt.Sprintf(
-			"attack: scheduled run truncated after %d of %d windows — SymbolPeriod %d is too small for %d votes of probe work per symbol",
+			"attack: scheduled run truncated after %d of %d windows — the %d-cycle symbol period is too small for %d votes of probe work per symbol",
 			completed, len(stream)*votes, period, votes))
 	}
 	return buckets

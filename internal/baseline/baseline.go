@@ -86,7 +86,7 @@ func (c *Channel) Encode(bit byte) int {
 		// The sender's per-bit op in F+R: flush, then access if 1.
 		// Cost is dominated by clflush reaching memory.
 		s.Hier.Flush(c.Setup.SenderLine.PhysLine)
-		cost := addressComputation + flushCost
+		cost := addressComputation + sched.FlushCost
 		if bit != 0 {
 			cost += s.Hier.Load(s.SenderLine, core.ReqSender).Latency
 		}
@@ -113,10 +113,6 @@ func (c *Channel) Encode(bit byte) int {
 		panic(fmt.Sprintf("baseline: unknown kind %d", int(c.Kind)))
 	}
 }
-
-// flushCost mirrors sched.Config.FlushCost's default: a clflush that must
-// reach memory.
-const flushCost = 150
 
 // EncodeCostOne returns the steady-state cost of encoding a 1-bit (the
 // Table V convention): the target line and, for F+R (L1), the eviction set

@@ -85,8 +85,6 @@ type Config struct {
 
 	// TargetSet is the L1 set carrying the channel (default 5).
 	TargetSet int
-	// ReservedSet holds the pointer-chase list (default: last set).
-	ReservedSet int
 	// ChainLen is the pointer-chase list length (default 7).
 	ChainLen int
 
@@ -95,24 +93,10 @@ type Config struct {
 	// Algorithm 1 stays viable on AMD despite the utag predictor).
 	SameAddressSpace bool
 
-	// SenderPeriod is the cycle cost of one sender encode-loop iteration
-	// (address computation + the access). Defaults: 31 cycles under SMT
-	// (Table V), 50_000 under time-slicing (where within-slice repeats
-	// are idempotent and only inflate event counts).
-	SenderPeriod uint64
-
-	// Quantum and CtxSwitch override the time-sliced scheduler defaults.
-	Quantum   uint64
-	CtxSwitch uint64
-
 	// NoiseThreads adds background processes that touch random lines
 	// (including the target set) every NoisePeriod cycles.
 	NoiseThreads int
 	NoisePeriod  uint64
-
-	// Prefetcher enables an L1 prefetcher model (off for the plain
-	// channel experiments; the Spectre experiments turn it on).
-	Prefetcher hier.PrefetcherKind
 
 	// PartitionLocked / LockReplacementState configure the PL secure
 	// cache on the L1 (Section IX-B evaluation).
@@ -148,16 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.TargetSet == 0 {
 		c.TargetSet = 5
 	}
-	if c.ReservedSet == 0 {
-		c.ReservedSet = c.Profile.L1Sets - 1
-	}
-	if c.SenderPeriod == 0 {
-		if c.Mode == sched.TimeSliced {
-			c.SenderPeriod = 50_000
-		} else {
-			c.SenderPeriod = 31
-		}
-	}
 	if c.NoisePeriod == 0 {
 		c.NoisePeriod = 5_000
 	}
@@ -166,6 +140,20 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// senderPeriod is the cycle cost of one sender encode-loop iteration
+// (address computation + the access): 31 cycles under SMT (Table V),
+// 50_000 under time-slicing, where within-slice repeats are idempotent
+// and only inflate event counts.
+func (c Config) senderPeriod() uint64 {
+	if c.Mode == sched.TimeSliced {
+		return 50_000
+	}
+	return 31
+}
+
+// reservedSet is the L1 set holding the pointer-chase list: the last set.
+func (c Config) reservedSet() int { return c.Profile.L1Sets - 1 }
 
 // Setup is an instantiated channel: hierarchy, address spaces, resolved
 // lines and the receiver's measurement apparatus.
@@ -200,7 +188,6 @@ func NewSetup(cfg Config) *Setup {
 	s.Hier = hier.New(hier.Config{
 		Profile:  prof,
 		L1Policy: cfg.L1Policy, L2Policy: replacement.TreePLRU,
-		Prefetcher:             cfg.Prefetcher,
 		PartitionLockedL1:      cfg.PartitionLocked,
 		LockReplacementStateL1: cfg.LockReplacementState,
 		WithLLC:                true,
@@ -240,7 +227,7 @@ func NewSetup(cfg Config) *Setup {
 		panic(fmt.Sprintf("core: unknown algorithm %d", int(cfg.Algorithm)))
 	}
 
-	s.Chaser = timing.NewChaser(s.Hier, s.ReceiverAS, cfg.ReservedSet, cfg.ChainLen, ReqReceiver, s.TSC)
+	s.Chaser = timing.NewChaser(s.Hier, s.ReceiverAS, cfg.reservedSet(), cfg.ChainLen, ReqReceiver, s.TSC)
 	return s
 }
 
@@ -256,8 +243,7 @@ func resolveAll(as *mem.AddressSpace, vs []uint64) []mem.Addr {
 func (s *Setup) NewMachine() *sched.Machine {
 	return sched.New(sched.Config{
 		Hier: s.Hier, TSC: s.TSC, RNG: s.RNG.Split(),
-		Mode:    s.Cfg.Mode,
-		Quantum: s.Cfg.Quantum, CtxSwitch: s.Cfg.CtxSwitch,
+		Mode: s.Cfg.Mode,
 	})
 }
 

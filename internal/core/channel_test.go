@@ -209,7 +209,6 @@ func TestTimeSlicedAlg1Distinguishes0And1(t *testing.T) {
 		s := NewSetup(Config{
 			Algorithm: Alg1SharedMemory, Mode: sched.TimeSliced,
 			Tr: 10_000_000, Ts: 1 << 62, D: 8, Seed: 13,
-			Quantum: 1_000_000,
 		})
 		return s.MeasureFractionOnes(bit, 60)
 	}

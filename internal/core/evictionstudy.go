@@ -57,10 +57,11 @@ type EvictionStudyConfig struct {
 	// Trials per (condition, sequence, iteration) cell; default 10000 to
 	// match the paper.
 	Trials int
-	// MaxIterations bounds the loop; the paper reports 1, 2, 3 and >= 8.
-	MaxIterations int
-	Seed          uint64
+	Seed   uint64
 }
+
+// maxIterations bounds the study loop; the paper reports 1, 2, 3 and >= 8.
+const maxIterations = 8
 
 func (c EvictionStudyConfig) withDefaults() EvictionStudyConfig {
 	if c.Ways == 0 {
@@ -68,9 +69,6 @@ func (c EvictionStudyConfig) withDefaults() EvictionStudyConfig {
 	}
 	if c.Trials == 0 {
 		c.Trials = 10_000
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -89,56 +87,11 @@ type EvictionStudyResult struct {
 
 // singleSetCache builds a one-set cache so physical line i is "line i" of
 // the studied set.
-func singleSetCache(cfg EvictionStudyConfig, r *rng.Rand) *cache.Cache {
+func singleSetCache(cfg EvictionStudyConfig) *cache.Cache {
 	return cache.New(cache.Config{
 		Name: "study", Sets: 1, Ways: cfg.Ways, LineSize: 64,
-		Policy: cfg.Policy, RNG: r,
+		Policy: cfg.Policy,
 	})
-}
-
-func access(c *cache.Cache, line int) {
-	c.Access(cache.Request{PhysLine: uint64(line)})
-}
-
-// warmUp establishes the initial condition.
-func warmUp(c *cache.Cache, cond InitCond, ways int, r *rng.Rand) {
-	switch cond {
-	case InitRandom:
-		// Random accesses over lines 0..ways (the set's lines plus
-		// line x), enough to fill and scramble the set.
-		for i := 0; i < ways*5; i++ {
-			access(c, r.Intn(ways+1))
-		}
-	case InitSequential:
-		// Two passes of Sequence 2.
-		for p := 0; p < 2; p++ {
-			runSequence2(c, ways, r)
-		}
-	}
-}
-
-// runSequence1 accesses lines 0..ways in order (ways+1 distinct lines).
-func runSequence1(c *cache.Cache, ways int) {
-	for i := 0; i <= ways; i++ {
-		access(c, i)
-	}
-}
-
-// runSequence2 accesses lines 0..ways-1 in order, inserting line x (= line
-// `ways`) after each with probability 1/2, at least once per pass.
-func runSequence2(c *cache.Cache, ways int, r *rng.Rand) {
-	forced := r.Intn(ways) // position where x is forced if never inserted
-	inserted := false
-	for i := 0; i < ways; i++ {
-		access(c, i)
-		if r.Bool(0.5) {
-			access(c, ways)
-			inserted = true
-		} else if !inserted && i == forced {
-			access(c, ways)
-			inserted = true
-		}
-	}
 }
 
 // appendLine appends one study access (requestor 0, plain load).
@@ -154,10 +107,9 @@ func appendSequence1(reqs []cache.Request, ways int) []cache.Request {
 	return reqs
 }
 
-// appendSequence2 materializes one Sequence 2 pass, drawing from r in
-// the exact order runSequence2 does (the accesses themselves never
-// consume r for the deterministic policies this path serves, so
-// materializing first preserves the study's draw sequence).
+// appendSequence2 materializes one Sequence 2 pass: lines 0..ways-1 in
+// order, inserting line x (= line `ways`) after each with probability
+// 1/2, at least once per pass.
 func appendSequence2(reqs []cache.Request, ways int, r *rng.Rand) []cache.Request {
 	forced := r.Intn(ways)
 	inserted := false
@@ -178,10 +130,13 @@ func appendSequence2(reqs []cache.Request, ways int, r *rng.Rand) []cache.Reques
 func appendWarmUp(reqs []cache.Request, cond InitCond, ways int, r *rng.Rand) []cache.Request {
 	switch cond {
 	case InitRandom:
+		// Random accesses over lines 0..ways (the set's lines plus
+		// line x), enough to fill and scramble the set.
 		for i := 0; i < ways*5; i++ {
 			reqs = appendLine(reqs, r.Intn(ways+1))
 		}
 	case InitSequential:
+		// Two passes of Sequence 2.
 		reqs = appendSequence2(reqs, ways, r)
 		reqs = appendSequence2(reqs, ways, r)
 	}
@@ -194,62 +149,49 @@ func appendWarmUp(reqs []cache.Request, cond InitCond, ways int, r *rng.Rand) []
 // trials — at the paper's 10,000 trials per cell, per-trial machine
 // construction used to dominate the study's allocation profile.
 //
-// For the deterministic policies, each trial phase is materialized
-// into a request buffer and executed through cache.AccessBatch: the
-// study is the hottest per-access loop in the repo (Table I alone is
-// ~1.5M accesses per run) and the batch path cuts its per-access
-// dispatch. The Random policy draws victims from r between accesses,
-// so it keeps the interleaved per-access path.
+// Each trial phase is materialized into a request buffer and executed
+// through cache.AccessBatch: the study is the hottest per-access loop in
+// the repo (Table I alone is ~1.5M accesses per run) and the batch path
+// cuts its per-access dispatch. Materializing a phase before running it
+// is only faithful when the cache draws no randomness of its own between
+// accesses, so the Random policy is rejected; Table I studies the
+// deterministic policies only.
 func RunEvictionStudy(cfg EvictionStudyConfig, cond InitCond, seq Sequence) EvictionStudyResult {
 	cfg = cfg.withDefaults()
 	if seq != Seq1 && seq != Seq2 {
 		panic(fmt.Sprintf("core: unknown sequence %d", int(seq)))
 	}
-	r := rng.New(cfg.Seed ^ uint64(cond)<<8 ^ uint64(seq)<<16 ^ uint64(cfg.Policy)<<24)
-	evicted := make([]int, cfg.MaxIterations)
-	c := singleSetCache(cfg, r)
-
 	if cfg.Policy == replacement.Random {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			c.Reset()
-			warmUp(c, cond, cfg.Ways, r)
-			for it := 0; it < cfg.MaxIterations; it++ {
-				if seq == Seq1 {
-					runSequence1(c, cfg.Ways)
-				} else {
-					runSequence2(c, cfg.Ways, r)
-				}
-				if !c.Contains(0) {
-					evicted[it]++
-				}
+		panic("core: the eviction study does not run the Random policy: its victim draws between accesses would break the materialized access sequence")
+	}
+	r := rng.New(cfg.Seed ^ uint64(cond)<<8 ^ uint64(seq)<<16 ^ uint64(cfg.Policy)<<24)
+	evicted := make([]int, maxIterations)
+	c := singleSetCache(cfg)
+
+	// Sequence 1 is draw-free: compile it once, replay per iteration.
+	var seq1 []cache.Request
+	if seq == Seq1 {
+		seq1 = appendSequence1(nil, cfg.Ways)
+	}
+	buf := make([]cache.Request, 0, 5*cfg.Ways+8)
+	for trial := 0; trial < cfg.Trials; trial++ {
+		c.Reset()
+		buf = appendWarmUp(buf[:0], cond, cfg.Ways, r)
+		c.AccessBatch(buf, nil)
+		for it := 0; it < maxIterations; it++ {
+			batch := seq1
+			if seq == Seq2 {
+				buf = appendSequence2(buf[:0], cfg.Ways, r)
+				batch = buf
 			}
-		}
-	} else {
-		// Sequence 1 is draw-free: compile it once, replay per iteration.
-		var seq1 []cache.Request
-		if seq == Seq1 {
-			seq1 = appendSequence1(nil, cfg.Ways)
-		}
-		buf := make([]cache.Request, 0, 5*cfg.Ways+8)
-		for trial := 0; trial < cfg.Trials; trial++ {
-			c.Reset()
-			buf = appendWarmUp(buf[:0], cond, cfg.Ways, r)
-			c.AccessBatch(buf, nil)
-			for it := 0; it < cfg.MaxIterations; it++ {
-				batch := seq1
-				if seq == Seq2 {
-					buf = appendSequence2(buf[:0], cfg.Ways, r)
-					batch = buf
-				}
-				c.AccessBatch(batch, nil)
-				if !c.Contains(0) {
-					evicted[it]++
-				}
+			c.AccessBatch(batch, nil)
+			if !c.Contains(0) {
+				evicted[it]++
 			}
 		}
 	}
 
-	res := EvictionStudyResult{Cfg: cfg, Init: cond, Seq: seq, Prob: make([]float64, cfg.MaxIterations)}
+	res := EvictionStudyResult{Cfg: cfg, Init: cond, Seq: seq, Prob: make([]float64, maxIterations)}
 	for i, n := range evicted {
 		res.Prob[i] = float64(n) / float64(cfg.Trials)
 	}

@@ -106,3 +106,14 @@ func TestInitCondString(t *testing.T) {
 		t.Error("InitCond strings wrong")
 	}
 }
+
+// The study materializes each phase before running it, which only the
+// deterministic policies allow; Random must be refused, not simulated.
+func TestEvictionStudyRejectsRandom(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunEvictionStudy ran the Random policy")
+		}
+	}()
+	RunEvictionStudy(studyCfg(replacement.Random), InitRandom, Seq1)
+}

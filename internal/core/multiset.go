@@ -39,7 +39,7 @@ func NewMultiSetup(cfg Config, targetSets []int) *MultiSetup {
 
 	prof := cfg.Profile
 	for i, set := range targetSets {
-		if set == cfg.ReservedSet {
+		if set == cfg.reservedSet() {
 			panic(fmt.Sprintf("core: target set %d collides with the reserved chase set", set))
 		}
 		if i == 0 {
@@ -83,7 +83,7 @@ type MultiObservation struct {
 // that push the lanes' replacement state) and burns the per-iteration
 // address-computation budget.
 func (m *MultiSetup) holdWord(e *sched.Env, word []byte, deadline uint64) {
-	period := m.Cfg.SenderPeriod
+	period := m.Cfg.senderPeriod()
 	for e.Now() < deadline {
 		issued := false
 		for lane, bit := range word {

@@ -21,7 +21,7 @@ type Observation struct {
 // repeat is true the message is retransmitted forever (the experiment's
 // wall-clock limit stops it).
 func (s *Setup) SenderProgram(message []byte, repeat bool) func(*sched.Env) {
-	period := s.Cfg.SenderPeriod
+	period := s.Cfg.senderPeriod()
 	ts := s.Cfg.Ts
 	return func(e *sched.Env) {
 		for {

@@ -94,9 +94,10 @@ type Config struct {
 	// WithLLC adds a 2 MiB 16-way last-level cache between L2 and
 	// memory, used by the miss-rate tables (VI, VII).
 	WithLLC bool
-	// LLCLatency in cycles; defaults to 40 when zero.
-	LLCLatency int
 }
+
+// llcLatency is the LLC hit latency in cycles.
+const llcLatency = 40
 
 // Result describes one load.
 type Result struct {
@@ -131,8 +132,6 @@ type Hierarchy struct {
 	l2  *cache.Cache
 	llc *cache.Cache
 
-	llcLatency int
-
 	// Per-requestor stride-prefetcher state, grown on demand.
 	pref []stridePref
 
@@ -164,10 +163,6 @@ func New(cfg Config) *Hierarchy {
 			Name: "LLC", Sets: 2048, Ways: 16, LineSize: p.LineSize,
 			Policy: cfg.L2Policy, RNG: cfg.RNG,
 		})
-	}
-	h.llcLatency = cfg.LLCLatency
-	if h.llcLatency == 0 {
-		h.llcLatency = 40
 	}
 	return h
 }
@@ -240,7 +235,7 @@ func (h *Hierarchy) result(r1 cache.Result, lvl Level) Result {
 	case LevelL2:
 		return Result{Level: LevelL2, Latency: p.L2Latency, Bypassed: r1.Bypassed}
 	case LevelLLC:
-		return Result{Level: LevelLLC, Latency: h.llcLatency, Bypassed: r1.Bypassed}
+		return Result{Level: LevelLLC, Latency: llcLatency, Bypassed: r1.Bypassed}
 	default:
 		return Result{Level: LevelMem, Latency: p.MemLatency, Bypassed: r1.Bypassed}
 	}

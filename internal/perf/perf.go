@@ -24,21 +24,15 @@ import (
 type Config struct {
 	// Policy is the L1D replacement policy under test.
 	Policy replacement.Kind
-	// Instructions simulated per benchmark (default 2,000,000; about one
-	// memory reference is issued every MemRefEvery instructions).
+	// Instructions simulated per benchmark (default 2,000,000; one
+	// memory reference is issued every memRefEvery instructions).
 	Instructions int
-	// MemRefEvery is the instruction distance between memory references
-	// (default 3, a typical load/store density).
-	MemRefEvery int
-	Seed        uint64
+	Seed         uint64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Instructions == 0 {
 		c.Instructions = 2_000_000
-	}
-	if c.MemRefEvery == 0 {
-		c.MemRefEvery = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = 2020
@@ -52,6 +46,9 @@ const (
 	l2Sets, l2Ways, l2Lat = 2048, 16, 8 // 2 MiB 16-way
 	memLat                = 100         // 50 ns at the simulated 2 GHz
 	baseCPI               = 0.6         // out-of-order core issuing ~1.7 IPC at best
+	// memRefEvery is the instruction distance between memory
+	// references, a typical load/store density.
+	memRefEvery = 3
 	// overlap is the fraction of a miss penalty hidden by out-of-order
 	// execution and MLP.
 	overlap = 0.6
@@ -80,7 +77,7 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 	})
 
 	cycles := baseCPI * float64(cfg.Instructions)
-	refs := cfg.Instructions / cfg.MemRefEvery
+	refs := cfg.Instructions / memRefEvery
 
 	// The reference stream is generator-driven — the addresses never
 	// depend on cache outcomes — so each chunk runs as one L1 batch and

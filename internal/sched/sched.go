@@ -46,30 +46,25 @@ type Config struct {
 	// experiments with Tr up to 10^8 cycles stay fast; the ratio of Tr
 	// to quantum is what shapes Figure 6).
 	Quantum uint64
-	// CtxSwitch is the context-switch cost in cycles (default 2000).
-	CtxSwitch uint64
 	// SMTJitter is the relative amplitude of per-action latency jitter
 	// under SMT (default 0.35).
 	SMTJitter float64
-
-	// FlushCost is the charged latency of a clflush (default 150 cycles,
-	// matching the F+R(mem) encode costs of Table V being dominated by
-	// the flush reaching memory).
-	FlushCost uint64
 }
+
+// FlushCost is the charged latency of a clflush in cycles, matching the
+// F+R(mem) encode costs of Table V being dominated by the flush reaching
+// memory.
+const FlushCost = 150
+
+// ctxSwitch is the context-switch cost in cycles.
+const ctxSwitch = 2000
 
 func (c *Config) fillDefaults() {
 	if c.Quantum == 0 {
 		c.Quantum = 1_000_000
 	}
-	if c.CtxSwitch == 0 {
-		c.CtxSwitch = 2000
-	}
 	if c.SMTJitter == 0 {
 		c.SMTJitter = 0.35
-	}
-	if c.FlushCost == 0 {
-		c.FlushCost = 150
 	}
 }
 
@@ -283,7 +278,7 @@ func (m *Machine) runTimeSliced(limit uint64) {
 			n := (owner + i) % len(m.threads)
 			if !m.threads[n].done {
 				if n != owner {
-					m.clock += m.cfg.CtxSwitch
+					m.clock += ctxSwitch
 				}
 				owner = n
 				break
@@ -426,7 +421,7 @@ func (e *Env) Access(a mem.Addr) hier.Result {
 // only for the brief window between the flush completing and the reload.
 func (e *Env) Flush(a mem.Addr) {
 	h := e.requireHier()
-	e.charge(e.m.cfg.FlushCost)
+	e.charge(FlushCost)
 	h.Flush(a.PhysLine)
 }
 

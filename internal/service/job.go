@@ -61,8 +61,8 @@ type Job struct {
 	ID   string // "j-" + first 16 hex digits of Key, plus a retry suffix
 	Key  string // content address of (normalized spec, seed)
 	Spec *Spec  // as compile returned it: validated, names canonical
-	// tel, when set by the owning server, accounts lifecycle
-	// transitions; nil for jobs constructed outside a server.
+	// tel is the owning server's telemetry; it accounts lifecycle
+	// transitions.
 	tel *telemetry
 
 	mu        sync.Mutex
@@ -79,9 +79,9 @@ type Job struct {
 	done      chan struct{}      // closed on any terminal transition
 }
 
-func newJob(id, key string, spec *Spec) *Job {
+func newJob(id, key string, spec *Spec, tel *telemetry) *Job {
 	return &Job{
-		ID: id, Key: key, Spec: spec,
+		ID: id, Key: key, Spec: spec, tel: tel,
 		status:    StatusQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
@@ -92,8 +92,8 @@ func newJob(id, key string, spec *Spec) *Job {
 // loaded from the durable result store (a previous process lifetime
 // computed it) rather than executed. It never visits the queue, so no
 // queue/running gauges move for it.
-func newRestoredJob(id, key string, spec *Spec, report string) *Job {
-	j := newJob(id, key, spec)
+func newRestoredJob(id, key string, spec *Spec, report string, tel *telemetry) *Job {
+	j := newJob(id, key, spec, tel)
 	j.status = StatusDone
 	j.restored = true
 	j.report = report

@@ -37,13 +37,6 @@ type Config struct {
 	// MaxJobWall caps (and, for specs that set no deadline_ms,
 	// defaults) every job's wall-clock budget; 0 = unlimited.
 	MaxJobWall time.Duration
-	// StorePutRetries is how many backoff retries a failed persist
-	// gets before the server degrades to memory-only mode; <= 0
-	// selects 3.
-	StorePutRetries int
-	// StoreRetryBase is the first persist-retry delay, doubling per
-	// attempt and capped at 2s; <= 0 selects 50ms. Tests shrink it.
-	StoreRetryBase time.Duration
 	// Logf, if set, receives operational notices (store degradation,
 	// persist retries). The daemon passes its logger; nil is silent.
 	Logf func(format string, args ...any)
@@ -81,7 +74,18 @@ type Server struct {
 
 	// exec runs a validated spec; replaced by tests to inject failures.
 	exec func(*Spec, lruleak.RunOptions) string
+	// retryBase is the first persist-retry delay (storeRetryBase);
+	// tests shrink it.
+	retryBase time.Duration
 }
+
+// storePutRetries is how many backoff retries a failed persist gets
+// before the server degrades to memory-only mode.
+const storePutRetries = 3
+
+// storeRetryBase is the first persist-retry delay, doubling per attempt
+// and capped at 2s.
+const storeRetryBase = 50 * time.Millisecond
 
 // New starts a server: the engine pool and the job runners come up
 // immediately and live until Close.
@@ -97,14 +101,15 @@ func New(cfg Config) *Server {
 	}
 	tel := newTelemetry()
 	s := &Server{
-		cfg:      cfg,
-		pool:     engine.NewPoolWithTelemetry(cfg.EngineWorkers, tel.engine),
-		tel:      tel,
-		jobs:     map[string]*Job{},
-		byKey:    map[string]*Job{},
-		attempts: map[string]int{},
-		queue:    make(chan *Job, cfg.QueueDepth),
-		exec:     (*Spec).run,
+		cfg:       cfg,
+		pool:      engine.NewPoolWithTelemetry(cfg.EngineWorkers, tel.engine),
+		tel:       tel,
+		jobs:      map[string]*Job{},
+		byKey:     map[string]*Job{},
+		attempts:  map[string]int{},
+		queue:     make(chan *Job, cfg.QueueDepth),
+		exec:      (*Spec).run,
+		retryBase: storeRetryBase,
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -189,8 +194,7 @@ func (s *Server) Submit(spec Spec) (*Job, bool, error) {
 	}
 	s.attempts[key]++
 	id := s.jobIDLocked(key)
-	j := newJob(id, key, valid)
-	j.tel = s.tel
+	j := newJob(id, key, valid, s.tel)
 	select {
 	case s.queue <- j:
 	default:
@@ -235,8 +239,7 @@ func (s *Server) restoreLocked(key string, spec *Spec) (*Job, bool) {
 	}
 	s.attempts[key]++
 	id := s.jobIDLocked(key)
-	j := newRestoredJob(id, key, spec, string(payload))
-	j.tel = s.tel
+	j := newRestoredJob(id, key, spec, string(payload), s.tel)
 	s.tel.jobRestored()
 	s.jobs[id] = j
 	s.byKey[key] = j
@@ -337,27 +340,20 @@ func (s *Server) persist(key, report string) {
 	if s.cfg.Store == nil || s.degradedStore() != "" {
 		return
 	}
-	retries := s.cfg.StorePutRetries
-	if retries <= 0 {
-		retries = 3
-	}
-	delay := s.cfg.StoreRetryBase
-	if delay <= 0 {
-		delay = 50 * time.Millisecond
-	}
+	delay := s.retryBase
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = s.cfg.Store.Put(key, []byte(report)); err == nil {
 			s.tel.storePersist()
 			return
 		}
-		if attempt >= retries {
+		if attempt >= storePutRetries {
 			s.tel.storePutFailure(false)
 			break
 		}
 		s.tel.storePutFailure(true)
 		s.logf("store: put %s failed (attempt %d/%d), retrying in %v: %v",
-			key[:16], attempt+1, retries+1, delay, err)
+			key[:16], attempt+1, storePutRetries+1, delay, err)
 		select {
 		case <-time.After(delay):
 		case <-s.ctx.Done():
@@ -372,7 +368,7 @@ func (s *Server) persist(key, report string) {
 		s.storeDown = true
 		s.storeReason = err.Error()
 		s.tel.storeDegrade()
-		s.logf("store: degrading to memory-only mode after %d failed attempts: %v", retries+1, err)
+		s.logf("store: degrading to memory-only mode after %d failed attempts: %v", storePutRetries+1, err)
 	}
 	s.mu.Unlock()
 }

@@ -152,10 +152,8 @@ func TestPersistRetriesTransientPutFault(t *testing.T) {
 	fs := store.NewFaultFS(nil)
 	fs.FailWrites(1, 1, nil) // first write ENOSPCs; the retry's write succeeds
 	disk := openTestDisk(t, t.TempDir(), fs)
-	_, ts := newTestServer(t, Config{
-		Store:          disk,
-		StoreRetryBase: time.Millisecond,
-	})
+	s, ts := newTestServer(t, Config{Store: disk})
+	s.retryBase = time.Millisecond
 	body, _ := postJob(t, ts, tinyAttack(21))
 	if report, code := fetchReport(t, ts, body.ID); code != http.StatusOK {
 		t.Fatalf("report: HTTP %d: %s", code, report)
@@ -182,11 +180,8 @@ func TestPersistRetriesTransientPutFault(t *testing.T) {
 func TestPersistentPutFailureDegradesToMemoryOnly(t *testing.T) {
 	fs := store.NewFaultFS(nil)
 	fs.FailCreates(store.ErrNoSpace) // every Put fails before writing a byte
-	_, ts := newTestServer(t, Config{
-		Store:           openTestDisk(t, t.TempDir(), fs),
-		StorePutRetries: 2,
-		StoreRetryBase:  time.Millisecond,
-	})
+	s, ts := newTestServer(t, Config{Store: openTestDisk(t, t.TempDir(), fs)})
+	s.retryBase = time.Millisecond
 
 	// The job itself must succeed from memory.
 	body, _ := postJob(t, ts, tinyAttack(31))
@@ -197,8 +192,8 @@ func TestPersistentPutFailureDegradesToMemoryOnly(t *testing.T) {
 	if got := series(t, out, "service_store_degraded"); got != 1 {
 		t.Fatalf("service_store_degraded = %v, want 1", got)
 	}
-	if got := series(t, out, "service_store_put_failures_total"); got != 3 {
-		t.Errorf("service_store_put_failures_total = %v, want 3 (initial + 2 retries)", got)
+	if got := series(t, out, "service_store_put_failures_total"); got != 4 {
+		t.Errorf("service_store_put_failures_total = %v, want 4 (initial + 3 retries)", got)
 	}
 
 	// healthz stays ok (liveness) but carries the degradation.
@@ -222,8 +217,8 @@ func TestPersistentPutFailureDegradesToMemoryOnly(t *testing.T) {
 		t.Fatal("server stopped running jobs after degrading")
 	}
 	out = scrape(t, ts.URL)
-	if got := series(t, out, "service_store_put_failures_total"); got != 3 {
-		t.Errorf("degraded server still hammering the disk: %v put failures, want 3", got)
+	if got := series(t, out, "service_store_put_failures_total"); got != 4 {
+		t.Errorf("degraded server still hammering the disk: %v put failures, want 4", got)
 	}
 	if got := series(t, out, "service_store_persists_total"); got != 0 {
 		t.Errorf("service_store_persists_total = %v on a dead disk, want 0", got)

@@ -12,9 +12,7 @@ import (
 // telemetry is the server's runtime instrumentation: job lifecycle
 // counters and gauges, dedup cache accounting, HTTP request counts and
 // latency, plus the engine pool's cell-level hooks — all on one
-// Registry, the body of GET /metrics. Methods are nil-receiver safe so
-// an uninstrumented server (tests constructing Server by hand) pays
-// only nil checks.
+// Registry, the body of GET /metrics.
 type telemetry struct {
 	reg    *metrics.Registry
 	engine *engine.Telemetry
@@ -74,18 +72,12 @@ func newTelemetry() *telemetry {
 
 // jobQueued accounts a fresh job entering the queue.
 func (t *telemetry) jobQueued() {
-	if t == nil {
-		return
-	}
 	t.jobs.With(string(StatusQueued)).Inc()
 	t.queued.Inc()
 }
 
 // jobRunning accounts the queued → running transition.
 func (t *telemetry) jobRunning() {
-	if t == nil {
-		return
-	}
 	t.jobs.With(string(StatusRunning)).Inc()
 	t.queued.Dec()
 	t.running.Inc()
@@ -94,9 +86,6 @@ func (t *telemetry) jobRunning() {
 // jobFinished accounts a terminal transition from the given prior
 // state (a job canceled while queued never ran).
 func (t *telemetry) jobFinished(from, to Status) {
-	if t == nil {
-		return
-	}
 	t.jobs.With(string(to)).Inc()
 	switch from {
 	case StatusQueued:
@@ -110,31 +99,19 @@ func (t *telemetry) jobFinished(from, to Status) {
 // counts as a done job (the CI scrape's liveness signal) and a store
 // hit, but never moves the queue/running gauges — it was never queued.
 func (t *telemetry) jobRestored() {
-	if t == nil {
-		return
-	}
 	t.jobs.With(string(StatusDone)).Inc()
 	t.storeHits.Inc()
 }
 
 func (t *telemetry) storeMiss() {
-	if t == nil {
-		return
-	}
 	t.storeMisses.Inc()
 }
 
 func (t *telemetry) storePersist() {
-	if t == nil {
-		return
-	}
 	t.storePersists.Inc()
 }
 
 func (t *telemetry) storePutFailure(retrying bool) {
-	if t == nil {
-		return
-	}
 	t.storePutFails.Inc()
 	if retrying {
 		t.storePutRetries.Inc()
@@ -142,16 +119,10 @@ func (t *telemetry) storePutFailure(retrying bool) {
 }
 
 func (t *telemetry) storeDegrade() {
-	if t == nil {
-		return
-	}
 	t.storeDegraded.Set(1)
 }
 
 func (t *telemetry) dedup(hit bool) {
-	if t == nil {
-		return
-	}
 	if hit {
 		t.dedupHits.Inc()
 	} else {
@@ -182,9 +153,6 @@ func (w *statusWriter) Flush() {
 // observation, labeled by the mux's matched route pattern (so /v1/jobs/
 // {id} variants aggregate under one label, not one series per job ID).
 func (t *telemetry) instrument(mux *http.ServeMux) http.Handler {
-	if t == nil {
-		return mux
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, route := mux.Handler(r)
 		if route == "" {

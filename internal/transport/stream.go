@@ -27,16 +27,15 @@ type Config struct {
 	// FramePayload is the payload bytes per frame (default
 	// DefaultFramePayload).
 	FramePayload int
-
-	// LeadInSymbols is the number of idle (all-zero) symbols sent
-	// before the first frame so the receiver's warm-up misses nothing
-	// (default 4).
-	LeadInSymbols int
 }
 
 // DefaultFramePayload is the frame payload size used when
 // Config.FramePayload is zero.
 const DefaultFramePayload = 32
+
+// leadInSymbols is the number of idle (all-zero) symbols sent before the
+// first frame so the receiver's warm-up misses nothing.
+const leadInSymbols = 4
 
 func (c Config) withDefaults() Config {
 	if c.Channel.Tr == 0 {
@@ -53,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FramePayload == 0 {
 		c.FramePayload = DefaultFramePayload
-	}
-	if c.LeadInSymbols == 0 {
-		c.LeadInSymbols = 4
 	}
 	return c
 }
@@ -126,7 +122,7 @@ func (s *Stream) Send(payload []byte) *TxRecord {
 	bits := EncodeFrames(payload, s.Cfg.FramePayload, s.Cfg.Codec)
 	frames := len(bits) / s.WireBits()
 
-	stream := make([]byte, s.Cfg.LeadInSymbols*lanes, s.Cfg.LeadInSymbols*lanes+len(bits)+lanes)
+	stream := make([]byte, leadInSymbols*lanes, leadInSymbols*lanes+len(bits)+lanes)
 	stream = append(stream, bits...)
 	for len(stream)%lanes != 0 {
 		stream = append(stream, 0)
@@ -205,11 +201,11 @@ func (s *Stream) Receive(obs []core.MultiObservation) *RxResult {
 			i := sym*lanes + lane
 			if total[i] > 0 {
 				empty = false
-				// Strict majority: a transmitted 1 is reinforced every
-				// ~SenderPeriod cycles, so all of its sweeps read fast;
-				// a spurious fast read from replacement-state drift is
-				// an isolated single-sweep event. Ties therefore
-				// resolve to 0.
+				// Strict majority: a transmitted 1 is reinforced by
+				// every 31-cycle sender encode-loop iteration, so all
+				// of its sweeps read fast; a spurious fast read from
+				// replacement-state drift is an isolated single-sweep
+				// event. Ties therefore resolve to 0.
 				if 2*ones[i] > total[i] {
 					bits[i] = 1
 				}

@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hier"
-	"repro/internal/leakage"
 	"repro/internal/replacement"
 	"repro/internal/sched"
 	"repro/internal/spectre"
@@ -56,8 +55,6 @@ type (
 	Channel = core.Setup
 	// Trace is a receiver observation sequence.
 	Trace = core.Trace
-	// Observation is one receiver sample.
-	Observation = core.Observation
 	// ErrorRateResult is one point of Figure 4.
 	ErrorRateResult = core.ErrorRateResult
 	// MultiChannel is the Section IV extension: one bit per cache set in
@@ -94,14 +91,6 @@ type (
 	// AttackSchedule selects the attack's execution discipline:
 	// synchronous, SMT hyper-threads, or time-sliced sharing.
 	AttackSchedule = attack.Schedule
-	// LeakageStrategy tunes the leakage study's eviction probe.
-	LeakageStrategy = leakage.Strategy
-	// LeakageEnumOptions tunes the reachable-state-space enumerator.
-	LeakageEnumOptions = leakage.Options
-	// LeakageStateSpace is one policy's enumerated reachable state set.
-	LeakageStateSpace = leakage.StateSpace
-	// LeakageEval is one measured leakage cell (bits per observation).
-	LeakageEval = leakage.Result
 )
 
 // NewVictim constructs a victim program by kind name ("ttable",
@@ -131,10 +120,6 @@ func AttackScheduleByName(name string) (AttackSchedule, error) { return attack.P
 // achieves against the victim — the chance baseline attack reports are
 // compared to.
 func AttackChanceGuesses(v VictimProgram) float64 { return attack.ChanceGuesses(v) }
-
-// DefaultWorkers is the worker-pool size drivers use when
-// RunOptions.Workers is 0: $LRULEAK_WORKERS if set, else GOMAXPROCS.
-func DefaultWorkers() int { return engine.DefaultWorkers() }
 
 // ProgressTo returns a RunOptions.Progress callback printing one line
 // per completed experiment cell to w (typically os.Stderr).
@@ -177,15 +162,10 @@ const (
 const (
 	FlushReloadMem = baseline.FlushReloadMem
 	FlushReloadL1  = baseline.FlushReloadL1
-	PrimeProbe     = baseline.PrimeProbe
 )
 
-// Prefetcher models.
-const (
-	PrefetchNone     = hier.PrefetchNone
-	PrefetchNextLine = hier.PrefetchNextLine
-	PrefetchStride   = hier.PrefetchStride
-)
+// PrefetchNextLine is the next-line L1 prefetcher model (Appendix C).
+const PrefetchNextLine = hier.PrefetchNextLine
 
 // SandyBridge returns the Intel Xeon E5-2690 profile.
 func SandyBridge() Profile { return uarch.SandyBridge() }

@@ -50,8 +50,6 @@ type SweepSpec struct {
 	// Points defaults to the paper's Intel operating point
 	// (Tr=600, Ts=6000).
 	Points []TrTs
-	// Ds defaults to {0}, i.e. each algorithm's default split.
-	Ds []int
 	// Trials is the number of independent repetitions per cell, each
 	// with its own split seed; the cell reports the error-rate summary
 	// over them. Defaults to 1.
@@ -77,9 +75,6 @@ func (sp SweepSpec) WithDefaults() SweepSpec {
 	if len(sp.Points) == 0 {
 		sp.Points = []TrTs{{Tr: 600, Ts: 6000}}
 	}
-	if len(sp.Ds) == 0 {
-		sp.Ds = []int{0}
-	}
 	if sp.Trials == 0 {
 		sp.Trials = 1
 	}
@@ -92,13 +87,13 @@ func (sp SweepSpec) WithDefaults() SweepSpec {
 	return sp
 }
 
-// SweepCell is one grid point's identity and measured result.
+// SweepCell is one grid point's identity and measured result. Every
+// cell runs its algorithm's default receiver split d.
 type SweepCell struct {
 	Profile   Profile
 	Policy    ReplacementKind
 	Algorithm core.Algorithm
 	Tr, Ts    uint64
-	D         int
 	// RateBps is the operating point's transmission rate (identical
 	// across trials).
 	RateBps float64
@@ -109,7 +104,7 @@ type SweepCell struct {
 
 // Sweep runs the full cross product of the spec through the engine and
 // returns the cells in grid order (profiles-major, then policies,
-// algorithms, points, Ds). Each (cell, trial) seed is split
+// algorithms, points). Each (cell, trial) seed is split
 // deterministically from the root seed by grid position. Per §VI-B,
 // Zen + Algorithm 1 cells run sender and receiver in one address space
 // (the configuration Table IV and Figure 7 use, without which that
@@ -122,16 +117,13 @@ func Sweep(spec SweepSpec, seed uint64, opt RunOptions) []SweepCell {
 		pol  ReplacementKind
 		alg  core.Algorithm
 		pt   TrTs
-		d    int
 	}
 	var ids []cellID
 	for _, prof := range spec.Profiles {
 		for _, pol := range spec.Policies {
 			for _, alg := range spec.Algorithms {
 				for _, pt := range spec.Points {
-					for _, d := range spec.Ds {
-						ids = append(ids, cellID{prof, pol, alg, pt, d})
-					}
+					ids = append(ids, cellID{prof, pol, alg, pt})
 				}
 			}
 		}
@@ -143,13 +135,13 @@ func Sweep(spec SweepSpec, seed uint64, opt RunOptions) []SweepCell {
 		id := id
 		for trial := 0; trial < spec.Trials; trial++ {
 			jobs = append(jobs, engine.Job[ErrorRateResult]{
-				Name: fmt.Sprintf("sweep/%s/%v/alg=%d/tr=%d/ts=%d/d=%d/trial=%d",
-					id.prof.Arch, id.pol, int(id.alg), id.pt.Tr, id.pt.Ts, id.d, trial),
+				Name: fmt.Sprintf("sweep/%s/%v/alg=%d/tr=%d/ts=%d/d=0/trial=%d",
+					id.prof.Arch, id.pol, int(id.alg), id.pt.Tr, id.pt.Ts, trial),
 				Seed: seeds[len(jobs)],
 				Run: func(s uint64) ErrorRateResult {
 					c := NewChannel(ChannelConfig{
 						Profile: id.prof, L1Policy: id.pol, Algorithm: id.alg,
-						Mode: sched.SMT, Tr: id.pt.Tr, Ts: id.pt.Ts, D: id.d,
+						Mode: sched.SMT, Tr: id.pt.Tr, Ts: id.pt.Ts,
 						SameAddressSpace: id.prof.Arch == "Zen" && id.alg == Alg1SharedMemory,
 						Seed:             s,
 					})
@@ -165,7 +157,7 @@ func Sweep(spec SweepSpec, seed uint64, opt RunOptions) []SweepCell {
 		sub := rs[ci*spec.Trials : (ci+1)*spec.Trials]
 		cells[ci] = SweepCell{
 			Profile: id.prof, Policy: id.pol, Algorithm: id.alg,
-			Tr: id.pt.Tr, Ts: id.pt.Ts, D: id.d,
+			Tr: id.pt.Tr, Ts: id.pt.Ts,
 			RateBps: sub[0].Value.RateBps,
 			Err:     engine.SummarizeBy(sub, func(r ErrorRateResult) float64 { return r.ErrorRate }),
 		}
@@ -917,13 +909,14 @@ func RenderROC(res ROCResult) string {
 }
 
 // RenderSweep formats a sweep as a flat table (mean ± stddev error when
-// the sweep ran multiple trials per cell).
+// the sweep ran multiple trials per cell). The d column reads 0, the
+// default split every cell runs.
 func RenderSweep(cells []SweepCell) string {
 	var b strings.Builder
 	b.WriteString("CPU                     Policy      Algorithm                         Tr      Ts      d  Rate        Error\n")
 	for _, c := range cells {
-		fmt.Fprintf(&b, "%-22s  %-10v  %-32v  %-6d  %-6d  %d  %7.1f Kbps  %5.1f%%",
-			c.Profile.Name, c.Policy, c.Algorithm, c.Tr, c.Ts, c.D,
+		fmt.Fprintf(&b, "%-22s  %-10v  %-32v  %-6d  %-6d  0  %7.1f Kbps  %5.1f%%",
+			c.Profile.Name, c.Policy, c.Algorithm, c.Tr, c.Ts,
 			c.RateBps/1000, 100*c.Err.Mean)
 		if c.Err.N > 1 {
 			fmt.Fprintf(&b, " ± %4.1f%%", 100*c.Err.Std)
@@ -958,12 +951,6 @@ type LeakageSpec struct {
 	// the sampled path, so the coverage accounting shows up in the
 	// rendered table).
 	SpaceWays []int
-	// Strategy tunes the eviction probe (zero fields take the
-	// leakage.Strategy defaults).
-	Strategy leakage.Strategy
-	// Enum tunes the enumerator (zero fields take the leakage.Options
-	// defaults).
-	Enum leakage.Options
 }
 
 // WithDefaults returns the spec with every zero-valued dimension
@@ -1056,15 +1043,14 @@ func LeakageSweep(spec LeakageSpec, seed uint64, opt RunOptions) LeakageResult {
 	seeds := engine.Seeds(seed, len(spaceIDs)+len(cellIDs))
 	spaceJobs := make([]engine.Job[leakage.StateSpace], len(spaceIDs))
 	for i, id := range spaceIDs {
-		id, enum := id, spec.Enum
+		id := id
 		spaceJobs[i] = engine.Job[leakage.StateSpace]{
 			Name: fmt.Sprintf("leakage/space/%v/ways=%d", id.pol, id.ways),
 			Seed: seeds[i],
 			Run: func(s uint64) leakage.StateSpace {
 				// The enumerator's sampling fallback is seeded from the grid,
 				// not the traversal: the canonical closure needs no seed.
-				enum.SampleSeed = s
-				return leakage.Enumerate(id.pol, id.ways, enum)
+				return leakage.Enumerate(id.pol, id.ways, leakage.Options{SampleSeed: s})
 			},
 		}
 	}
@@ -1081,7 +1067,7 @@ func LeakageSweep(spec LeakageSpec, seed uint64, opt RunOptions) LeakageResult {
 			Run: func(s uint64) leakage.Result {
 				return leakage.Eval(leakage.Config{
 					Policy: id.pol, Ways: id.ways, Defense: id.def,
-					FillWindow: id.window, Strategy: spec.Strategy, Seed: s,
+					FillWindow: id.window, Seed: s,
 				})
 			},
 		}
