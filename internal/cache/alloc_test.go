@@ -117,8 +117,9 @@ func TestConstructionAllocationBudget(t *testing.T) {
 		got := testing.AllocsPerRun(10, func() {
 			New(Config{Name: "t", Sets: sets, Ways: 8, LineSize: 64, Policy: replacement.TreePLRU})
 		})
-		// Cache struct + line slab + SetArray + its word slice = 4; leave
-		// headroom for one more internal slab but not for per-set objects.
+		// Cache struct + tag and metadata slabs + counter table +
+		// SetArray + its word slice = 6; leave headroom for a little
+		// more but not for per-set objects.
 		if got > 8 {
 			t.Errorf("New with %d sets makes %.0f allocs, want O(1)", sets, got)
 		}

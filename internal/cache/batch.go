@@ -4,7 +4,7 @@ package cache
 // a counter lookup per reference; the figure and table drivers issue
 // hundreds of millions of references whose requests are known up front.
 // AccessBatch runs a pre-resolved request slice through one tight loop
-// over the line slab and the packed replacement state, bit-identical to
+// over the tag slab and the packed replacement state, bit-identical to
 // the per-access path (the FuzzBatchEquivalence target pins this) and
 // allocation-free once the per-requestor counter table covers the
 // requestors in the batch.
@@ -50,12 +50,15 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 
 	// Plain configs — every figure/table driver — take the specialized
 	// loop: no lock or utag handling, install inlined, geometry hoisted,
-	// and counters accumulated in locals, flushed to st and rs once per
-	// requestor run (every event counts into both blocks identically on
-	// this path, and only the batch's final counter values are
-	// observable, so the deferred flush is exact).
-	setMask, setShift, ways := c.setMask, c.setShift, c.ways
+	// the Tree-PLRU updates inlined (the family test is one predictable
+	// branch), and counters accumulated in locals, flushed to st and rs
+	// once per requestor run (every event counts into both blocks
+	// identically on this path, and only the batch's final counter
+	// values are observable, so the deferred flush is exact).
+	ways := c.ways
+	tags, meta := c.tags, c.meta
 	repl := c.repl
+	tree := repl.Tree()
 	lastReq := -1
 	var rs *Stats
 	var nAcc, nHit, nMiss, nEv, nXev uint64
@@ -74,7 +77,7 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 			lastReq = req.Requestor
 		}
 		if req.Op != OpLoad {
-			// Lock ops still flip line flag bits even outside the PL
+			// Lock ops still flip lock bits even outside the PL
 			// configs; keep them on the shared path.
 			res := c.accessInto(*req, st, rs)
 			if out != nil {
@@ -82,31 +85,19 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 			}
 			continue
 		}
-		set := int(req.PhysLine & setMask)
-		tag := req.PhysLine >> setShift
+		set, word := c.locate(req.PhysLine)
 		base := set * ways
-		lines := c.lines[base : base+ways]
+		row := tags[base : base+ways]
 		nAcc++
 
-		// One pass finds both the hit way and the first invalid way: a
-		// hit is never an invalid way, so breaking on the hit cannot
-		// skip a fill slot the miss path would have used.
-		hit, way := -1, -1
-		for w := range lines {
-			if lines[w].flags&lineValid == 0 {
-				if way < 0 {
-					way = w
-				}
-				continue
-			}
-			if lines[w].tag == tag {
-				hit = w
-				break
-			}
-		}
+		hit, way := lookup(row, word)
 		if hit >= 0 {
 			nHit++
-			repl.Touch(set, hit)
+			if tree != nil {
+				tree.Touch(set, hit)
+			} else {
+				repl.Touch(set, hit)
+			}
 			if out != nil {
 				out[i] = Result{Hit: true, Way: hit}
 			}
@@ -115,25 +106,32 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 
 		nMiss++
 		if way < 0 {
-			way = repl.Victim(set)
-			ln := &lines[way]
-			nEv++
-			if int(ln.owner) != req.Requestor {
-				nXev++
+			if tree != nil {
+				way = tree.Victim(set)
+			} else {
+				way = repl.Victim(set)
 			}
+			nEv++
+			// Branch-free cross-eviction count: x is 0 exactly when
+			// the victim's installer is this requestor.
+			x := uint64(int64(meta[base+way].owner) ^ int64(req.Requestor))
+			nXev += (x | -x) >> 63
 			if out != nil {
 				// Evicted must read the victim's tag before the install
 				// overwrites it.
-				out[i] = Result{Way: way, Evicted: ln.tag<<setShift | uint64(set), DidEvict: true}
+				out[i] = Result{Way: way, Evicted: c.lineNumber(set, row[way]), DidEvict: true}
 			}
 		} else if out != nil {
 			out[i] = Result{Way: way}
 		}
-		ln := &lines[way]
-		ln.tag = tag
-		ln.flags = lineValid
-		ln.owner = int32(req.Requestor)
-		repl.Fill(set, way)
+		// The install clears the lock bit; the utag is unused on this path.
+		row[way] = word
+		meta[base+way] = lineMeta{owner: int32(req.Requestor)}
+		if tree != nil {
+			tree.Touch(set, way)
+		} else {
+			repl.Fill(set, way)
+		}
 	}
 	if rs != nil {
 		flushCounters(st, rs, &nAcc, &nHit, &nMiss, &nEv, &nXev)
@@ -154,4 +152,29 @@ func flushCounters(st, rs *Stats, nAcc, nHit, nMiss, nEv, nXev *uint64) {
 	st.CrossEvictions += *nXev
 	rs.CrossEvictions += *nXev
 	*nAcc, *nHit, *nMiss, *nEv, *nXev = 0, 0, 0, 0, 0
+}
+
+// lookup returns the way of row holding word, or -1, and the lowest
+// invalid way, or -1, in one branch-free pass. It visits every way, since
+// a line is in at most one way and a valid word is never 0, and runs from
+// the last way down so that the lowest invalid way wins: the way the
+// per-access path fills. The selects compile to conditional moves, so a
+// lookup costs no mispredicted branch on where in the set the line sits.
+// It is kept out of line: inlined into the batch loop, whose many live
+// values leave it no registers, its state spills to the stack and the
+// selects turn back into branches.
+//
+//go:noinline
+func lookup(row []uint64, word uint64) (hit, free int) {
+	hit, free = -1, -1
+	for w := len(row) - 1; w >= 0; w-- {
+		t := row[w]
+		if t == word {
+			hit = w
+		}
+		if t == 0 {
+			free = w
+		}
+	}
+	return hit, free
 }

@@ -62,7 +62,8 @@ func snapshotState(c *Cache) string {
 	for set := 0; set < c.Sets(); set++ {
 		fmt.Fprintf(&buf, "set %d: %s |", set, c.PolicyState(set))
 		for w := 0; w < c.Ways(); w++ {
-			fmt.Fprintf(&buf, " %v", c.lines[set*c.Ways()+w])
+			i := set*c.Ways() + w
+			fmt.Fprintf(&buf, " %#x/%+v", c.tags[i], c.meta[i])
 		}
 		buf.WriteByte('\n')
 	}

@@ -16,11 +16,23 @@
 // virtual and physical index bits coincide (VIPT), which internal/mem
 // depends on.
 //
-// Access and install are allocation-free: lines live in one contiguous
-// slab, replacement state in a packed replacement.SetArray, and the
-// per-requestor counter table is pre-sized. The experiment engine runs
-// this method hundreds of millions of times per sweep; alloc_test.go
-// pins 0 allocs/op for both the hit and the miss path.
+// Access and install are allocation-free: line metadata lives in
+// contiguous per-field slabs, replacement state in a packed
+// replacement.SetArray, and the per-requestor counter table is
+// pre-sized. The experiment engine runs this method hundreds of
+// millions of times per sweep; alloc_test.go pins 0 allocs/op for both
+// the hit and the miss path.
+//
+// The slabs are split by how often each field is read. A lookup reads
+// one word per way, tag<<1|1 for a valid line and 0 for an invalid one,
+// so a set of 8 ways is one 64-byte line of host memory and one compare
+// per way finds a hit. The rest of a line's metadata sits in a second
+// slab that a hit never reads: the installing requestor, read when the
+// line is evicted, and the lock bit and utag, read only by the PL-cache
+// and utag paths. The packed word leaves 63 bits for the tag: with two
+// or more sets every line number fits, and a one-set cache rejects
+// (panics on) a line number of 2^63 or more, which no byte address can
+// produce.
 package cache
 
 import (
@@ -152,22 +164,13 @@ func (s Stats) CrossEvictionRate() float64 {
 	return float64(s.CrossEvictions) / float64(s.Accesses)
 }
 
-// line flag bits.
-const (
-	lineValid  = 1 << 0
-	lineLocked = 1 << 1
-)
-
-// line is one cache line's metadata. It is deliberately 16 bytes: the
-// line slab is the bulk of a simulated machine's memory, it is zeroed
-// wholesale on every Reset (the per-cell cost the trial loops pay), and
-// a whole set of 8 ways fits two cache lines of host memory during the
-// lookup scan.
-type line struct {
-	tag   uint64
-	utag  uint8 // hash of the last linear line number that touched this line
-	flags uint8 // lineValid | lineLocked
-	owner int32
+// lineMeta is the metadata of one line that a lookup does not read:
+// the installing requestor, read when the line is evicted, and the
+// lock bit and utag, read only by the PL-cache and utag paths.
+type lineMeta struct {
+	owner  int32
+	utag   uint8 // hash of the last linear line number that touched this line
+	locked bool
 }
 
 // reqStatsPrealloc is the initial per-requestor counter capacity. The
@@ -179,9 +182,13 @@ const reqStatsPrealloc = 8
 type Cache struct {
 	cfg Config
 
-	// lines is the contiguous line slab: the line at (set, way) lives
-	// at lines[set*ways+way].
-	lines []line
+	// The line at (set, way) is entry set*ways+way of each slab.
+	// tags holds tag<<1|1 for a valid line and 0 for an invalid one,
+	// meta the rest of its metadata. A meta entry is read only while
+	// its line is valid and every install rewrites it, so invalidating
+	// a line clears only its tag word.
+	tags []uint64
+	meta []lineMeta
 	// repl holds the packed replacement state of every set.
 	repl *replacement.SetArray
 
@@ -201,7 +208,8 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, cfg.Sets*cfg.Ways),
+		tags:     make([]uint64, cfg.Sets*cfg.Ways),
+		meta:     make([]lineMeta, cfg.Sets*cfg.Ways),
 		repl:     replacement.NewSetArray(cfg.Policy, cfg.Sets, cfg.Ways, cfg.RNG),
 		setMask:  uint64(cfg.Sets - 1),
 		setShift: uint(bits.TrailingZeros64(uint64(cfg.Sets))),
@@ -224,17 +232,22 @@ func (c *Cache) SetIndex(physLine uint64) int {
 	return int(physLine & c.setMask)
 }
 
-func (c *Cache) tagOf(physLine uint64) uint64 {
-	return physLine >> c.setShift
+// locate returns the set physLine maps to and the tag word a valid
+// copy of it holds (tag<<1|1, never 0). It panics when the tag needs
+// all 64 bits, which only a one-set cache given a line number of 2^63
+// or more can produce: the packed word would alias it with another
+// line.
+func (c *Cache) locate(physLine uint64) (set int, word uint64) {
+	tag := physLine >> c.setShift
+	if tag>>63 != 0 {
+		panic("cache: line number beyond 63 tag bits")
+	}
+	return int(physLine & c.setMask), tag<<1 | 1
 }
 
-func (c *Cache) lineNumber(set int, tag uint64) uint64 {
-	return tag<<c.setShift | uint64(set)
-}
-
-// set returns the line slab row for one set.
-func (c *Cache) set(set int) []line {
-	return c.lines[set*c.ways : set*c.ways+c.ways]
+// lineNumber inverts locate for a valid tag word.
+func (c *Cache) lineNumber(set int, word uint64) uint64 {
+	return word>>1<<c.setShift | uint64(set)
 }
 
 // utagHash models the linear-address micro-tag hash of the AMD L1 way
@@ -275,39 +288,36 @@ func (c *Cache) Access(req Request) Result {
 // (the aggregate and per-requestor blocks — the cache's own under
 // Access, the caller's pair under AccessBatchStats).
 func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
-	set := int(req.PhysLine & c.setMask)
-	tag := req.PhysLine >> c.setShift
-	lines := c.set(set)
+	set, word := c.locate(req.PhysLine)
+	base := set * c.ways
+	row := c.tags[base : base+c.ways]
 
 	st.Accesses++
 	rs.Accesses++
 
-	// Lookup.
-	for w := range lines {
-		ln := &lines[w]
-		if ln.flags&lineValid == 0 || ln.tag != tag {
-			continue
-		}
+	w, free := lookup(row, word)
+	if w >= 0 {
 		// Hit.
 		res := Result{Hit: true, Way: w}
 		st.Hits++
 		rs.Hits++
+		m := &c.meta[base+w]
 		if c.cfg.TrackUtags {
 			h := utagHash(req.LinearLine)
-			if ln.utag != h {
+			if m.utag != h {
 				res.UtagMiss = true
 				st.UtagMisses++
 				rs.UtagMisses++
 			}
-			ln.utag = h
+			m.utag = h
 		}
 		// PL-cache fix: hits to locked lines leave replacement state
 		// untouched so the LRU channel cannot be modulated through
 		// protected lines.
-		if !(c.cfg.LockReplacementState && ln.flags&lineLocked != 0) {
+		if !(c.cfg.LockReplacementState && m.locked) {
 			c.repl.Touch(set, w)
 		}
-		c.applyLockOp(ln, req.Op)
+		applyLockOp(m, req.Op)
 		return res
 	}
 
@@ -317,15 +327,13 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 
 	// Prefer invalid ways: replacement policies are only consulted when
 	// the set is full.
-	for w := range lines {
-		if lines[w].flags&lineValid == 0 {
-			c.install(set, w, tag, req)
-			return Result{Hit: false, Way: w}
-		}
+	if free >= 0 {
+		c.install(set, free, word, req)
+		return Result{Hit: false, Way: free}
 	}
 
 	victim := c.repl.Victim(set)
-	if c.cfg.PartitionLocked && lines[victim].flags&lineLocked != 0 {
+	if c.cfg.PartitionLocked && c.meta[base+victim].locked {
 		// Figure 10, left branch: victim locked, handle uncached.
 		st.Bypasses++
 		rs.Bypasses++
@@ -339,63 +347,61 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 		return res
 	}
 
-	evicted := c.lineNumber(set, lines[victim].tag)
+	evicted := c.lineNumber(set, row[victim])
 	res := Result{Hit: false, Way: victim, Evicted: evicted, DidEvict: true}
 	st.Evictions++
 	rs.Evictions++
-	if int(lines[victim].owner) != req.Requestor {
+	if int(c.meta[base+victim].owner) != req.Requestor {
 		st.CrossEvictions++
 		rs.CrossEvictions++
 	}
-	c.install(set, victim, tag, req)
+	c.install(set, victim, word, req)
 	return res
 }
 
 // install writes the line into (set, way) and updates replacement state.
-func (c *Cache) install(set, way int, tag uint64, req Request) {
-	ln := &c.lines[set*c.ways+way]
-	ln.tag = tag
-	ln.flags = lineValid
-	ln.owner = int32(req.Requestor)
+func (c *Cache) install(set, way int, word uint64, req Request) {
+	i := set*c.ways + way
+	c.tags[i] = word
+	m := &c.meta[i]
+	m.owner = int32(req.Requestor)
+	m.locked = false
 	if c.cfg.TrackUtags {
-		ln.utag = utagHash(req.LinearLine)
+		m.utag = utagHash(req.LinearLine)
 	}
 	c.repl.Fill(set, way)
-	c.applyLockOp(ln, req.Op)
+	applyLockOp(m, req.Op)
 }
 
-func (c *Cache) applyLockOp(ln *line, op Op) {
+func applyLockOp(m *lineMeta, op Op) {
 	switch op {
 	case OpLock:
-		ln.flags |= lineLocked
+		m.locked = true
 	case OpUnlock:
-		ln.flags &^= lineLocked
+		m.locked = false
 	}
+}
+
+// find returns the slab index of the line holding physLine, and
+// whether the line is cached at all.
+func (c *Cache) find(physLine uint64) (i int, ok bool) {
+	set, word := c.locate(physLine)
+	base := set * c.ways
+	way, _ := lookup(c.tags[base:base+c.ways], word)
+	return base + way, way >= 0
 }
 
 // Contains reports whether physLine is currently cached (regardless of
 // utag state).
 func (c *Cache) Contains(physLine uint64) bool {
-	set := c.SetIndex(physLine)
-	tag := c.tagOf(physLine)
-	for _, ln := range c.set(set) {
-		if ln.flags&lineValid != 0 && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, ok := c.find(physLine)
+	return ok
 }
 
 // IsLocked reports whether physLine is cached with its lock bit set.
 func (c *Cache) IsLocked(physLine uint64) bool {
-	set := c.SetIndex(physLine)
-	tag := c.tagOf(physLine)
-	for _, ln := range c.set(set) {
-		if ln.flags&lineValid != 0 && ln.tag == tag {
-			return ln.flags&lineLocked != 0
-		}
-	}
-	return false
+	i, ok := c.find(physLine)
+	return ok && c.meta[i].locked
 }
 
 // Flush invalidates physLine if present (the clflush model used by the
@@ -403,23 +409,17 @@ func (c *Cache) IsLocked(physLine uint64) bool {
 // does not touch replacement state — matching real hardware, where clflush
 // does not update LRU bits.
 func (c *Cache) Flush(physLine uint64) bool {
-	set := c.SetIndex(physLine)
-	tag := c.tagOf(physLine)
-	lines := c.set(set)
-	for w := range lines {
-		ln := &lines[w]
-		if ln.flags&lineValid != 0 && ln.tag == tag {
-			ln.flags = 0
-			return true
-		}
+	i, ok := c.find(physLine)
+	if ok {
+		c.tags[i] = 0
 	}
-	return false
+	return ok
 }
 
 // InvalidateAll clears every line and resets replacement state, returning
 // the cache to power-on conditions. Counters are preserved.
 func (c *Cache) InvalidateAll() {
-	clear(c.lines)
+	clear(c.tags)
 	c.repl.Reset()
 }
 

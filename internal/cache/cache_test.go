@@ -242,6 +242,101 @@ func TestLockBitLifecycle(t *testing.T) {
 	}
 }
 
+// Flushing a locked line drops its lock with it: reloaded, the line is
+// unlocked and, in a PL cache, an ordinary victim (a stale lock bit
+// would make the miss that picks it bypass). The per-access path and
+// the batch loop, which plain configs run through its own install, must
+// both see this.
+func TestFlushClearsLockBit(t *testing.T) {
+	for _, pl := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			cfg := l1Config(replacement.TrueLRU)
+			cfg.PartitionLocked = pl
+			c := New(cfg)
+			const set = 0
+			load := func(line uint64) Result {
+				req := Request{PhysLine: line}
+				if !batch {
+					return c.Access(req)
+				}
+				out := make([]Result, 1)
+				c.AccessBatch([]Request{req}, out)
+				return out[0]
+			}
+			line0 := lineInSet(c, set, 0)
+			c.Access(Request{PhysLine: line0, Op: OpLock})
+			if !c.Flush(line0) || c.IsLocked(line0) {
+				t.Fatalf("pl=%v batch=%v: flush left the line present or locked", pl, batch)
+			}
+			load(line0)
+			if c.IsLocked(line0) {
+				t.Fatalf("pl=%v batch=%v: reloaded line still locked", pl, batch)
+			}
+			for i := 1; i < 8; i++ {
+				load(lineInSet(c, set, i))
+			}
+			res := load(lineInSet(c, set, 8))
+			if res.Bypassed || !res.DidEvict || res.Evicted != line0 {
+				t.Fatalf("pl=%v batch=%v: miss after flush+reload got %+v, want eviction of line %d", pl, batch, res, line0)
+			}
+		}
+	}
+}
+
+// A line whose tag is 0 packs to the tag word 1, never to the invalid
+// word 0: it must miss once and then hit, in a many-set cache (lines
+// below the set count) and in a one-set cache (line 0).
+func TestTagZeroLineHits(t *testing.T) {
+	for _, cfg := range []Config{
+		l1Config(replacement.TreePLRU),
+		{Name: "one-set", Sets: 1, Ways: 4, LineSize: 64, Policy: replacement.TreePLRU},
+	} {
+		c := New(cfg)
+		lines := []uint64{0}
+		if cfg.Sets > 1 {
+			lines = append(lines, uint64(cfg.Sets-1))
+		}
+		for _, line := range lines {
+			if c.Access(Request{PhysLine: line}).Hit {
+				t.Fatalf("%s: cold access to line %d hit", cfg.Name, line)
+			}
+			if !c.Access(Request{PhysLine: line}).Hit || !c.Contains(line) {
+				t.Fatalf("%s: line %d (tag 0) did not hit after its fill", cfg.Name, line)
+			}
+		}
+	}
+}
+
+// The packed tag word holds 63 tag bits. Only a one-set cache can see
+// a wider tag, from a line number of 2^63 or more that no byte address
+// produces; it is rejected rather than aliased onto the line 2^63
+// below it. One bit less is accepted and kept apart from line 0.
+func TestOneSetCacheRejectsTagBeyond63Bits(t *testing.T) {
+	c := New(Config{Name: "one-set", Sets: 1, Ways: 2, LineSize: 64, Policy: replacement.TreePLRU})
+	c.Access(Request{PhysLine: 0})
+	top := uint64(1)<<63 - 1
+	if c.Access(Request{PhysLine: top}).Hit {
+		t.Fatal("line 2^63-1 hit on a cache holding only line 0")
+	}
+	if !c.Contains(0) || !c.Contains(top) {
+		t.Fatal("lines 0 and 2^63-1 do not coexist")
+	}
+	for name, f := range map[string]func(){
+		"Access":      func() { c.Access(Request{PhysLine: 1 << 63}) },
+		"AccessBatch": func() { c.AccessBatch([]Request{{PhysLine: 1 << 63}}, nil) },
+		"Contains":    func() { c.Contains(1 << 63) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s accepted line 2^63 in a one-set cache", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestPLCacheVictimLockedBypasses(t *testing.T) {
 	cfg := l1Config(replacement.TrueLRU)
 	cfg.PartitionLocked = true

@@ -97,11 +97,13 @@ func (h *Hierarchy) loadChunk(addrs []mem.Addr, requestor int, out []Result) {
 	h.l1.AccessBatch(reqs, r1)
 
 	// L1 non-hits go to the L2 in record order. A utag miss is an L1
-	// hit as far as the lower levels are concerned.
+	// hit as far as the lower levels are concerned. Every request is
+	// copied and only a non-hit advances m, so the compaction costs no
+	// branch on the hit pattern.
 	m := 0
 	for i := range r1 {
+		reqs[m] = reqs[i]
 		if !r1[i].Hit {
-			reqs[m] = reqs[i]
 			m++
 		}
 	}
@@ -117,8 +119,8 @@ func (h *Hierarchy) loadChunk(addrs []mem.Addr, requestor int, out []Result) {
 	if h.llc != nil {
 		k := 0
 		for j := range r2 {
+			reqs[k] = reqs[j]
 			if !r2[j].Hit {
-				reqs[k] = reqs[j]
 				k++
 			}
 		}

@@ -19,7 +19,8 @@ import (
 //	Tree-PLRU  one uint64 per set; bit i is heap node i of the PLRU tree
 //	           (ways-1 node bits, root at bit 0, children of i at 2i+1
 //	           and 2i+2). A touch of way w is one masked update with
-//	           the per-way path masks treeClr[w] and treeSet[w].
+//	           w's pair of path masks; the victim is a table lookup
+//	           (see Tree).
 //	Bit-PLRU   one uint64 per set; bit w is way w's MRU bit.
 //	True LRU   a packed age vector: one byte per way in a sets×ways slab,
 //	           age 0 = most recently used, ways-1 = LRU victim.
@@ -43,13 +44,12 @@ type SetArray struct {
 	// (the age vector no longer fits one word); nil otherwise.
 	ages []uint8
 
-	depth int       // log2(ways), Tree-PLRU victim walk length
-	full  uint64    // Bit-PLRU all-ways-set mask
-	r     *rng.Rand // Random victim source
+	full uint64    // Bit-PLRU all-ways-set mask
+	r    *rng.Rand // Random victim source
 
-	// Tree-PLRU touch masks: a use of way w clears the path nodes in
-	// treeClr[w] and sets those in treeSet[w] (see NewSetArray).
-	treeClr, treeSet []uint64
+	// tree is the Tree-PLRU view of words (its zero value for the
+	// other families).
+	tree Tree
 
 	// Packed True-LRU constants (ways <= 8): one byte lane per way.
 	lruMask  uint64 // 0x01 in every valid lane
@@ -97,29 +97,9 @@ func NewSetArray(kind Kind, sets, ways int, r *rng.Rand) *SetArray {
 		if ways&(ways-1) != 0 {
 			panic("replacement: Tree-PLRU requires power-of-two associativity")
 		}
-		for 1<<a.depth < ways {
-			a.depth++
-		}
-		// A touch points every node on the root-to-leaf path AWAY from
-		// the used way (bit 1 = right subtree is LRU): at level l the
-		// direction into way's subtree is bit depth-1-l of way, so the
-		// node is set when the way lies left and cleared when it lies
-		// right. The path is fixed per way, hence two masks.
-		a.treeClr = make([]uint64, ways)
-		a.treeSet = make([]uint64, ways)
-		for way := 0; way < ways; way++ {
-			node := 0
-			for level := a.depth - 1; level >= 0; level-- {
-				dir := (way >> uint(level)) & 1
-				if dir == 0 {
-					a.treeSet[way] |= 1 << uint(node)
-				} else {
-					a.treeClr[way] |= 1 << uint(node)
-				}
-				node = 2*node + 1 + dir
-			}
-		}
+		depth := bits.TrailingZeros(uint(ways))
 		a.words = make([]uint64, sets)
+		a.tree = Tree{words: a.words, paths: treePaths[depth], shift: uint(6 - depth)}
 	case BitPLRU:
 		a.full = 1<<uint(ways) - 1
 		a.words = make([]uint64, sets)
@@ -155,7 +135,7 @@ func (a *SetArray) Touch(set, way int) {
 	}
 	switch a.kind {
 	case TreePLRU:
-		a.touchTree(set, way)
+		a.tree.Touch(set, way)
 	case BitPLRU:
 		a.touchBit(set, way)
 	case TrueLRU:
@@ -176,7 +156,7 @@ func (a *SetArray) Fill(set, way int) {
 	}
 	switch a.kind {
 	case TreePLRU:
-		a.touchTree(set, way)
+		a.tree.Touch(set, way)
 	case BitPLRU:
 		a.touchBit(set, way)
 	case TrueLRU:
@@ -202,7 +182,7 @@ func (a *SetArray) Victim(set int) int {
 	}
 	switch a.kind {
 	case TreePLRU:
-		return a.victimTree(set)
+		return a.tree.Victim(set)
 	case BitPLRU:
 		return a.victimBit(set)
 	case TrueLRU:
@@ -217,23 +197,103 @@ func (a *SetArray) Victim(set int) int {
 	}
 }
 
-func (a *SetArray) touchTree(set, way int) {
-	a.words[set] = a.words[set]&^a.treeClr[way] | a.treeSet[way]
+// Tree is the Tree-PLRU state of a SetArray: the same per-set words,
+// with the family already resolved. A Tree-PLRU update is a few
+// instructions, so a call per access would cost as much as the update
+// itself; a caller that runs many accesses against one array takes the
+// Tree once (see SetArray.Tree) and its Touch and Victim inline into
+// the caller's loop. SetArray's own Touch, Fill and Victim run the same
+// methods, so there is one Tree-PLRU implementation.
+type Tree struct {
+	words []uint64   // the SetArray's words
+	paths []treePath // the touch masks of this associativity (see treePaths)
+	shift uint       // 6 - depth, scales the victim lookup to the tree height
 }
 
-func (a *SetArray) victimTree(set int) int {
-	if a.ways == 1 {
-		return 0
+// Tree returns the array's Tree-PLRU state, or nil when the array holds
+// another family. A Tree-PLRU install is a Touch.
+func (a *SetArray) Tree() *Tree {
+	if a.kind != TreePLRU {
+		return nil
 	}
-	w := a.words[set]
-	node, way := 0, 0
-	for level := 0; level < a.depth; level++ {
-		dir := int(w >> uint(node) & 1)
-		way = way<<1 | dir
-		node = 2*node + 1 + dir
-	}
-	return way
+	return &a.tree
 }
+
+// Touch records a use or an install of (set, way): every node on the
+// way's root-to-leaf path is pointed away from it, one masked update.
+func (t *Tree) Touch(set, way int) {
+	p := t.paths[way]
+	t.words[set] = t.words[set]&^p.clr | p.set
+}
+
+// Victim returns the way the tree points at in set. It looks the path
+// up three tree levels at a time instead of walking the tree bit by
+// bit. The heap layout stores each level contiguously (level l at bits
+// 2^l-1 .. 2^(l+1)-2), so the top three levels are the word's low
+// seven bits; node bits beyond a shallower tree are zero and add zero
+// leaf bits, so the path shifted right by 3-depth is the victim of a
+// tree of up to 8 ways. Below top path p, a deeper tree's next three
+// levels form a depth-3 subtree with nodes at bit 7+p (level 3), bits
+// 15+2p and 16+2p (level 4) and bits 31+4p .. 34+4p (level 5):
+// gathered in that order they are again a heap-ordered index, and the
+// six-bit path shifted right by 6-depth is the victim of a tree of up
+// to 64 ways.
+func (t *Tree) Victim(set int) int {
+	w := t.words[set]
+	p := uint64(treeVictim[w&0x7f])
+	if t.shift >= 3 {
+		return int(p >> (t.shift - 3))
+	}
+	sub := w>>(7+p)&1 | w>>(15+2*p)&3<<1 | w>>(31+4*p)&15<<3
+	return int(p<<3|uint64(treeVictim[sub])) >> t.shift
+}
+
+// treePath is the touch update of one Tree-PLRU way: the nodes on its
+// root-to-leaf path to clear and to set.
+type treePath struct{ clr, set uint64 }
+
+// treePaths[d] is the touch-mask table of a depth-d tree (2^d ways).
+// A touch points every node on the root-to-leaf path AWAY from the
+// used way (bit 1 = right subtree is LRU): at level l the direction
+// into way's subtree is bit d-1-l of way, so the node is set when the
+// way lies left and cleared when it lies right. The path is fixed per
+// way, hence one pair of masks per way. The tables depend only on the
+// associativity, so every array of that associativity shares one.
+var treePaths = func() (t [7][]treePath) {
+	for d := range t {
+		t[d] = make([]treePath, 1<<d)
+		for way := range t[d] {
+			node := 0
+			for level := d - 1; level >= 0; level-- {
+				dir := (way >> uint(level)) & 1
+				if dir == 0 {
+					t[d][way].set |= 1 << uint(node)
+				} else {
+					t[d][way].clr |= 1 << uint(node)
+				}
+				node = 2*node + 1 + dir
+			}
+		}
+	}
+	return t
+}()
+
+// treeVictim maps the seven node bits of a depth-3 subtree, in heap
+// order (its root at bit 0, the root's children at bits 1 and 2, their
+// children at bits 3..6), to the 3-bit leaf path the victim walk takes
+// through it.
+var treeVictim = func() (t [128]uint8) {
+	for nodes := range t {
+		node, leaf := 0, 0
+		for level := 0; level < 3; level++ {
+			dir := nodes >> uint(node) & 1
+			leaf = leaf<<1 | dir
+			node = 2*node + 1 + dir
+		}
+		t[nodes] = uint8(leaf)
+	}
+	return t
+}()
 
 func (a *SetArray) touchBit(set, way int) {
 	w := a.words[set] | 1<<uint(way)

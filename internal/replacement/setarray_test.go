@@ -268,12 +268,12 @@ func TestTreeTouchMasks(t *testing.T) {
 		a := NewSetArray(TreePLRU, 1, ways, nil)
 		nodes := uint64(1)<<uint(ways-1) - 1 // the ways-1 node bits
 		for w := 0; w < ways; w++ {
-			clr, set := a.treeClr[w], a.treeSet[w]
+			clr, set := a.tree.paths[w].clr, a.tree.paths[w].set
 			if clr&set != 0 {
 				t.Errorf("ways=%d way=%d: clear mask %#x and set mask %#x overlap", ways, w, clr, set)
 			}
-			if n := bits.OnesCount64(clr | set); n != a.depth {
-				t.Errorf("ways=%d way=%d: touch changes %d nodes, want depth %d", ways, w, n, a.depth)
+			if n, depth := bits.OnesCount64(clr|set), bits.TrailingZeros(uint(ways)); n != depth {
+				t.Errorf("ways=%d way=%d: touch changes %d nodes, want depth %d", ways, w, n, depth)
 			}
 			if (clr|set)&^nodes != 0 {
 				t.Errorf("ways=%d way=%d: masks %#x reach past the %d node bits", ways, w, clr|set, ways-1)
@@ -295,6 +295,36 @@ func TestTreeTouchMasks(t *testing.T) {
 				if v := a.Victim(0); v == w {
 					t.Fatalf("ways=%d state=%#x: touch of way %d leaves it the victim", ways, start, w)
 				}
+			}
+		}
+	}
+}
+
+// The Tree-PLRU victim is looked up three levels at a time; it must
+// pick the leaf the reference policy's bit-by-bit walk reaches, from
+// every state of the shallow trees and from random states of the deep
+// ones (where the second lookup runs).
+func TestTreeVictimMatchesWalk(t *testing.T) {
+	r := rng.New(9)
+	for _, ways := range []int{1, 2, 4, 8, 16, 32, 64} {
+		a := NewSetArray(TreePLRU, 1, ways, nil)
+		ref := newTreePLRU(ways)
+		nodes := uint64(1)<<uint(ways-1) - 1
+		states := 4096
+		if ways <= 8 {
+			states = 1 << uint(ways-1)
+		}
+		for k := 0; k < states; k++ {
+			s := uint64(k)
+			if ways > 8 {
+				s = r.Uint64() & nodes
+			}
+			a.SetPackedState(0, s)
+			for i := range ref.bits {
+				ref.bits[i] = byte(s >> uint(i) & 1)
+			}
+			if got, want := a.Victim(0), ref.Victim(); got != want {
+				t.Fatalf("ways=%d state=%#x: victim %d, walk reaches %d", ways, s, got, want)
 			}
 		}
 	}

@@ -267,7 +267,7 @@ func NewTableLookup(sets, baseSet, width int, genName string) (*TableLookup, err
 	if width < 2 || width > sets {
 		return nil, fmt.Errorf("victim: lookup width %d out of range [2,%d]", width, sets)
 	}
-	if _, err := workload.ByName(genName, 1); err != nil {
+	if _, err := workload.Index(genName); err != nil {
 		return nil, err
 	}
 	return &TableLookup{bg: newBackground(sets, genName), sets: sets, base: baseSet, width: width}, nil

@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -58,6 +59,15 @@ func (s *sequential) Next() Access {
 // zipf draws lines from a Zipf-like distribution over a working set: the
 // gcc/perlbench-like profile where a hot minority of lines carries most
 // references. Temporal locality is strong, so LRU-family policies shine.
+type zipf struct {
+	name string
+	*zipfTable
+	r *rng.Rand
+}
+
+// zipfTable is the read-only part of a Zipf generator: the CDF over
+// ranks and its guide table. It depends only on (lines, skew), so every
+// generator of one suite benchmark shares one table (see zipfBenchmark).
 //
 // A draw inverts the CDF: the rank is the first i with cdf[i] >= u. The
 // guide table answers that without a search: for G the smallest power
@@ -65,18 +75,16 @@ func (s *sequential) Next() Access {
 // draw starts at guide[floor(u*G)] and scans forward a step or two.
 // Scaling by a power of two is exact, so the scan lands on exactly the
 // rank a binary search of the CDF would return, for every u.
-type zipf struct {
-	name  string
+type zipfTable struct {
 	lines int
 	skew  float64
-	r     *rng.Rand
 	cdf   []float64
 	guide []int32 // G+1 entries; guide[G] covers u == 1
 	g     float64 // G
 }
 
-func newZipf(name string, lines int, skew float64) *zipf {
-	z := &zipf{name: name, lines: lines, skew: skew}
+func newZipfTable(lines int, skew float64) *zipfTable {
+	z := &zipfTable{lines: lines, skew: skew}
 	z.cdf = make([]float64, lines)
 	sum := 0.0
 	for i := 0; i < lines; i++ {
@@ -99,13 +107,12 @@ func newZipf(name string, lines int, skew float64) *zipf {
 		}
 		z.guide[k] = int32(i)
 	}
-	z.Reset(1)
 	return z
 }
 
 // rank returns the first rank whose CDF value is >= u (the last rank
 // if none is), for u in [0, 1].
-func (z *zipf) rank(u float64) int {
+func (z *zipfTable) rank(u float64) int {
 	i := int(z.guide[int(u*z.g)])
 	for i < len(z.cdf)-1 && z.cdf[i] < u {
 		i++
@@ -123,31 +130,40 @@ func (z *zipf) Next() Access {
 
 // pointerChase jumps through a randomized permutation of a large working
 // set: the mcf/omnetpp-like profile, almost no locality the cache can use.
+// Reset builds the permutation cycle; the generator is unusable before
+// its first Reset.
 type pointerChase struct {
 	name  string
 	lines int
+	perm  []uint32 // scratch for the shuffle, kept across Resets
 	next  []uint32
 	pos   uint32
 }
 
-func newPointerChase(name string, lines int, seed uint64) *pointerChase {
-	p := &pointerChase{name: name, lines: lines}
-	p.build(seed)
-	return p
-}
-
-func (p *pointerChase) build(seed uint64) {
-	r := rng.New(seed)
-	perm := r.Perm(p.lines)
-	p.next = make([]uint32, p.lines)
-	for i := 0; i < p.lines; i++ {
-		p.next[perm[i]] = uint32(perm[(i+1)%p.lines])
+// Reset rebuilds the cycle from seed. The shuffle is rng.Perm's: the
+// same Intn draws in the same order, so the cycle equals the one built
+// from r.Perm(lines), without allocating once the buffers exist.
+func (p *pointerChase) Reset(seed uint64) {
+	if p.next == nil {
+		p.perm = make([]uint32, p.lines)
+		p.next = make([]uint32, p.lines)
 	}
-	p.pos = uint32(perm[0])
+	perm := p.perm
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	r := rng.New(seed)
+	for i := len(perm) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	for i := range perm {
+		p.next[perm[i]] = perm[(i+1)%len(perm)]
+	}
+	p.pos = perm[0]
 }
 
-func (p *pointerChase) Name() string      { return p.name }
-func (p *pointerChase) Reset(seed uint64) { p.build(seed) }
+func (p *pointerChase) Name() string { return p.name }
 func (p *pointerChase) Next() Access {
 	a := Access{Addr: uint64(p.pos) * lineSize}
 	p.pos = p.next[p.pos]
@@ -196,42 +212,58 @@ func (m *mixed) Next() Access {
 	return a
 }
 
-// suiteBuilders constructs each Figure 9 benchmark lazily, so callers
-// that need a single generator (one parallel job per benchmark) do not
-// pay for the whole suite — pointer-chase permutations and Zipf CDF
-// tables are the expensive parts.
-var suiteBuilders = []func(seed uint64) Generator{
-	func(uint64) Generator { return newZipf("perlbench", 4096, 1.1) },
-	func(uint64) Generator {
-		return &mixed{name: "bzip2", hot: newZipf("", 1024, 1.0),
-			cold: &sequential{bytes: 1 << 22, stride: lineSize}, p: 0.85}
-	},
-	func(uint64) Generator { return newZipf("gcc", 16384, 0.9) },
-	func(seed uint64) Generator { return newPointerChase("mcf", 1<<16, seed) },
-	func(uint64) Generator {
-		return &mixed{name: "gobmk", hot: newZipf("", 2048, 1.2),
-			cold: &sequential{bytes: 1 << 20, stride: lineSize}, p: 0.7}
-	},
-	func(uint64) Generator { return &strided{name: "hmmer", lines: 3000, stride: 7} },
-	func(uint64) Generator { return newZipf("sjeng", 8192, 1.05) },
-	func(uint64) Generator { return &sequential{name: "libquantum", bytes: 1 << 23, stride: lineSize} },
-	func(seed uint64) Generator { return newPointerChase("omnetpp", 1<<15, seed+7) },
-	func(uint64) Generator { return &strided{name: "milc", lines: 1 << 14, stride: 33} },
-	func(uint64) Generator { return &sequential{name: "lbm", bytes: 1 << 24, stride: 2 * lineSize} },
-	func(uint64) Generator {
-		return &mixed{name: "sphinx3", hot: newZipf("", 512, 1.3),
-			cold: &sequential{bytes: 1 << 21, stride: lineSize}, p: 0.6}
-	},
+// benchmark is one Figure 9 suite entry: its name and an unseeded
+// constructor.
+type benchmark struct {
+	name  string
+	build func() Generator
+}
+
+// zipfBenchmark is a suite entry drawing from one shared Zipf table,
+// built on first use (from any goroutine) and read-only after.
+func zipfBenchmark(name string, lines int, skew float64) benchmark {
+	table := sync.OnceValue(func() *zipfTable { return newZipfTable(lines, skew) })
+	return benchmark{name, func() Generator { return &zipf{name: name, zipfTable: table()} }}
+}
+
+// mixedBenchmark is a suite entry whose hot region draws from one shared
+// Zipf table, as in zipfBenchmark.
+func mixedBenchmark(name string, lines int, skew float64, coldBytes uint64, p float64) benchmark {
+	table := sync.OnceValue(func() *zipfTable { return newZipfTable(lines, skew) })
+	return benchmark{name, func() Generator {
+		return &mixed{name: name, hot: &zipf{zipfTable: table()},
+			cold: &sequential{bytes: coldBytes, stride: lineSize}, p: p}
+	}}
+}
+
+// suite lists the Figure 9 benchmarks in suite order. Each is built
+// only when asked for, so callers that need a single generator (one
+// parallel job per benchmark) do not pay for the whole suite; the Zipf
+// tables, the expensive part of the Zipf profiles, are built once per
+// process and shared.
+var suite = []benchmark{
+	zipfBenchmark("perlbench", 4096, 1.1),
+	mixedBenchmark("bzip2", 1024, 1.0, 1<<22, 0.85),
+	zipfBenchmark("gcc", 16384, 0.9),
+	{"mcf", func() Generator { return &pointerChase{name: "mcf", lines: 1 << 16} }},
+	mixedBenchmark("gobmk", 2048, 1.2, 1<<20, 0.7),
+	{"hmmer", func() Generator { return &strided{name: "hmmer", lines: 3000, stride: 7} }},
+	zipfBenchmark("sjeng", 8192, 1.05),
+	{"libquantum", func() Generator { return &sequential{name: "libquantum", bytes: 1 << 23, stride: lineSize} }},
+	{"omnetpp", func() Generator { return &pointerChase{name: "omnetpp", lines: 1 << 15} }},
+	{"milc", func() Generator { return &strided{name: "milc", lines: 1 << 14, stride: 33} }},
+	{"lbm", func() Generator { return &sequential{name: "lbm", bytes: 1 << 24, stride: 2 * lineSize} }},
+	mixedBenchmark("sphinx3", 512, 1.3, 1<<21, 0.6),
 }
 
 // SuiteSize is the number of Figure 9 benchmarks, without constructing
 // any of them.
-func SuiteSize() int { return len(suiteBuilders) }
+func SuiteSize() int { return len(suite) }
 
 // SuiteBenchmark builds and seeds the i'th suite benchmark alone. It is
 // identical to Suite(seed)[i].
 func SuiteBenchmark(i int, seed uint64) Generator {
-	g := suiteBuilders[i](seed)
+	g := suite[i].build()
 	g.Reset(seed + uint64(i)*1315423911)
 	return g
 }
@@ -246,12 +278,24 @@ func Suite(seed uint64) []Generator {
 	return gens
 }
 
-// ByName finds a suite generator.
-func ByName(name string, seed uint64) (Generator, error) {
-	for _, g := range Suite(seed) {
-		if g.Name() == name {
-			return g, nil
+// Index returns the suite position of the named benchmark, without
+// building any generator, or an error if the suite has no such
+// benchmark.
+func Index(name string) (int, error) {
+	for i, b := range suite {
+		if b.name == name {
+			return i, nil
 		}
 	}
-	return nil, fmt.Errorf("workload: unknown benchmark %q", name)
+	return 0, fmt.Errorf("workload: unknown benchmark %q", name)
+}
+
+// ByName builds the named suite generator alone. It is identical to the
+// generator of that name in Suite(seed).
+func ByName(name string, seed uint64) (Generator, error) {
+	i, err := Index(name)
+	if err != nil {
+		return nil, err
+	}
+	return SuiteBenchmark(i, seed), nil
 }

@@ -27,8 +27,8 @@ func searchRank(cdf []float64, u float64) int {
 // hot regions of the mixed profiles included.
 func suiteZipfs() []*zipf {
 	var zs []*zipf
-	for _, build := range suiteBuilders {
-		switch g := build(1).(type) {
+	for _, b := range suite {
+		switch g := b.build().(type) {
 		case *zipf:
 			zs = append(zs, g)
 		case *mixed:

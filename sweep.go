@@ -754,12 +754,14 @@ func ROCSweep(spec ROCSpec, seed uint64, opt RunOptions) ROCResult {
 	}
 	policies := mustResolve("ROCSweep", spec.Policies, replacement.ParseKind)
 	defenses := mustResolve("ROCSweep", spec.Defenses, attack.ParseDefense)
+	for _, vname := range spec.Victims {
+		if _, err := victim.ByName(vname, SandyBridge().L1Sets); err != nil {
+			panic(fmt.Sprintf("lruleak: ROCSweep: %v", err))
+		}
+	}
 	var posIDs []posID
 	for _, def := range defenses {
 		for _, vname := range spec.Victims {
-			if _, err := victim.ByName(vname, SandyBridge().L1Sets); err != nil {
-				panic(fmt.Sprintf("lruleak: ROCSweep: %v", err))
-			}
 			for _, pol := range policies {
 				posIDs = append(posIDs, posID{def, vname, pol})
 			}
