@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/hier"
+	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 // attackGoldenSpec keeps the pinned matrix small enough for CI: one
@@ -204,6 +207,52 @@ func TestROCSweepGoldenPinned(t *testing.T) {
 				t.Errorf("%v: curve not monotone at point %d", c.Defense, i)
 			}
 		}
+	}
+}
+
+// referenceBenignPair is the co-run that benignPairReports stands in
+// for: the same generators, slices and address offset, issued one
+// hier.Load at a time on the full baseline hierarchy (L1D and L2).
+func referenceBenignPair(a, b, refs, slice int, seed uint64) *hier.Hierarchy {
+	gens := [2]workload.Generator{workload.SuiteBenchmark(a, seed), workload.SuiteBenchmark(b, seed^0x9e3779b9)}
+	h := hier.New(hier.Config{Profile: SandyBridge(), L1Policy: TreePLRU, L2Policy: TreePLRU})
+	var issued [2]int
+	for turn := 0; issued[0] < refs || issued[1] < refs; turn++ {
+		p := turn % 2
+		for n := min(slice, refs-issued[p]); n > 0; n-- {
+			l := gens[p].Next().Addr/64 + uint64(p)*benignPairTagStride
+			h.Load(mem.Addr{Virt: l * 64, Phys: l * 64, VirtLine: l, PhysLine: l}, p)
+			issued[p]++
+		}
+	}
+	return h
+}
+
+// The ROC negatives co-run on the L1D alone. Their L1D counters must
+// equal those of the same co-run on the full baseline hierarchy, for
+// pairs covering all 12 suite benchmarks, at slices that cut across
+// the staging chunks. A drift in the L1 geometry or policy fails here.
+func TestBenignPairL1MatchesHierarchy(t *testing.T) {
+	pairs := [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}, {3, 8}, {1, 11}}
+	const refs, slice = 12_000, 2_500
+	var evictions, cross uint64
+	for _, p := range pairs {
+		for _, seed := range []uint64{3, 701} {
+			got := benignPairReports(p[0], p[1], refs, slice, seed)
+			h := referenceBenignPair(p[0], p[1], refs, slice, seed)
+			for r := range got {
+				want := h.L1().RequestorStats(r)
+				if got[r].Requestor != r || got[r].L1D != want {
+					t.Fatalf("pair %v seed %d requestor %d: L1D %+v, hierarchy co-run %+v",
+						p, seed, r, got[r].L1D, want)
+				}
+				evictions += want.Evictions
+				cross += want.CrossEvictions
+			}
+		}
+	}
+	if evictions == 0 || cross == 0 {
+		t.Fatalf("the co-runs never evicted (%d evictions, %d cross): the comparison proves nothing", evictions, cross)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/perfctr"
 )
 
@@ -91,6 +92,49 @@ func TestROCRespectsGates(t *testing.T) {
 	for _, p := range roc.Points {
 		if p.TPR != 0 {
 			t.Fatalf("gated processes flagged at threshold %v", p.Threshold)
+		}
+	}
+}
+
+// Under ROCBaseThresholds the swept monitor reads only L1D counters:
+// at every grid threshold, a report's verdict must not move whatever
+// its L2 and LLC counters say. The ROC sweep's benign co-runs rely on
+// this to skip the levels below the L1D.
+func TestROCBaseReadsOnlyL1D(t *testing.T) {
+	l1 := []perfctr.Report{
+		report(10_000, 100, 150),  // flagged below 1.5% cross-evictions
+		report(10_000, 3000, 20),  // heavy misser, few cross-evictions
+		report(10_000, 0, 0),      // all hits
+		report(150, 150, 150),     // below the decision floor
+		report(300_000, 9000, 10), // below the cross-eviction gate
+	}
+	lower := []cache.Stats{
+		{},
+		{Accesses: 50, Misses: 50},
+		{Accesses: 1 << 20, Misses: 1 << 20, Evictions: 1 << 20},
+		{Accesses: 1 << 20, Hits: 1 << 20},
+		{Accesses: 7, Hits: 3, Misses: 4, CrossEvictions: 4, Bypasses: 2},
+	}
+	for _, th := range DefaultROCThresholds() {
+		base := ROCBaseThresholds()
+		base.L1CrossEvictionRate = th
+		m := NewMonitor(base)
+		for i, rep := range l1 {
+			want := m.Classify(rep)
+			for _, l2 := range lower {
+				for _, llc := range lower {
+					for _, hasLLC := range []bool{false, true} {
+						r := rep
+						r.L2, r.LLC, r.HasLLC = l2, llc, hasLLC
+						if got := m.Classify(r); got != want {
+							t.Fatalf("threshold %v, report %d: verdict %v with L2 %+v, LLC %+v (HasLLC %v), %v without; "+
+								"benignPairReports (sweep.go) co-runs the ROC negatives on the L1D alone, so an L2 or LLC "+
+								"rule in ROCBaseThresholds needs those levels modelled there again",
+								th, i, got, l2, llc, hasLLC, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

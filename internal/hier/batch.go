@@ -22,8 +22,9 @@ import (
 // BatchChunk bounds the scratch buffers of LoadBatch: requests are
 // staged and executed in chunks of at most BatchChunk records, so
 // arbitrarily long programs run allocation-free after the first call.
-// Callers that generate addresses on the fly stage them in buffers of
-// this size.
+// Callers that generate references on the fly (the ROC sweep's benign
+// co-runs, which feed cache.AccessBatch directly) stage them in
+// buffers of this size.
 const BatchChunk = 1024
 
 // phaseSplitOK reports whether each level's pass may run ahead of the
@@ -59,29 +60,20 @@ func (h *Hierarchy) scratch(n int) *batchScratch {
 
 // LoadBatch performs loads of addrs in order on behalf of requestor,
 // writing the i'th load's Result to out[i] (out must be at least as
-// long as addrs, or nil to discard the results — the benign co-runs
-// read only the counters afterwards). It is bit-identical to calling
-// Load per address.
+// long as addrs). It is bit-identical to calling Load per address.
 func (h *Hierarchy) LoadBatch(addrs []mem.Addr, requestor int, out []Result) {
-	if out != nil && len(out) < len(addrs) {
+	if len(out) < len(addrs) {
 		panic("hier: LoadBatch output slice shorter than address slice")
 	}
 	if !h.phaseSplitOK() {
 		for i := range addrs {
-			res := h.load(addrs[i], requestor, cache.OpLoad, true)
-			if out != nil {
-				out[i] = res
-			}
+			out[i] = h.load(addrs[i], requestor, cache.OpLoad, true)
 		}
 		return
 	}
 	for base := 0; base < len(addrs); base += BatchChunk {
 		n := min(BatchChunk, len(addrs)-base)
-		var o []Result
-		if out != nil {
-			o = out[base : base+n]
-		}
-		h.loadChunk(addrs[base:base+n], requestor, o)
+		h.loadChunk(addrs[base:base+n], requestor, out[base:base+n])
 	}
 }
 
@@ -107,12 +99,7 @@ func (h *Hierarchy) loadChunk(addrs []mem.Addr, requestor int, out []Result) {
 			m++
 		}
 	}
-	// The L2 results are needed only to pick out LLC requests or to
-	// report levels.
-	var r2 []cache.Result
-	if out != nil || h.llc != nil {
-		r2 = b.r2[:m]
-	}
+	r2 := b.r2[:m]
 	h.l2.AccessBatch(reqs[:m], r2)
 
 	var r3 []cache.Result
@@ -124,13 +111,8 @@ func (h *Hierarchy) loadChunk(addrs []mem.Addr, requestor int, out []Result) {
 				k++
 			}
 		}
-		if out != nil {
-			r3 = b.r3[:k]
-		}
+		r3 = b.r3[:k]
 		h.llc.AccessBatch(reqs[:k], r3)
-	}
-	if out == nil {
-		return
 	}
 
 	// Walk the records in order, consuming the L2 and LLC results as

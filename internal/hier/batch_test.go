@@ -107,23 +107,19 @@ func hierStats(h *Hierarchy) string {
 	return b.String()
 }
 
-// batchTwins is a per-access reference hierarchy and two batch
-// hierarchies driven in lockstep: one reporting Results, one passing a
-// nil out.
+// batchTwins is a per-access reference hierarchy and a batch
+// hierarchy driven in lockstep.
 type batchTwins struct {
-	serial, batch, discard *Hierarchy
-	levels                 map[Level]int // serial service levels seen
+	serial, batch *Hierarchy
+	levels        map[Level]int // serial service levels seen
 }
 
 func newBatchTwins(cfg Config, seed uint64) *batchTwins {
-	return &batchTwins{
-		serial: newBatchHier(cfg, seed), batch: newBatchHier(cfg, seed), discard: newBatchHier(cfg, seed),
-		levels: map[Level]int{},
-	}
+	return &batchTwins{serial: newBatchHier(cfg, seed), batch: newBatchHier(cfg, seed), levels: map[Level]int{}}
 }
 
 // load runs addrs as requestor: per access on the reference, as one
-// LoadBatch on each batch twin. It fails on the first diverging Result.
+// LoadBatch on the batch twin. It fails on the first diverging Result.
 func (tw *batchTwins) load(t testing.TB, addrs []mem.Addr, requestor int) {
 	t.Helper()
 	want := make([]Result, len(addrs))
@@ -133,7 +129,6 @@ func (tw *batchTwins) load(t testing.TB, addrs []mem.Addr, requestor int) {
 	}
 	got := make([]Result, len(addrs))
 	tw.batch.LoadBatch(addrs, requestor, got)
-	tw.discard.LoadBatch(addrs, requestor, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d diverges: batch %+v, serial %+v", i, got[i], want[i])
@@ -141,16 +136,13 @@ func (tw *batchTwins) load(t testing.TB, addrs []mem.Addr, requestor int) {
 	}
 }
 
-// check compares the final counters and replacement state of all three
-// hierarchies.
+// check compares the final counters and replacement state of the
+// twins.
 func (tw *batchTwins) check(t testing.TB) {
 	t.Helper()
 	want := hierStats(tw.serial)
 	if got := hierStats(tw.batch); got != want {
 		t.Fatalf("stats diverge:\nserial:\n%s\nbatch:\n%s", want, got)
-	}
-	if got := hierStats(tw.discard); got != want {
-		t.Fatalf("stats diverge with nil out:\nserial:\n%s\nbatch:\n%s", want, got)
 	}
 }
 
@@ -204,38 +196,55 @@ func TestLoadTraceMatchesLoad(t *testing.T) {
 
 // LoadBatch must stay allocation-free after the first call sized the
 // scratch buffers, on a stream that reaches every level, with and
-// without an LLC, and with and without Results.
+// without an LLC.
 func TestLoadBatchZeroAllocs(t *testing.T) {
 	for _, llc := range []bool{true, false} {
 		cfg := Config{Profile: uarch.SandyBridge(), L1Policy: replacement.TreePLRU,
 			L2Policy: replacement.TreePLRU, WithLLC: llc}
 		addrs := deepAddrs(cfg, 3*BatchChunk/2, 1)
-		for _, out := range [][]Result{make([]Result, len(addrs)), nil} {
-			h := New(cfg)
+		out := make([]Result, len(addrs))
+		h := New(cfg)
+		h.LoadBatch(addrs, 0, out)
+		if got := testing.AllocsPerRun(100, func() {
 			h.LoadBatch(addrs, 0, out)
-			if got := testing.AllocsPerRun(100, func() {
-				h.LoadBatch(addrs, 0, out)
-			}); got != 0 {
-				t.Errorf("llc=%v nil-out=%v: LoadBatch allocates %.1f allocs/op, want 0", llc, out == nil, got)
-			}
+		}); got != 0 {
+			t.Errorf("llc=%v: LoadBatch allocates %.1f allocs/op, want 0", llc, got)
+		}
+	}
+}
+
+// LoadBatch always reports Results: a nil or short out panics, on the
+// phase-split path and on the per-access fallback alike.
+func TestLoadBatchRejectsShortOut(t *testing.T) {
+	for _, cfg := range []Config{batchHierConfigs()[0], batchHierConfigs()[4]} {
+		addrs := batchAddrs(cfg, 8, 1)
+		for _, out := range [][]Result{nil, make([]Result, len(addrs)-1)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: LoadBatch with len(out) %d < %d did not panic", cfgName(cfg), len(out), len(addrs))
+					}
+				}()
+				newBatchHier(cfg, 1).LoadBatch(addrs, 0, out)
+			}()
 		}
 	}
 }
 
 // FuzzLoadBatchEquivalence drives a batchHierConfigs configuration
-// with fuzzed addresses cut into fuzzed batches, with or without
-// Results, against per-access Load. Each address byte pair picks a tag
+// with fuzzed addresses cut into fuzzed batches against per-access
+// Load. Each address byte pair picks a tag
 // and one of 16 low sets, so the lines collide at every level; each
 // split byte gives the next batch's length (low 7 bits, plus one) and
 // requestor (high bit), and the rest of the stream forms one last
 // batch.
 func FuzzLoadBatchEquivalence(f *testing.F) {
-	f.Add(uint8(0), []byte{1, 0, 2, 0, 1, 0, 3, 1}, []byte{1, 0x82}, false)
-	f.Add(uint8(4), []byte{9, 3, 9, 3, 200, 7, 9, 3, 17, 15}, []byte{0x80}, true)
-	f.Add(uint8(7), []byte{0, 0, 255, 255, 128, 1, 0, 0}, []byte{}, false)
-	f.Add(uint8(8), []byte{5, 5, 6, 5, 7, 5, 8, 5, 9, 5, 5, 5}, []byte{2, 2, 2}, true)
+	f.Add(uint8(0), []byte{1, 0, 2, 0, 1, 0, 3, 1}, []byte{1, 0x82})
+	f.Add(uint8(4), []byte{9, 3, 9, 3, 200, 7, 9, 3, 17, 15}, []byte{0x80})
+	f.Add(uint8(7), []byte{0, 0, 255, 255, 128, 1, 0, 0}, []byte{})
+	f.Add(uint8(8), []byte{5, 5, 6, 5, 7, 5, 8, 5, 9, 5, 5, 5}, []byte{2, 2, 2})
 	cfgs := batchHierConfigs()
-	f.Fuzz(func(t *testing.T, cfgIdx uint8, addrBytes, splits []byte, nilOut bool) {
+	f.Fuzz(func(t *testing.T, cfgIdx uint8, addrBytes, splits []byte) {
 		cfg := cfgs[int(cfgIdx)%len(cfgs)]
 		l2Sets := uint64(cfg.Profile.L2Sets)
 		addrs := make([]mem.Addr, len(addrBytes)/2)
@@ -249,13 +258,10 @@ func FuzzLoadBatchEquivalence(f *testing.F) {
 				n, requestor = min(n, int(splits[0]&0x7f)+1), int(splits[0]>>7)
 				splits = splits[1:]
 			}
-			var out []Result
-			if !nilOut {
-				out = make([]Result, n)
-			}
+			out := make([]Result, n)
 			hb.LoadBatch(addrs[:n], requestor, out)
 			for i, a := range addrs[:n] {
-				if want := hs.Load(a, requestor); out != nil && out[i] != want {
+				if want := hs.Load(a, requestor); out[i] != want {
 					t.Fatalf("record %d diverges: batch %+v, serial %+v", i, out[i], want)
 				}
 			}

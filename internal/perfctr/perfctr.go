@@ -36,7 +36,8 @@ func Collect(h *hier.Hierarchy, requestor int) Report {
 }
 
 // FromL1Stats builds the report of a process on a model with a single
-// cache level (random fill, DAWG): L1D counters from s, an idle L2.
+// cache level (random fill, DAWG, the ROC sweep's benign co-runs): L1D
+// counters from s, an idle L2.
 func FromL1Stats(requestor int, s cache.Stats) Report {
 	return Report{Requestor: requestor, L1D: s}
 }

@@ -37,24 +37,40 @@ type Generator interface {
 
 const lineSize = 64
 
+// cursor steps a position through [0, span) by a fixed stride. The
+// wrap is one subtraction, not a division: pos < span always holds,
+// and newCursor rejects stride >= span.
+type cursor struct{ pos, stride, span uint64 }
+
+func newCursor(name string, span, stride uint64) cursor {
+	if stride >= span {
+		panic(fmt.Sprintf("workload: %s stride %d is not below its span %d", name, stride, span))
+	}
+	return cursor{stride: stride, span: span}
+}
+
+// step returns the position and advances it.
+func (c *cursor) step() uint64 {
+	pos := c.pos
+	c.pos += c.stride
+	if c.pos >= c.span {
+		c.pos -= c.span
+	}
+	return pos
+}
+
 // sequential streams through a buffer repeatedly: the libquantum/lbm-like
 // profile, maximal spatial locality, no temporal reuse within the sweep.
 type sequential struct {
-	name   string
-	bytes  uint64
-	pos    uint64
-	stride uint64
+	name string
+	cursor
 }
 
 func (s *sequential) Name() string { return s.name }
 func (s *sequential) Reset(seed uint64) {
-	s.pos = (seed * 0x9e3779b9) % s.bytes
+	s.pos = (seed * 0x9e3779b9) % s.span
 }
-func (s *sequential) Next() Access {
-	a := Access{Addr: s.pos}
-	s.pos = (s.pos + s.stride) % s.bytes
-	return a
-}
+func (s *sequential) Next() Access { return Access{Addr: s.step()} }
 
 // zipf draws lines from a Zipf-like distribution over a working set: the
 // gcc/perlbench-like profile where a hot minority of lines carries most
@@ -84,6 +100,9 @@ type zipfTable struct {
 }
 
 func newZipfTable(lines int, skew float64) *zipfTable {
+	if lines <= 0 || lines&(lines-1) != 0 {
+		panic(fmt.Sprintf("workload: Zipf working set of %d lines is not a power of two", lines))
+	}
 	z := &zipfTable{lines: lines, skew: skew}
 	z.cdf = make([]float64, lines)
 	sum := 0.0
@@ -123,8 +142,9 @@ func (z *zipfTable) rank(u float64) int {
 func (z *zipf) Name() string      { return z.name }
 func (z *zipf) Reset(seed uint64) { z.r = rng.New(seed) }
 func (z *zipf) Next() Access {
-	// Scramble rank -> line so hot lines spread across cache sets.
-	line := uint64(z.rank(z.r.Float64())) * 0x9e3779b97f4a7c15 % uint64(z.lines)
+	// Scramble rank -> line so hot lines spread across cache sets (the
+	// mask is the modulo: lines is a power of two).
+	line := uint64(z.rank(z.r.Float64())) * 0x9e3779b97f4a7c15 & uint64(z.lines-1)
 	return Access{Addr: line * lineSize}
 }
 
@@ -174,18 +194,12 @@ func (p *pointerChase) Next() Access {
 // milc/soplex-like profile. Spatial reuse across sweeps, conflict-prone.
 type strided struct {
 	name   string
-	lines  uint64
-	stride uint64
-	pos    uint64
+	cursor // over lines
 }
 
 func (s *strided) Name() string      { return s.name }
-func (s *strided) Reset(seed uint64) { s.pos = seed % s.lines }
-func (s *strided) Next() Access {
-	a := Access{Addr: s.pos * lineSize}
-	s.pos = (s.pos + s.stride) % s.lines
-	return a
-}
+func (s *strided) Reset(seed uint64) { s.pos = seed % s.span }
+func (s *strided) Next() Access      { return Access{Addr: s.step() * lineSize} }
 
 // mixed interleaves a hot Zipf region with occasional streaming sweeps:
 // bzip2/h264ref-like.
@@ -232,7 +246,7 @@ func mixedBenchmark(name string, lines int, skew float64, coldBytes uint64, p fl
 	table := sync.OnceValue(func() *zipfTable { return newZipfTable(lines, skew) })
 	return benchmark{name, func() Generator {
 		return &mixed{name: name, hot: &zipf{zipfTable: table()},
-			cold: &sequential{bytes: coldBytes, stride: lineSize}, p: p}
+			cold: &sequential{name, newCursor(name, coldBytes, lineSize)}, p: p}
 	}}
 }
 
@@ -247,12 +261,12 @@ var suite = []benchmark{
 	zipfBenchmark("gcc", 16384, 0.9),
 	{"mcf", func() Generator { return &pointerChase{name: "mcf", lines: 1 << 16} }},
 	mixedBenchmark("gobmk", 2048, 1.2, 1<<20, 0.7),
-	{"hmmer", func() Generator { return &strided{name: "hmmer", lines: 3000, stride: 7} }},
+	{"hmmer", func() Generator { return &strided{"hmmer", newCursor("hmmer", 3000, 7)} }},
 	zipfBenchmark("sjeng", 8192, 1.05),
-	{"libquantum", func() Generator { return &sequential{name: "libquantum", bytes: 1 << 23, stride: lineSize} }},
+	{"libquantum", func() Generator { return &sequential{"libquantum", newCursor("libquantum", 1<<23, lineSize)} }},
 	{"omnetpp", func() Generator { return &pointerChase{name: "omnetpp", lines: 1 << 15} }},
-	{"milc", func() Generator { return &strided{name: "milc", lines: 1 << 14, stride: 33} }},
-	{"lbm", func() Generator { return &sequential{name: "lbm", bytes: 1 << 24, stride: 2 * lineSize} }},
+	{"milc", func() Generator { return &strided{"milc", newCursor("milc", 1<<14, 33)} }},
+	{"lbm", func() Generator { return &sequential{"lbm", newCursor("lbm", 1<<24, 2*lineSize)} }},
 	mixedBenchmark("sphinx3", 512, 1.3, 1<<21, 0.6),
 }
 

@@ -7,15 +7,14 @@ import (
 	"strings"
 
 	"repro/internal/attack"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/hier"
 	"repro/internal/leakage"
-	"repro/internal/mem"
 	"repro/internal/perfctr"
 	"repro/internal/replacement"
-	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/transport/codec"
@@ -740,7 +739,7 @@ type ROCResult struct {
 // (per defense — a defense changes what the attacker's traffic looks
 // like, DAWG structurally zeroing its cross-evictions); negatives are
 // the per-process reports of every unordered Figure 9 suite pair
-// co-run on the unprotected baseline hierarchy. The same negatives
+// co-run on the unprotected baseline L1D. The same negatives
 // serve every defense, so the curves differ only in what the attack
 // does to the counters.
 func ROCSweep(spec ROCSpec, seed uint64, opt RunOptions) ROCResult {
@@ -792,7 +791,7 @@ func ROCSweep(spec ROCSpec, seed uint64, opt RunOptions) ROCResult {
 	posReports := engine.Values(engine.Run(posJobs, opt))
 
 	// Negative samples: every unordered pair of suite benchmarks,
-	// co-run on a shared baseline hierarchy; both processes' reports
+	// co-run on a shared baseline L1D; both processes' reports
 	// count.
 	type pairID struct{ a, b int }
 	var pairs []pairID
@@ -837,52 +836,55 @@ func ROCSweep(spec ROCSpec, seed uint64, opt RunOptions) ROCResult {
 const benignPairTagStride = 1 << 26
 
 // benignPairReports co-runs two Figure 9 suite workloads on a shared
-// unprotected hierarchy with the attack's cache geometry, alternating
-// time slices of `slice` references each until both have issued
-// `refs`, and returns both processes' counter reports — the
-// false-positive population a deployed monitor must not flag. The
-// sliced interleave matters: a time-sliced process pays its partner's
-// displacement once per slice (one shared-cache refill), so its
-// cross-eviction rate is bounded by roughly cacheLines/slice, whereas
-// a reference-by-reference interleave (two hyper-threads thrashing)
-// would push every heavy pair over any plausible threshold.
+// unprotected L1D with the attack's geometry (the Tree-PLRU L1D that
+// hier.New builds for SandyBridge), alternating time slices of `slice`
+// references each until both have issued `refs`, and returns both
+// processes' counter reports — the false-positive population a
+// deployed monitor must not flag. The sliced interleave matters: a
+// time-sliced process pays its partner's displacement once per slice
+// (one shared-cache refill), so its cross-eviction rate is bounded by
+// roughly cacheLines/slice, whereas a reference-by-reference
+// interleave (two hyper-threads thrashing) would push every heavy pair
+// over any plausible threshold. No level below the L1D is modelled:
+// the swept monitor reads only L1D counters, and this L1D (no
+// prefetcher, no back-invalidation, no random victims) evolves as it
+// would above an L2
+// (TestROCBaseReadsOnlyL1D and TestBenignPairL1MatchesHierarchy pin both).
 func benignPairReports(a, b, refs, slice int, seed uint64) [2]perfctr.Report {
 	gens := [2]workload.Generator{
 		workload.SuiteBenchmark(a, seed),
 		workload.SuiteBenchmark(b, seed^0x9e3779b9),
 	}
-	h := hier.New(hier.Config{
-		Profile:  SandyBridge(),
-		L1Policy: TreePLRU, L2Policy: TreePLRU,
-		RNG: rng.New(seed),
+	prof := SandyBridge()
+	l1 := cache.New(cache.Config{
+		Name: "L1D", Sets: prof.L1Sets, Ways: prof.L1Ways, LineSize: prof.LineSize,
+		Policy: TreePLRU,
 	})
 	if slice < 1 {
 		slice = 1
 	}
-	// Each slice is one requestor's run of generator-driven loads, so it
-	// executes as LoadBatch calls over BatchChunk-sized stages (the
-	// geometry above is prefetch-free and deterministic, so the batch is
-	// bit-identical to per-access Load calls). Only the counters are
-	// read afterwards, so the per-load Results are discarded.
-	addrs := make([]mem.Addr, min(slice, refs, hier.BatchChunk))
+	reqs := make([]cache.Request, min(slice, refs, hier.BatchChunk))
 	var issued [2]int
 	for turn := 0; issued[0] < refs || issued[1] < refs; turn++ {
 		p := turn % 2
 		end := issued[p] + min(slice, refs-issued[p])
 		for issued[p] < end {
-			n := min(len(addrs), end-issued[p])
+			n := min(len(reqs), end-issued[p])
 			for k := 0; k < n; k++ {
 				l := gens[p].Next().Addr / 64
 				if p == 1 {
 					l += benignPairTagStride
 				}
-				addrs[k] = mem.Addr{Virt: l * 64, Phys: l * 64, VirtLine: l, PhysLine: l}
+				reqs[k] = cache.Request{PhysLine: l, Requestor: p}
 			}
-			h.LoadBatch(addrs[:n], p, nil)
+			l1.AccessBatch(reqs[:n], nil)
 			issued[p] += n
 		}
 	}
-	return [2]perfctr.Report{perfctr.Collect(h, 0), perfctr.Collect(h, 1)}
+	return [2]perfctr.Report{
+		perfctr.FromL1Stats(0, l1.RequestorStats(0)),
+		perfctr.FromL1Stats(1, l1.RequestorStats(1)),
+	}
 }
 
 // RenderROC formats the study: the AUC summary table with the deployed
