@@ -378,7 +378,7 @@ type Figure9Row struct {
 func Figure9(instructions int, seed uint64, opt RunOptions) []Figure9Row {
 	policies := []replacement.Kind{replacement.TreePLRU, replacement.FIFO, replacement.Random}
 	if seed == 0 {
-		seed = 2020 // match perf.Config's default so Suite seeding is unchanged
+		seed = 2020 // the Figure 9 study's default seed
 	}
 	cfg := perf.Config{Instructions: instructions, Seed: seed}
 	nBench := workload.SuiteSize()

@@ -138,7 +138,7 @@ type session struct {
 // the victim's table, and primes every monitored set.
 func newSession(cfg Config, seed uint64) *session {
 	s := &session{
-		tg:   NewTarget(cfg.Defense, cfg.Profile, cfg.Policy, seed),
+		tg:   NewTarget(TargetConfig{Defense: cfg.Defense, Profile: cfg.Profile, Policy: cfg.Policy, Seed: seed}),
 		v:    cfg.Victim,
 		sets: cfg.Victim.MonitorSets(),
 		r:    rng.New(seed ^ 0xa77ac4),

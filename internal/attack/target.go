@@ -108,7 +108,7 @@ type Target interface {
 	// monitor samples rates over sliding windows, which amortizes any
 	// process's cold-start fill burst away).
 	ResetStats()
-	// Reset returns the target to the exact state NewTargetCfg builds
+	// Reset returns the target to the exact state NewTarget builds
 	// with Seed set to seed: lines, replacement state, counters and the
 	// generator. Trial loops reuse one target through Reset instead of
 	// rebuilding the machine per trial.
@@ -119,9 +119,7 @@ type Target interface {
 // neighbourhood, matching secure.RandomFillLeakExperiment.
 const RandomFillWindow = 16
 
-// TargetConfig parameterizes NewTargetCfg beyond the canonical
-// four-argument form: today only the random-fill window, the knob the
-// leakage leaderboard sweeps.
+// TargetConfig parameterizes NewTarget.
 type TargetConfig struct {
 	Defense Defense
 	Profile uarch.Profile
@@ -137,12 +135,7 @@ type TargetConfig struct {
 
 // NewTarget builds the cache under attack: geometry from the profile,
 // the given L1 replacement policy, and the chosen defense.
-func NewTarget(d Defense, prof uarch.Profile, pol replacement.Kind, seed uint64) Target {
-	return NewTargetCfg(TargetConfig{Defense: d, Profile: prof, Policy: pol, Seed: seed})
-}
-
-// NewTargetCfg is NewTarget with the extended configuration surface.
-func NewTargetCfg(cfg TargetConfig) Target {
+func NewTarget(cfg TargetConfig) Target {
 	prof := cfg.Profile
 	switch cfg.Defense {
 	case DefenseNone, DefensePLCache, DefensePLCacheFixed:
@@ -168,7 +161,7 @@ func NewTargetCfg(cfg TargetConfig) Target {
 		const domains = 2
 		r := rng.New(cfg.Seed)
 		return &dawgTarget{
-			d:       secure.NewDAWGWithPolicy(prof.L1Sets, prof.L1Ways, domains, cfg.Policy, r),
+			d:       secure.NewDAWG(prof.L1Sets, prof.L1Ways, domains, cfg.Policy, r),
 			r:       r,
 			waysPer: prof.L1Ways / domains,
 		}
@@ -283,45 +276,32 @@ func (t *rfTarget) ResetStats() { t.rf.Inner().ResetStats() }
 func (t *rfTarget) Reset(seed uint64) { t.rf.Reset(seed) }
 
 // dawgTarget adapts the way-partitioned cache: requestor == protection
-// domain, and the attacker sizes its prime to its own partition. The
-// DAWG model keeps no counters, so the adapter accounts accesses
-// itself (evictions stay inside a domain by construction, so
-// cross-domain evictions are structurally zero).
+// domain, and the attacker sizes its prime to its own partition.
 type dawgTarget struct {
 	d       *secure.DAWGCache
 	r       *rng.Rand // the Random policy's victim source
 	waysPer int
-	stats   [2]cache.Stats
 }
 
 func (t *dawgTarget) Access(line uint64, requestor int) bool {
-	hit := t.d.Access(line, requestor)
-	s := &t.stats[requestor]
-	s.Accesses++
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-	}
-	return hit
+	return t.d.Access(line, requestor)
 }
 
 func (t *dawgTarget) WarmVictim(lines []uint64) {
 	for _, ln := range lines {
-		t.Access(ln, ReqVictim)
+		t.d.Access(ln, ReqVictim)
 	}
 }
 
 func (t *dawgTarget) AttackerWays() int { return t.waysPer }
 
 func (t *dawgTarget) Report(requestor int) perfctr.Report {
-	return perfctr.FromL1Stats(requestor, t.stats[requestor])
+	return perfctr.FromL1Stats(requestor, t.d.Stats(requestor))
 }
 
-func (t *dawgTarget) ResetStats() { t.stats = [2]cache.Stats{} }
+func (t *dawgTarget) ResetStats() { t.d.ResetStats() }
 
 func (t *dawgTarget) Reset(seed uint64) {
 	t.d.Reset()
 	t.r.Reseed(seed)
-	t.ResetStats()
 }

@@ -36,7 +36,7 @@ func warmLines(prof uarch.Profile) []uint64 {
 }
 
 // Target.Reset must leave the target indistinguishable from a fresh
-// NewTargetCfg with the same seed: after dirtying one target with a
+// NewTarget with the same seed: after dirtying one target with a
 // random workload and resetting it, a second workload replayed on it
 // and on a freshly built target returns the same hit on every access
 // and the same counters for both requestors. Zen covers the utag
@@ -52,14 +52,14 @@ func TestTargetResetMatchesFresh(t *testing.T) {
 					r := rng.New(uint64(d)<<8 | uint64(pol))
 					const seed = 42
 					cfg := TargetConfig{Defense: d, Profile: prof, Policy: pol, Seed: 7}
-					reused := NewTargetCfg(cfg)
+					reused := NewTarget(cfg)
 					reused.WarmVictim(warmLines(prof))
 					for _, op := range randomOps(r, prof, 500) {
 						reused.Access(op.line, op.requestor)
 					}
 					reused.Reset(seed)
 					cfg.Seed = seed
-					fresh := NewTargetCfg(cfg)
+					fresh := NewTarget(cfg)
 
 					reused.WarmVictim(warmLines(prof))
 					fresh.WarmVictim(warmLines(prof))

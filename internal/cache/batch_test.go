@@ -49,8 +49,6 @@ func decodeBatch(data []byte) []Request {
 		req.LinearLine = req.PhysLine
 		if b >= 0xf8 {
 			req.Op = OpLock
-		} else if b >= 0xf0 {
-			req.Op = OpUnlock
 		}
 		reqs = append(reqs, req)
 	}

@@ -44,15 +44,13 @@ import (
 )
 
 // Op distinguishes the access types of the PL cache flow chart (Figure 10).
-// Plain loads use OpLoad; OpLock and OpUnlock additionally set or clear the
-// line's lock bit.
+// Plain loads use OpLoad; OpLock additionally sets the line's lock bit.
 type Op int
 
 // Access operations.
 const (
 	OpLoad Op = iota
 	OpLock
-	OpUnlock
 )
 
 // Config parameterizes a cache level.
@@ -374,11 +372,8 @@ func (c *Cache) install(set, way int, word uint64, req Request) {
 }
 
 func applyLockOp(m *lineMeta, op Op) {
-	switch op {
-	case OpLock:
+	if op == OpLock {
 		m.locked = true
-	case OpUnlock:
-		m.locked = false
 	}
 }
 

@@ -233,10 +233,6 @@ func TestLockBitLifecycle(t *testing.T) {
 	if !c.IsLocked(7) {
 		t.Fatal("line not locked after OpLock")
 	}
-	c.Access(Request{PhysLine: 7, Op: OpUnlock})
-	if c.IsLocked(7) {
-		t.Fatal("line still locked after OpUnlock")
-	}
 	if c.IsLocked(9999) {
 		t.Fatal("absent line reported locked")
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/hier"
 	"repro/internal/perfctr"
 )
 
@@ -142,11 +141,6 @@ func (m *Monitor) classify(rep perfctr.Report) (Verdict, string) {
 
 func tripped(label string, rate, threshold float64, formula string) string {
 	return fmt.Sprintf("%s %.2f%% > threshold %.2f%% [%s]", label, 100*rate, 100*threshold, formula)
-}
-
-// ClassifyProcess reads the counters for one requestor and classifies.
-func (m *Monitor) ClassifyProcess(h *hier.Hierarchy, requestor int) Verdict {
-	return m.Classify(perfctr.Collect(h, requestor))
 }
 
 // Explain renders the decision with the evidence and names the criterion

@@ -40,7 +40,7 @@ func TestLRUChannelEvadesDetector(t *testing.T) {
 	// Flush+Reload (mem) sender: flagged.
 	sFR := smtSetup(1)
 	baseline.New(baseline.FlushReloadMem, sFR).Run([]byte{1, 0}, true, 600, 1<<40)
-	if v := m.ClassifyProcess(sFR.Hier, core.ReqSender); v != Suspicious {
+	if v := m.Classify(perfctrCollect(sFR)); v != Suspicious {
 		t.Errorf("F+R sender classified %v; detector should catch it\n%s",
 			v, m.Explain(perfctrCollect(sFR)))
 	}
@@ -48,7 +48,7 @@ func TestLRUChannelEvadesDetector(t *testing.T) {
 	// LRU sender: not flagged, despite actively exfiltrating.
 	sLRU := smtSetup(2)
 	sLRU.Run([]byte{1, 0}, true, 300, 1<<40)
-	if v := m.ClassifyProcess(sLRU.Hier, core.ReqSender); v != Benign {
+	if v := m.Classify(perfctrCollect(sLRU)); v != Benign {
 		t.Errorf("LRU sender classified %v; the channel should be stealthy\n%s",
 			v, m.Explain(perfctrCollect(sLRU)))
 	}
@@ -61,7 +61,7 @@ func TestAlg2SenderAlsoEvades(t *testing.T) {
 		Tr: 600, Ts: 6000, D: 1, Seed: 3,
 	})
 	s.Run([]byte{1, 0}, true, 300, 1<<40)
-	if v := m.ClassifyProcess(s.Hier, core.ReqSender); v != Benign {
+	if v := m.Classify(perfctrCollect(s)); v != Benign {
 		t.Errorf("Algorithm 2 sender classified %v", v)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/uarch"
 )
 
-// Load must be allocation-free for every prefetcher model once the
-// per-requestor stride table is warm: the receiver's probe loop calls it
-// eight times per sample, hundreds of millions of times per sweep.
+// Load must be allocation-free for every prefetcher model: the
+// receiver's probe loop calls it eight times per sample, hundreds of
+// millions of times per sweep.
 
 func allocHier(pf PrefetcherKind) *Hierarchy {
 	return New(Config{
@@ -30,10 +30,10 @@ func lineAddr(physLine uint64) mem.Addr {
 }
 
 func TestLoadZeroAllocs(t *testing.T) {
-	for _, pf := range []PrefetcherKind{PrefetchNone, PrefetchNextLine, PrefetchStride} {
+	for _, pf := range []PrefetcherKind{PrefetchNone, PrefetchNextLine} {
 		t.Run(pf.String(), func(t *testing.T) {
 			h := allocHier(pf)
-			// Warm the stride table and the hit target.
+			// Warm the hit target.
 			h.Load(lineAddr(1), 0)
 			h.Load(lineAddr(1), 0)
 
@@ -47,9 +47,8 @@ func TestLoadZeroAllocs(t *testing.T) {
 				}
 			})
 			t.Run("miss", func(t *testing.T) {
-				// A constant-stride cold-miss stream: every load misses
-				// all levels and — under PrefetchStride — trains and
-				// fires the prefetcher; under PrefetchNextLine each
+				// A cold-miss stream: every load misses all levels,
+				// the LLC included, and under PrefetchNextLine each
 				// miss issues the neighbour fetch.
 				next := uint64(1 << 20)
 				if got := testing.AllocsPerRun(200, func() {
@@ -64,27 +63,15 @@ func TestLoadZeroAllocs(t *testing.T) {
 }
 
 func TestHierarchyResetRestoresPowerOn(t *testing.T) {
-	h := allocHier(PrefetchStride)
+	h := allocHier(PrefetchNone)
 	for i := uint64(0); i < 100; i++ {
 		h.Load(lineAddr(i*3), 1)
 	}
 	h.Reset()
-	if h.L1().Stats() != (cache.Stats{}) || h.L2().Stats() != (cache.Stats{}) {
+	if h.L1().Stats() != (cache.Stats{}) || h.L2().Stats() != (cache.Stats{}) || h.LLC().Stats() != (cache.Stats{}) {
 		t.Error("Reset left counters")
 	}
-	if h.L1().Contains(0) || h.L2().Contains(0) {
+	if h.L1().Contains(0) || h.L2().Contains(0) || h.LLC().Contains(0) {
 		t.Error("Reset left lines resident")
-	}
-	// The stride detector must be back at power-on: the first miss after
-	// Reset must not be treated as part of the old stream (no prefetch
-	// until a stride repeats).
-	if res := h.Load(lineAddr(300), 1); res.PrefetchIssued {
-		t.Error("stride state survived Reset")
-	}
-	if res := h.Load(lineAddr(303), 1); res.PrefetchIssued {
-		t.Error("first stride observation already prefetched")
-	}
-	if res := h.Load(lineAddr(306), 1); !res.PrefetchIssued {
-		t.Error("repeated stride did not prefetch after Reset")
 	}
 }

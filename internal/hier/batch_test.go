@@ -19,8 +19,8 @@ import (
 // per-access path.
 
 // batchHierConfigs enumerates the corners: plain deterministic (phase
-// split), Random L1 (per-access fallback), each prefetcher (fallback),
-// utag profile, and the PL configs.
+// split, with and without an LLC), Random L1 (per-access fallback), the
+// next-line prefetcher (fallback), utag profile, and the PL configs.
 func batchHierConfigs() []Config {
 	sb, zen := uarch.SandyBridge(), uarch.Zen()
 	return []Config{
@@ -30,7 +30,7 @@ func batchHierConfigs() []Config {
 		{Profile: sb, L1Policy: replacement.FIFO, L2Policy: replacement.TreePLRU},
 		{Profile: sb, L1Policy: replacement.Random, L2Policy: replacement.TreePLRU, WithLLC: true},
 		{Profile: sb, L1Policy: replacement.FIFO, L2Policy: replacement.TreePLRU, Prefetcher: PrefetchNextLine},
-		{Profile: sb, L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, Prefetcher: PrefetchStride, WithLLC: true},
+		{Profile: sb, L1Policy: replacement.TreePLRU, L2Policy: replacement.BitPLRU, WithLLC: true},
 		{Profile: zen, L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, WithLLC: true},
 		{Profile: sb, L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, PartitionLockedL1: true, WithLLC: true},
 		{Profile: sb, L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, PartitionLockedL1: true, LockReplacementStateL1: true},

@@ -1,8 +1,8 @@
 // Package hier assembles cache levels into the memory hierarchy the
 // experiments run against: an L1D and L2 (and optionally an LLC for the
-// miss-rate tables), with per-level latencies from a uarch.Profile, optional
-// hardware prefetching (the noise source dealt with in Appendix C), and the
-// AMD utag way-predictor effect on observable latency.
+// miss-rate tables), with per-level latencies from a uarch.Profile, an
+// optional next-line hardware prefetcher (the noise source dealt with in
+// Appendix C), and the AMD utag way-predictor effect on observable latency.
 //
 // The hierarchy is load-only: the attacks never need stores, and the paper's
 // channels are read channels.
@@ -29,9 +29,6 @@ const (
 	// DCU streamer-style behaviour that pollutes neighbouring sets'
 	// LRU state during Spectre attacks, Appendix C).
 	PrefetchNextLine
-	// PrefetchStride detects constant-stride miss patterns per requestor
-	// and prefetches one stride ahead.
-	PrefetchStride
 )
 
 // String names the prefetcher model.
@@ -41,8 +38,6 @@ func (k PrefetcherKind) String() string {
 		return "none"
 	case PrefetchNextLine:
 		return "next-line"
-	case PrefetchStride:
-		return "stride"
 	default:
 		return fmt.Sprintf("PrefetcherKind(%d)", int(k))
 	}
@@ -114,17 +109,6 @@ type Result struct {
 	PrefetchIssued bool
 }
 
-// stridePref is the per-requestor stride-detector state of
-// PrefetchStride: the last missing line, the last observed stride, and
-// whether a miss has been seen at all. It lives in a small slice indexed
-// by requestor id (ids are tiny: sender, receiver, a few noise threads)
-// so the per-miss update never touches a map or the allocator.
-type stridePref struct {
-	lastMiss uint64
-	stride   int64
-	seen     bool
-}
-
 // Hierarchy is the assembled memory system.
 type Hierarchy struct {
 	cfg Config
@@ -132,21 +116,15 @@ type Hierarchy struct {
 	l2  *cache.Cache
 	llc *cache.Cache
 
-	// Per-requestor stride-prefetcher state, grown on demand.
-	pref []stridePref
-
 	// Scratch buffers of LoadBatch (see batch.go), allocated on first
 	// use and reused across calls.
 	batch batchScratch
 }
 
-// prefPrealloc matches the cache's per-requestor counter pre-sizing.
-const prefPrealloc = 8
-
 // New builds the hierarchy described by cfg.
 func New(cfg Config) *Hierarchy {
 	p := cfg.Profile
-	h := &Hierarchy{cfg: cfg, pref: make([]stridePref, 0, prefPrealloc)}
+	h := &Hierarchy{cfg: cfg}
 	h.l1 = cache.New(cache.Config{
 		Name: "L1D", Sets: p.L1Sets, Ways: p.L1Ways, LineSize: p.LineSize,
 		Policy: cfg.L1Policy, RNG: cfg.RNG,
@@ -241,65 +219,30 @@ func (h *Hierarchy) result(r1 cache.Result, lvl Level) Result {
 	}
 }
 
-// maybePrefetch implements the prefetcher models. Prefetched fills go
+// maybePrefetch implements the next-line prefetcher. Prefetched fills go
 // through the normal access path (they update LRU state in every level they
 // fill — that is exactly the noise the Spectre receiver must cancel), but
 // they never recursively trigger further prefetches, and like real hardware
 // prefetchers they never cross a 4 KiB page boundary.
 func (h *Hierarchy) maybePrefetch(miss mem.Addr, requestor int) bool {
-	switch h.cfg.Prefetcher {
-	case PrefetchNextLine:
-		next := mem.Addr{
-			Virt: miss.Virt + uint64(h.cfg.Profile.LineSize), Phys: miss.Phys + uint64(h.cfg.Profile.LineSize),
-			VirtLine: miss.VirtLine + 1, PhysLine: miss.PhysLine + 1,
-		}
-		if !samePage(next.Phys, miss.Phys) {
-			return false
-		}
-		h.load(next, requestor, cache.OpLoad, false)
-		return true
-	case PrefetchStride:
-		p := h.prefState(requestor)
-		last, seen := p.lastMiss, p.seen
-		p.lastMiss, p.seen = miss.PhysLine, true
-		if !seen {
-			return false
-		}
-		stride := int64(miss.PhysLine) - int64(last)
-		prev := p.stride
-		p.stride = stride
-		if stride == 0 || stride != prev {
-			return false
-		}
-		next := mem.Addr{
-			Virt:     uint64(int64(miss.Virt) + stride*int64(h.cfg.Profile.LineSize)),
-			Phys:     uint64(int64(miss.Phys) + stride*int64(h.cfg.Profile.LineSize)),
-			VirtLine: uint64(int64(miss.VirtLine) + stride),
-			PhysLine: uint64(int64(miss.PhysLine) + stride),
-		}
-		if !samePage(next.Phys, miss.Phys) {
-			return false
-		}
-		h.load(next, requestor, cache.OpLoad, false)
-		return true
-	default:
+	if h.cfg.Prefetcher != PrefetchNextLine {
 		return false
 	}
+	next := mem.Addr{
+		Virt: miss.Virt + uint64(h.cfg.Profile.LineSize), Phys: miss.Phys + uint64(h.cfg.Profile.LineSize),
+		VirtLine: miss.VirtLine + 1, PhysLine: miss.PhysLine + 1,
+	}
+	if !samePage(next.Phys, miss.Phys) {
+		return false
+	}
+	h.load(next, requestor, cache.OpLoad, false)
+	return true
 }
 
 // samePage reports whether two physical byte addresses share a 4 KiB
 // page — hardware prefetchers never cross one.
 func samePage(a, b uint64) bool {
 	return a/mem.PageSize == b/mem.PageSize
-}
-
-// prefState returns the stride-detector slot for one requestor, growing
-// the table on first sight of a new id.
-func (h *Hierarchy) prefState(requestor int) *stridePref {
-	for len(h.pref) <= requestor {
-		h.pref = append(h.pref, stridePref{})
-	}
-	return &h.pref[requestor]
 }
 
 // Flush removes the physical line from every level (the clflush model of
@@ -319,15 +262,6 @@ func (h *Hierarchy) Flush(physLine uint64) Level {
 	return deepest
 }
 
-// InvalidateAll empties every level.
-func (h *Hierarchy) InvalidateAll() {
-	h.l1.InvalidateAll()
-	h.l2.InvalidateAll()
-	if h.llc != nil {
-		h.llc.InvalidateAll()
-	}
-}
-
 // ResetStats clears counters in every level.
 func (h *Hierarchy) ResetStats() {
 	h.l1.ResetStats()
@@ -338,8 +272,7 @@ func (h *Hierarchy) ResetStats() {
 }
 
 // Reset returns the whole hierarchy to power-on state: every level's
-// lines, replacement state and counters, plus the prefetcher's stride
-// detectors. Trial loops can re-run an experiment cell on one machine
+// lines, replacement state and counters. Trial loops can re-run an experiment cell on one machine
 // instead of reconstructing the hierarchy (construction, not simulation,
 // is where a cell's allocations live).
 func (h *Hierarchy) Reset() {
@@ -348,8 +281,6 @@ func (h *Hierarchy) Reset() {
 	if h.llc != nil {
 		h.llc.Reset()
 	}
-	clear(h.pref)
-	h.pref = h.pref[:0]
 }
 
 // Warm loads addr until it resides in L1 (two loads suffice: the first

@@ -162,39 +162,6 @@ func TestNextLinePrefetcher(t *testing.T) {
 	}
 }
 
-func TestStridePrefetcher(t *testing.T) {
-	h, _, as := newTestHier(t, Config{
-		L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU,
-		Prefetcher: PrefetchStride,
-	})
-	base := as.Alloc(8)
-	// Misses at lines 0, 2, 4: after the second identical stride the
-	// prefetcher should fetch line 6.
-	h.Load(as.Resolve(base), 0)
-	h.Load(as.Resolve(base+2*64), 0)
-	res := h.Load(as.Resolve(base+4*64), 0)
-	if !res.PrefetchIssued {
-		t.Fatal("constant stride not detected")
-	}
-	if !h.L1().Contains(as.Resolve(base + 6*64).PhysLine) {
-		t.Fatal("strided line not prefetched")
-	}
-}
-
-func TestStridePrefetcherIgnoresIrregular(t *testing.T) {
-	h, _, as := newTestHier(t, Config{
-		L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU,
-		Prefetcher: PrefetchStride,
-	})
-	base := as.Alloc(16)
-	for i, off := range []uint64{0, 3, 4, 9, 15} {
-		res := h.Load(as.Resolve(base+off*64), 0)
-		if res.PrefetchIssued {
-			t.Fatalf("irregular access %d triggered prefetch", i)
-		}
-	}
-}
-
 func TestPrefetchPollutesLRUState(t *testing.T) {
 	// The Appendix C problem in miniature: with the next-line prefetcher,
 	// a miss in set S also updates the LRU state of set S+1.
@@ -270,7 +237,7 @@ func TestLevelAndPrefetcherStrings(t *testing.T) {
 		t.Error("Level.String broken")
 	}
 	if PrefetchNone.String() != "none" || PrefetchNextLine.String() != "next-line" ||
-		PrefetchStride.String() != "stride" || PrefetcherKind(9).String() == "" {
+		PrefetcherKind(9).String() == "" {
 		t.Error("PrefetcherKind.String broken")
 	}
 }

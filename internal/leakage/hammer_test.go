@@ -17,7 +17,7 @@ import (
 func (p *prober) referenceTrial(cfg Config, seed uint64, secret int) uint64 {
 	prof := cfg.Profile
 	prof.L1Ways = cfg.Ways
-	tg := attack.NewTargetCfg(attack.TargetConfig{
+	tg := attack.NewTarget(attack.TargetConfig{
 		Defense: cfg.Defense, Profile: prof, Policy: cfg.Policy,
 		FillWindow: cfg.FillWindow, Seed: seed,
 	})

@@ -100,7 +100,7 @@ type Config struct {
 	// unprotected baseline).
 	Defense attack.Defense
 	// FillWindow is the random-fill window knob, forwarded to
-	// attack.NewTargetCfg (0 = canonical; other defenses ignore it).
+	// attack.NewTarget (0 = canonical; other defenses ignore it).
 	FillWindow uint64
 	// Profile supplies the cache geometry (default Sandy Bridge).
 	Profile uarch.Profile
@@ -128,7 +128,7 @@ type Result struct {
 }
 
 // Eval measures the probing-strategy leakage of one cell. The target
-// is built by the same attack.NewTargetCfg constructors the template
+// is built by the same attack.NewTarget constructor the template
 // attack runs against, so the analyzed machine is the simulated
 // machine. Panics when the observation would not fit one uint64
 // ((V + attacker lines) * Rounds > 64).
@@ -186,7 +186,7 @@ func newProber(cfg Config) *prober {
 		Defense: cfg.Defense, Profile: prof, Policy: cfg.Policy,
 		FillWindow: cfg.FillWindow,
 	}
-	tg := attack.NewTargetCfg(tcfg)
+	tg := attack.NewTarget(tcfg)
 	v := st.VictimLines
 	a := min(ways-v, tg.AttackerWays())
 	if need := (st.KickersPerRound*missCountBits + v) * st.Rounds; need > 64 {
@@ -253,7 +253,7 @@ func projections(st Strategy, v int) []func(uint64) uint64 {
 	}
 }
 
-// trial resets the target to the one NewTargetCfg builds with seed,
+// trial resets the target to the one NewTarget builds with seed,
 // runs one establishment → secret → pressure/probe session and returns
 // the packed observation.
 func (p *prober) trial(seed uint64, secret int) uint64 {

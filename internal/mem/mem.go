@@ -149,14 +149,6 @@ func (as *AddressSpace) Resolve(vaddr uint64) Addr {
 	return Addr{Virt: vaddr, Phys: pa, VirtLine: vaddr / ls, PhysLine: pa / ls}
 }
 
-// SetIndexBits returns the L1 set index implied by an address for a VIPT
-// cache with the given number of sets: bits log2(lineSize) .. log2(lineSize
-// * sets)-1. Because lineSize*sets == PageSize for the paper's L1, virtual
-// and physical addresses give the same answer.
-func (s *System) SetIndexBits(addr uint64, sets int) int {
-	return int(addr / uint64(s.lineSize) % uint64(sets))
-}
-
 // LinesForSet allocates private pages and returns count virtual addresses
 // in as, every one mapping to the given L1 set, each on its own page (so
 // each is a distinct cache line with a distinct physical tag). This builds

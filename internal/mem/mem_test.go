@@ -123,19 +123,9 @@ func TestResolveLineNumbers(t *testing.T) {
 	}
 }
 
-func TestSetIndexBits(t *testing.T) {
-	s := NewSystem(64)
-	// bits 6..11 select among 64 sets.
-	if got := s.SetIndexBits(0, 64); got != 0 {
-		t.Errorf("set of 0 = %d", got)
-	}
-	if got := s.SetIndexBits(64, 64); got != 1 {
-		t.Errorf("set of 64 = %d", got)
-	}
-	if got := s.SetIndexBits(4096+5*64, 64); got != 5 {
-		t.Errorf("set of page+5*64 = %d", got)
-	}
-}
+// setOf is the set a byte address indexes in a VIPT L1 of 64 sets of
+// 64-byte lines: address bits 6..11, all inside the page offset.
+func setOf(addr uint64) int { return int(addr / 64 % 64) }
 
 func TestLinesForSetAllInSet(t *testing.T) {
 	s := NewSystem(64)
@@ -148,11 +138,11 @@ func TestLinesForSetAllInSet(t *testing.T) {
 	physSeen := map[uint64]bool{}
 	for _, v := range lines {
 		a := as.Resolve(v)
-		if s.SetIndexBits(a.Virt, 64) != set {
-			t.Errorf("virtual %#x maps to set %d", a.Virt, s.SetIndexBits(a.Virt, 64))
+		if setOf(a.Virt) != set {
+			t.Errorf("virtual %#x maps to set %d", a.Virt, setOf(a.Virt))
 		}
-		if s.SetIndexBits(a.Phys, 64) != set {
-			t.Errorf("physical %#x maps to set %d", a.Phys, s.SetIndexBits(a.Phys, 64))
+		if setOf(a.Phys) != set {
+			t.Errorf("physical %#x maps to set %d", a.Phys, setOf(a.Phys))
 		}
 		if physSeen[a.PhysLine] {
 			t.Errorf("duplicate physical line %d", a.PhysLine)
@@ -200,8 +190,8 @@ func TestSharedLinesForSetAlias(t *testing.T) {
 		if ra.VirtLine == rb.VirtLine {
 			t.Errorf("pair %d: virtual lines identical; spaces should differ", i)
 		}
-		if s.SetIndexBits(ra.Phys, 64) != set {
-			t.Errorf("pair %d in set %d", i, s.SetIndexBits(ra.Phys, 64))
+		if setOf(ra.Phys) != set {
+			t.Errorf("pair %d in set %d", i, setOf(ra.Phys))
 		}
 	}
 	// Distinct pairs must be distinct physical lines.
@@ -239,7 +229,7 @@ func TestQuickVIPTSetAgreement(t *testing.T) {
 		o := uint64(off) % (16 * PageSize)
 		v := base + o
 		p := as.MustTranslate(v)
-		return s.SetIndexBits(v, 64) == s.SetIndexBits(p, 64)
+		return setOf(v) == setOf(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

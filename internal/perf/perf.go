@@ -24,20 +24,11 @@ import (
 type Config struct {
 	// Policy is the L1D replacement policy under test.
 	Policy replacement.Kind
-	// Instructions simulated per benchmark (default 2,000,000; one
-	// memory reference is issued every memRefEvery instructions).
+	// Instructions simulated per benchmark (one memory reference is
+	// issued every memRefEvery instructions).
 	Instructions int
-	Seed         uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Instructions == 0 {
-		c.Instructions = 2_000_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 2020
-	}
-	return c
+	// Seed drives the Random policy's victim choice.
+	Seed uint64
 }
 
 // Figure 9's GEM5 memory-system parameters.
@@ -65,7 +56,6 @@ type Result struct {
 
 // RunBenchmark executes one workload under one policy.
 func RunBenchmark(gen workload.Generator, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed)
 	l1 := cache.New(cache.Config{
 		Name: "L1D", Sets: l1Sets, Ways: l1Ways, LineSize: 64,
@@ -123,26 +113,9 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 	}
 }
 
-// RunSuite runs every suite benchmark under every given policy. The outer
-// index follows the suite order, the inner the policy order.
-func RunSuite(policies []replacement.Kind, cfg Config) [][]Result {
-	cfg = cfg.withDefaults()
-	var out [][]Result
-	for _, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		var row []Result
-		for _, gen := range workload.Suite(cfg.Seed) {
-			row = append(row, RunBenchmark(gen, c))
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
 // Normalized returns each policy's metric divided by the first policy's
-// (the paper normalizes to Tree-PLRU). metric selects CPI (true) or L1D
-// miss rate (false).
+// (the paper normalizes to Tree-PLRU); results[p][b] is policy p on
+// benchmark b. cpi selects CPI (true) or L1D miss rate (false).
 func Normalized(results [][]Result, cpi bool) [][]float64 {
 	if len(results) == 0 {
 		return nil

@@ -8,8 +8,20 @@ import (
 	"repro/internal/workload"
 )
 
-func fig9Policies() []replacement.Kind {
-	return []replacement.Kind{replacement.TreePLRU, replacement.FIFO, replacement.Random}
+// runSuite runs every suite benchmark under each Figure 9 policy:
+// results[p][b] is policy p on benchmark b.
+func runSuite(cfg Config) [][]Result {
+	var out [][]Result
+	for _, pol := range []replacement.Kind{replacement.TreePLRU, replacement.FIFO, replacement.Random} {
+		c := cfg
+		c.Policy = pol
+		row := make([]Result, workload.SuiteSize())
+		for b := range row {
+			row[b] = RunBenchmark(workload.SuiteBenchmark(b, cfg.Seed), c)
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 func TestRunBenchmarkSane(t *testing.T) {
@@ -47,7 +59,7 @@ func TestHotWorkloadHitsWell(t *testing.T) {
 // The Figure 9 claims: (a) FIFO and Random degrade the L1D miss rate only
 // slightly overall; (b) CPI changes stay within ~2% in geometric mean.
 func TestFigure9RelativeShape(t *testing.T) {
-	results := RunSuite(fig9Policies(), Config{Instructions: 400_000, Seed: 9})
+	results := runSuite(Config{Instructions: 400_000, Seed: 9})
 	if len(results) != 3 || len(results[0]) != 12 {
 		t.Fatalf("suite shape %dx%d", len(results), len(results[0]))
 	}
@@ -73,7 +85,7 @@ func TestFigure9RelativeShape(t *testing.T) {
 // and Random "sometimes have an even smaller cache miss rate"). With a
 // strided conflict-heavy workload, LRU-family thrashing shows.
 func TestSomeBenchmarkPrefersNonLRU(t *testing.T) {
-	results := RunSuite(fig9Policies(), Config{Instructions: 400_000, Seed: 9})
+	results := runSuite(Config{Instructions: 400_000, Seed: 9})
 	better := 0
 	for b := range results[0] {
 		if results[1][b].L1DMissRate < results[0][b].L1DMissRate-1e-9 ||
@@ -87,7 +99,7 @@ func TestSomeBenchmarkPrefersNonLRU(t *testing.T) {
 }
 
 func TestNormalizedBaseIsOne(t *testing.T) {
-	results := RunSuite(fig9Policies(), Config{Instructions: 200_000, Seed: 4})
+	results := runSuite(Config{Instructions: 200_000, Seed: 4})
 	cpi := Normalized(results, true)
 	for b, v := range cpi[0] {
 		if v != 1 {

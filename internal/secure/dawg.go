@@ -3,6 +3,7 @@ package secure
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/replacement"
 	"repro/internal/rng"
 )
@@ -14,105 +15,68 @@ import (
 // no access by one domain can influence the victim selection — or the
 // observable timing — of another.
 //
-// Every (set, domain) partition is one row of a packed SetArray, row
-// set*domains+domain, and owns the waysPer consecutive line slots
-// starting at row*waysPer; the model exposes just enough surface to run
-// the LRU channel protocols against it.
+// A domain's partition is therefore a smaller cache of its own: one
+// cache.Cache per domain, with the full set count and ways/domains ways.
 type DAWGCache struct {
-	sets    int
-	waysPer int // ways owned by each domain
-	domains int
-	lines   []dawgLine // [row*waysPer + way]
-	repl    *replacement.SetArray
-}
-
-type dawgLine struct {
-	valid bool
-	tag   uint64
+	parts []*cache.Cache // one per domain
 }
 
 // NewDAWG builds a partitioned cache: `ways` total ways per set divided
-// evenly among `domains` protection domains, running Tree-PLRU inside
-// each partition.
-func NewDAWG(sets, ways, domains int) *DAWGCache {
-	return NewDAWGWithPolicy(sets, ways, domains, replacement.TreePLRU, nil)
-}
-
-// NewDAWGWithPolicy is NewDAWG with an explicit per-partition
-// replacement policy, for the secret-recovery defense matrix that
-// sweeps the attack across policies. The rng is required when pol is
-// replacement.Random, whose victim choice draws from it.
-func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind, r *rng.Rand) *DAWGCache {
+// evenly among `domains` protection domains, each partition running pol.
+// The rng is required when pol is replacement.Random, whose victim
+// choice draws from it; every partition shares it.
+func NewDAWG(sets, ways, domains int, pol replacement.Kind, r *rng.Rand) *DAWGCache {
 	if domains < 1 || ways%domains != 0 {
 		panic(fmt.Sprintf("secure: %d ways not divisible among %d domains", ways, domains))
 	}
-	waysPer := ways / domains
-	return &DAWGCache{
-		sets: sets, waysPer: waysPer, domains: domains,
-		lines: make([]dawgLine, sets*ways),
-		repl:  replacement.NewSetArray(pol, sets*domains, waysPer, r),
+	d := &DAWGCache{parts: make([]*cache.Cache, domains)}
+	for i := range d.parts {
+		d.parts[i] = cache.New(cache.Config{
+			Name: "DAWG-L1D", Sets: sets, Ways: ways / domains, LineSize: 64,
+			Policy: pol, RNG: r,
+		})
 	}
+	return d
 }
 
 // Reset returns every partition to power-on state: all lines invalid,
-// every domain's replacement state at its reset value. Trial loops
-// reuse one DAWGCache through Reset instead of reallocating it per
-// trial.
+// every domain's replacement state at its reset value, counters zeroed.
+// Trial loops reuse one DAWGCache through Reset instead of reallocating
+// it per trial.
 func (d *DAWGCache) Reset() {
-	clear(d.lines)
-	d.repl.Reset()
-}
-
-// partition returns the replacement row and the line slots of domain's
-// partition of the set physLine maps to, and physLine's tag.
-func (d *DAWGCache) partition(physLine uint64, domain int) (row int, lines []dawgLine, tag uint64) {
-	if uint(domain) >= uint(d.domains) {
-		panic(fmt.Sprintf("secure: domain %d out of range", domain))
+	for _, p := range d.parts {
+		p.Reset()
 	}
-	sets := uint64(d.sets)
-	row = int(physLine%sets)*d.domains + domain
-	return row, d.lines[row*d.waysPer:][:d.waysPer], physLine / sets
 }
 
 // Access performs a load by `domain`. Lookups search only the domain's own
 // ways (DAWG partitions hits too — a cross-domain hit would itself be a
 // channel), and replacement state updates stay inside the domain.
 func (d *DAWGCache) Access(physLine uint64, domain int) (hit bool) {
-	row, lines, tag := d.partition(physLine, domain)
-	for w := range lines {
-		if lines[w].valid && lines[w].tag == tag {
-			d.repl.Touch(row, w)
-			return true
-		}
-	}
-	// Miss: fill an invalid way of the domain or evict its own victim.
-	w := 0
-	for w < len(lines) && lines[w].valid {
-		w++
-	}
-	if w == len(lines) {
-		w = d.repl.Victim(row)
-	}
-	lines[w] = dawgLine{valid: true, tag: tag}
-	d.repl.Fill(row, w)
-	return false
+	return d.parts[domain].Access(cache.Request{PhysLine: physLine, Requestor: domain}).Hit
 }
 
 // Contains reports whether the line is resident in the given domain's
 // partition.
 func (d *DAWGCache) Contains(physLine uint64, domain int) bool {
-	_, lines, tag := d.partition(physLine, domain)
-	for _, ln := range lines {
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	return d.parts[domain].Contains(physLine)
 }
 
 // PolicyState renders one domain's replacement state in a set.
 func (d *DAWGCache) PolicyState(set, domain int) string {
-	return d.repl.StateString(set*d.domains + domain)
+	return d.parts[domain].PolicyState(set)
+}
+
+// Stats returns the counters of domain's accesses.
+func (d *DAWGCache) Stats(domain int) cache.Stats {
+	return d.parts[domain].Stats()
+}
+
+// ResetStats zeroes every domain's counters.
+func (d *DAWGCache) ResetStats() {
+	for _, p := range d.parts {
+		p.ResetStats()
+	}
 }
 
 // DAWGLeakExperiment runs the Algorithm 2 single-set protocol against the
@@ -122,9 +86,9 @@ func (d *DAWGCache) PolicyState(set, domain int) string {
 // the sender's bit — which must sit at chance (~0.5), because the
 // partitions are independent.
 func DAWGLeakExperiment(trials int, seed uint64) float64 {
-	r := newSeededRand(seed)
+	r := rng.New(seed)
 	ok := 0
-	d := NewDAWG(64, 8, 2)
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
 	for trial := 0; trial < trials; trial++ {
 		d.Reset()
 		const set = 5

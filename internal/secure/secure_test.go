@@ -105,11 +105,11 @@ func TestDAWGPartitionValidation(t *testing.T) {
 			t.Fatal("no panic for indivisible ways")
 		}
 	}()
-	NewDAWG(64, 8, 3)
+	NewDAWG(64, 8, 3, replacement.TreePLRU, nil)
 }
 
 func TestDAWGDomainsIsolated(t *testing.T) {
-	d := NewDAWG(64, 8, 2)
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
 	const set = 7
 	line := func(i int) uint64 { return uint64(i)*64 + set }
 	// Domain 1 fills its partition.
@@ -132,7 +132,7 @@ func TestDAWGDomainsIsolated(t *testing.T) {
 }
 
 func TestDAWGNoCrossDomainHit(t *testing.T) {
-	d := NewDAWG(64, 8, 2)
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
 	d.Access(42*64, 0)
 	if hit := d.Access(42*64, 1); hit {
 		t.Error("domain 1 hit on a line cached by domain 0; partition broken")
@@ -149,7 +149,7 @@ func TestDAWGLeakAtChance(t *testing.T) {
 }
 
 func TestDAWGEvictsWithinDomainOnly(t *testing.T) {
-	d := NewDAWG(64, 8, 2)
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
 	const set = 9
 	line := func(i int) uint64 { return uint64(i)*64 + set }
 	// Fill both domains.
@@ -172,7 +172,7 @@ func TestDAWGEvictsWithinDomainOnly(t *testing.T) {
 // round-robin mitigation), so its pointer has to advance on every fill:
 // after six fills into a 4-way partition the two oldest lines are gone.
 func TestDAWGFIFOEvictsInFillOrder(t *testing.T) {
-	d := NewDAWGWithPolicy(64, 8, 2, replacement.FIFO, nil)
+	d := NewDAWG(64, 8, 2, replacement.FIFO, nil)
 	const set = 5
 	line := func(i int) uint64 { return uint64(i)*64 + set }
 	for i := 0; i < 6; i++ {

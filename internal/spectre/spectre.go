@@ -91,8 +91,8 @@ const (
 type Config struct {
 	Profile    uarch.Profile
 	Disclosure Disclosure
-	// Window is the speculation window in cycles (default 20 — a handful
-	// of issue slots, far below a memory round trip).
+	// Window is the speculation window in cycles (default 30 — room for
+	// two back-to-back L2 hits, far below a memory round trip).
 	Window int
 	// Rounds is the number of randomized-order measurement rounds
 	// averaged per byte (Appendix C's prefetcher-noise defence;

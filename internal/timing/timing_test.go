@@ -157,10 +157,10 @@ func TestAMDChaseNeedsAveraging(t *testing.T) {
 }
 
 func TestChaserElementsInReservedSet(t *testing.T) {
-	h, sys, as, tsc := intelRig(t)
+	h, _, as, tsc := intelRig(t)
 	ch := NewChaser(h, as, 63, 0, 1, tsc)
 	for _, e := range ch.Elements() {
-		if got := sys.SetIndexBits(e.Phys, 64); got != 63 {
+		if got := h.L1().SetIndex(e.PhysLine); got != 63 {
 			t.Errorf("chase element in set %d, want 63", got)
 		}
 	}

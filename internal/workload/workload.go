@@ -274,22 +274,13 @@ var suite = []benchmark{
 // any of them.
 func SuiteSize() int { return len(suite) }
 
-// SuiteBenchmark builds and seeds the i'th suite benchmark alone. It is
-// identical to Suite(seed)[i].
+// SuiteBenchmark builds the i'th Figure 9 benchmark, seeded and ready
+// to stream. Names follow the SPEC programs whose locality each
+// generator imitates.
 func SuiteBenchmark(i int, seed uint64) Generator {
 	g := suite[i].build()
 	g.Reset(seed + uint64(i)*1315423911)
 	return g
-}
-
-// Suite returns the Figure 9 benchmark suite, seeded and ready to stream.
-// Names follow the SPEC programs whose locality each generator imitates.
-func Suite(seed uint64) []Generator {
-	gens := make([]Generator, SuiteSize())
-	for i := range gens {
-		gens[i] = SuiteBenchmark(i, seed)
-	}
-	return gens
 }
 
 // Index returns the suite position of the named benchmark, without
@@ -304,8 +295,8 @@ func Index(name string) (int, error) {
 	return 0, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
-// ByName builds the named suite generator alone. It is identical to the
-// generator of that name in Suite(seed).
+// ByName builds the named suite generator alone. It is identical to
+// SuiteBenchmark at the name's suite position.
 func ByName(name string, seed uint64) (Generator, error) {
 	i, err := Index(name)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/engine"
+	"repro/internal/perfctr"
 	"repro/internal/replacement"
 	"repro/internal/sched"
 	"repro/internal/spectre"
@@ -241,7 +242,7 @@ func renderAblations(opt RunOptions) string {
 			Tr: 600, Ts: 6000, Seed: seed + 1})
 		sLRU.Run([]byte{1, 0}, true, 600, 1<<40)
 		return fmt.Sprintf("fr-sender=%v lru-sender=%v",
-			m.ClassifyProcess(sFR.Hier, core.ReqSender), m.ClassifyProcess(sLRU.Hier, core.ReqSender))
+			m.Classify(perfctr.Collect(sFR.Hier, core.ReqSender)), m.Classify(perfctr.Collect(sLRU.Hier, core.ReqSender)))
 	})
 
 	var b strings.Builder
