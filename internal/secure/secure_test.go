@@ -185,3 +185,107 @@ func TestDAWGFIFOEvictsInFillOrder(t *testing.T) {
 		}
 	}
 }
+
+// Each domain's counters see only that domain's loads: domain 0 misses
+// three lines and re-hits one, domain 1 misses two, and a cross-domain
+// repeat of domain 0's line is a miss counted against domain 1.
+func TestDAWGStatsPerDomain(t *testing.T) {
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
+	for _, l := range []uint64{1, 2, 3, 1} {
+		d.Access(l, 0)
+	}
+	d.Access(1, 1)
+	d.Access(4, 1)
+	if got, want := d.Stats(0), (cache.Stats{Accesses: 4, Hits: 1, Misses: 3}); got != want {
+		t.Errorf("domain 0 stats %+v, want %+v", got, want)
+	}
+	if got, want := d.Stats(1), (cache.Stats{Accesses: 2, Misses: 2}); got != want {
+		t.Errorf("domain 1 stats %+v, want %+v", got, want)
+	}
+}
+
+// ResetStats zeroes the counters but leaves lines and replacement state
+// alone: the attack session calls it once after its warm-up.
+func TestDAWGResetStatsKeepsLines(t *testing.T) {
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
+	const set = 3
+	line := func(i int) uint64 { return uint64(i)*64 + set }
+	for i := 0; i < 3; i++ {
+		d.Access(line(i), 0)
+		d.Access(line(10+i), 1)
+	}
+	states := [2]string{d.PolicyState(set, 0), d.PolicyState(set, 1)}
+	d.ResetStats()
+	for dom := 0; dom < 2; dom++ {
+		if s := d.Stats(dom); s != (cache.Stats{}) {
+			t.Errorf("domain %d stats %+v after ResetStats", dom, s)
+		}
+		if got := d.PolicyState(set, dom); got != states[dom] {
+			t.Errorf("domain %d state %s after ResetStats, want %s", dom, got, states[dom])
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if !d.Contains(line(i), 0) || !d.Contains(line(10+i), 1) {
+			t.Errorf("line pair %d lost by ResetStats", i)
+		}
+	}
+}
+
+// Reset returns every partition to the state of a freshly built DAWG:
+// no lines, zero counters, power-on replacement state.
+func TestDAWGResetRestoresPowerOn(t *testing.T) {
+	fresh := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
+	d := NewDAWG(64, 8, 2, replacement.TreePLRU, nil)
+	const set = 6
+	line := func(i int) uint64 { return uint64(i)*64 + set }
+	for i := 0; i < 6; i++ {
+		d.Access(line(i), 0)
+		d.Access(line(20+i), 1)
+	}
+	d.Reset()
+	for dom := 0; dom < 2; dom++ {
+		if s := d.Stats(dom); s != (cache.Stats{}) {
+			t.Errorf("domain %d stats %+v after Reset", dom, s)
+		}
+		if got, want := d.PolicyState(set, dom), fresh.PolicyState(set, dom); got != want {
+			t.Errorf("domain %d state %s after Reset, want %s", dom, got, want)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if d.Contains(line(i), 0) || d.Contains(line(20+i), 1) {
+			t.Errorf("line pair %d resident after Reset", i)
+		}
+	}
+}
+
+// A Random partition draws its victims from the shared generator but
+// still only among its own ways: overflowing domain 0 leaves domain 1's
+// lines resident and exactly a partition's worth of domain 0's lines.
+func TestDAWGRandomEvictsWithinDomainOnly(t *testing.T) {
+	d := NewDAWG(64, 8, 2, replacement.Random, rng.New(7))
+	const set = 11
+	line := func(i int) uint64 { return uint64(i)*64 + set }
+	for i := 0; i < 4; i++ {
+		d.Access(line(10+i), 1)
+	}
+	for i := 0; i < 40; i++ {
+		d.Access(line(100+i), 0)
+	}
+	for i := 0; i < 4; i++ {
+		if !d.Contains(line(10+i), 1) {
+			t.Errorf("domain 1 line %d evicted by domain 0 overflow", 10+i)
+		}
+	}
+	resident := 0
+	for i := 0; i < 40; i++ {
+		if d.Contains(line(100+i), 0) {
+			resident++
+		}
+	}
+	if resident != 4 {
+		t.Errorf("%d of domain 0's lines resident, want 4", resident)
+	}
+	if s := d.Stats(0); s.Misses != 40 || s.Evictions != 36 {
+		t.Errorf("domain 0 stats %+v, want 40 misses and 36 evictions", s)
+	}
+}
