@@ -426,7 +426,7 @@ func Figure9(instructions int, seed uint64, opt RunOptions) []Figure9Row {
 // RenderFigure9 formats the study as the two panels of the figure.
 func RenderFigure9(rows []Figure9Row) string {
 	var b strings.Builder
-	b.WriteString("Benchmark     L1D miss%% (PLRU / FIFO / Random)    CPI vs PLRU (FIFO / Random)\n")
+	b.WriteString("Benchmark     L1D miss% (PLRU / FIFO / Random)    CPI vs PLRU (FIFO / Random)\n")
 	var fifoCPI, randCPI []float64
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12s  %6.2f / %6.2f / %6.2f              %.3f / %.3f\n",

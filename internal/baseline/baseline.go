@@ -1,17 +1,15 @@
 // Package baseline implements the existing cache covert channels the paper
 // compares against (Sections II-A and VII): Flush+Reload in its
 // flush-to-memory form (clflush, "F+R (mem)") and its L1-eviction form
-// ("F+R (L1)", eight conflicting accesses evict the line from L1 only),
-// plus Prime+Probe. They share the Setup machinery of internal/core so the
-// encoding-latency and miss-rate comparisons (Tables V and VI) are
-// apples-to-apples.
+// ("F+R (L1)", eight conflicting accesses evict the line from L1 only).
+// They share the Setup machinery of internal/core so the encoding-latency
+// and miss-rate comparisons (Tables V and VI) are apples-to-apples.
 package baseline
 
 import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hier"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -28,9 +26,6 @@ const (
 	// eight conflicting lines of the set (no clflush available, e.g.
 	// inside a sandbox).
 	FlushReloadL1
-	// PrimeProbe is the Prime+Probe channel: the receiver owns the whole
-	// set and probes all N ways.
-	PrimeProbe
 )
 
 // String names the channel as in Table V.
@@ -40,8 +35,6 @@ func (k Kind) String() string {
 		return "F+R (mem)"
 	case FlushReloadL1:
 		return "F+R (L1)"
-	case PrimeProbe:
-		return "Prime+Probe"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -57,9 +50,8 @@ type Channel struct {
 	evictors []mem.Addr
 }
 
-// New builds a baseline channel over the given setup. For the Flush+Reload
-// variants the setup must use core.Alg1SharedMemory (they need the shared
-// line); Prime+Probe works with either.
+// New builds a baseline channel over the given setup, which must use
+// core.Alg1SharedMemory (Flush+Reload needs the shared line).
 func New(kind Kind, s *core.Setup) *Channel {
 	c := &Channel{Kind: kind, Setup: s}
 	if kind == FlushReloadL1 {
@@ -101,14 +93,6 @@ func (c *Channel) Encode(bit byte) int {
 			cost += s.Hier.Load(s.SenderLine, core.ReqSender).Latency
 		}
 		return cost
-	case PrimeProbe:
-		// The sender's op is one access (or none); the receiver pays
-		// the N-way probe instead.
-		cost := addressComputation
-		if bit != 0 {
-			cost += s.Hier.Load(s.SenderLine, core.ReqSender).Latency
-		}
-		return cost
 	default:
 		panic(fmt.Sprintf("baseline: unknown kind %d", int(c.Kind)))
 	}
@@ -117,8 +101,7 @@ func (c *Channel) Encode(bit byte) int {
 // EncodeCostOne returns the steady-state cost of encoding a 1-bit (the
 // Table V convention): the target line and, for F+R (L1), the eviction set
 // are warm from previous epochs, so the cost reflects only the per-bit
-// work — the flush for F+R (mem), the 8-access walk for F+R (L1), a single
-// hit for Prime+Probe's sender.
+// work — the flush for F+R (mem), the 8-access walk for F+R (L1).
 func (c *Channel) EncodeCostOne() int {
 	s := c.Setup
 	s.Hier.Warm(s.SenderLine, core.ReqSender)
@@ -150,11 +133,6 @@ func (c *Channel) SenderProgram(message []byte, repeat bool) func(*sched.Env) {
 							e.Access(s.SenderLine)
 						}
 						e.Busy(27)
-					case PrimeProbe:
-						if bit != 0 {
-							e.Access(s.SenderLine)
-						}
-						e.Busy(27)
 					}
 				}
 			}
@@ -165,9 +143,8 @@ func (c *Channel) SenderProgram(message []byte, repeat bool) func(*sched.Env) {
 	}
 }
 
-// ReceiverProgram returns the baseline receiver: for F+R it reloads and
-// times the shared line every Tr; for Prime+Probe it primes the set with
-// its N lines and probes them, timing the total.
+// ReceiverProgram returns the Flush+Reload receiver: it reloads and
+// times the shared line every Tr.
 func (c *Channel) ReceiverProgram(out *[]core.Observation, maxSamples int) func(*sched.Env) {
 	s := c.Setup
 	return func(e *sched.Env) {
@@ -176,24 +153,10 @@ func (c *Channel) ReceiverProgram(out *[]core.Observation, maxSamples int) func(
 		for maxSamples <= 0 || len(*out) < maxSamples {
 			e.BusyUntil(tLast + s.Cfg.Tr)
 			tLast = e.Now()
-			switch c.Kind {
-			case FlushReloadMem, FlushReloadL1:
-				m := e.Measure(s.Chaser, s.ReceiverLines[0])
-				*out = append(*out, core.Observation{
-					Latency: m.Observed, Wall: e.Now(), TrueL1Hit: m.L1Hit,
-				})
-			case PrimeProbe:
-				var total float64
-				anyMiss := false
-				for _, l := range s.ReceiverLines[:s.Hier.Profile().L1Ways] {
-					res := e.Access(l)
-					total += float64(res.Latency)
-					anyMiss = anyMiss || res.Level != hier.LevelL1
-				}
-				*out = append(*out, core.Observation{
-					Latency: total, Wall: e.Now(), TrueL1Hit: !anyMiss,
-				})
-			}
+			m := e.Measure(s.Chaser, s.ReceiverLines[0])
+			*out = append(*out, core.Observation{
+				Latency: m.Observed, Wall: e.Now(), TrueL1Hit: m.L1Hit,
+			})
 		}
 		e.StopAll()
 	}

@@ -156,7 +156,11 @@ func (c Config) senderPeriod() uint64 {
 func (c Config) reservedSet() int { return c.Profile.L1Sets - 1 }
 
 // Setup is an instantiated channel: hierarchy, address spaces, resolved
-// lines and the receiver's measurement apparatus.
+// lines and the receiver's measurement apparatus. It carries one or more
+// lanes; each lane is one target set with its own sender line and
+// receiver lines, and the receiver sweeps every lane each sampling period
+// (Section IV: "several sets can be used in parallel to increase the
+// transmission rate or to reduce the noise").
 type Setup struct {
 	Cfg  Config
 	Sys  *mem.System
@@ -167,20 +171,49 @@ type Setup struct {
 	SenderAS   *mem.AddressSpace
 	ReceiverAS *mem.AddressSpace
 
-	// ReceiverLines are the receiver's lines 0..K-1 in its own virtual
-	// addresses (K = ways+1 for Algorithm 1, ways for Algorithm 2).
+	// ReceiverLines are lane 0's receiver lines 0..K-1 in the receiver's
+	// virtual addresses (K = ways+1 for Algorithm 1, ways for
+	// Algorithm 2).
 	ReceiverLines []mem.Addr
-	// SenderLine is the line the sender touches to encode a 1: the alias
-	// of line 0 under Algorithm 1, or the private line N under
+	// SenderLine is the line the sender touches to encode a 1 on lane 0:
+	// the alias of line 0 under Algorithm 1, or the private line N under
 	// Algorithm 2.
 	SenderLine mem.Addr
 
 	Chaser *timing.Chaser
+
+	lanes []lane
 }
 
-// NewSetup builds all machinery for a channel experiment.
+// lane is one target set of the channel.
+type lane struct {
+	sender   mem.Addr
+	receiver []mem.Addr
+}
+
+// NewSetup builds a one-lane channel on cfg.TargetSet.
 func NewSetup(cfg Config) *Setup {
 	cfg = cfg.withDefaults()
+	return newSetup(cfg, []int{cfg.TargetSet})
+}
+
+// NewMultiSetup builds a channel with one lane per target set, carrying
+// one bit per set per symbol. cfg.TargetSet is ignored.
+func NewMultiSetup(cfg Config, targetSets []int) *Setup {
+	if len(targetSets) == 0 {
+		panic("core: NewMultiSetup needs at least one target set")
+	}
+	cfg = cfg.withDefaults()
+	cfg.TargetSet = targetSets[0]
+	return newSetup(cfg, targetSets)
+}
+
+func newSetup(cfg Config, targetSets []int) *Setup {
+	for _, set := range targetSets {
+		if set == cfg.reservedSet() {
+			panic(fmt.Sprintf("core: target set %d collides with the reserved chase set", set))
+		}
+	}
 	prof := cfg.Profile
 	r := rng.New(cfg.Seed)
 	s := &Setup{Cfg: cfg, RNG: r}
@@ -203,33 +236,49 @@ func NewSetup(cfg Config) *Setup {
 		s.SenderAS = s.Sys.NewAddressSpace()
 	}
 
+	// Lane 0 resolves before the chase list and the other lanes after
+	// it: resolution order fixes the physical page of every line.
+	s.addLane(targetSets[0])
+	s.Chaser = timing.NewChaser(s.Hier, s.ReceiverAS, cfg.reservedSet(), cfg.ChainLen, ReqReceiver, s.TSC)
+	for _, set := range targetSets[1:] {
+		s.addLane(set)
+	}
+	s.SenderLine, s.ReceiverLines = s.lanes[0].sender, s.lanes[0].receiver
+	return s
+}
+
+// addLane resolves the sender and receiver lines of one target set.
+func (s *Setup) addLane(set int) {
+	prof := s.Cfg.Profile
 	ways := prof.L1Ways
-	switch cfg.Algorithm {
+	var l lane
+	switch s.Cfg.Algorithm {
 	case Alg1SharedMemory:
 		// Lines 0..N shared; the receiver uses all N+1, the sender
 		// uses (its alias of) line 0.
-		if cfg.SameAddressSpace {
-			vs := s.ReceiverAS.LinesForSet(prof.L1Sets, cfg.TargetSet, ways+1)
-			s.ReceiverLines = resolveAll(s.ReceiverAS, vs)
-			s.SenderLine = s.ReceiverLines[0]
+		if s.Cfg.SameAddressSpace {
+			vs := s.ReceiverAS.LinesForSet(prof.L1Sets, set, ways+1)
+			l.receiver = resolveAll(s.ReceiverAS, vs)
+			l.sender = l.receiver[0]
 		} else {
-			sv, rv := mem.SharedLinesForSet(s.Sys, s.SenderAS, s.ReceiverAS, prof.L1Sets, cfg.TargetSet, ways+1)
-			s.ReceiverLines = resolveAll(s.ReceiverAS, rv)
-			s.SenderLine = s.SenderAS.Resolve(sv[0])
+			sv, rv := mem.SharedLinesForSet(s.Sys, s.SenderAS, s.ReceiverAS, prof.L1Sets, set, ways+1)
+			l.receiver = resolveAll(s.ReceiverAS, rv)
+			l.sender = s.SenderAS.Resolve(sv[0])
 		}
 	case Alg2NoSharedMemory:
 		// Receiver's private lines 0..N-1; sender's private line N.
-		rv := s.ReceiverAS.LinesForSet(prof.L1Sets, cfg.TargetSet, ways)
-		s.ReceiverLines = resolveAll(s.ReceiverAS, rv)
-		sv := s.SenderAS.LinesForSet(prof.L1Sets, cfg.TargetSet, 1)
-		s.SenderLine = s.SenderAS.Resolve(sv[0])
+		rv := s.ReceiverAS.LinesForSet(prof.L1Sets, set, ways)
+		l.receiver = resolveAll(s.ReceiverAS, rv)
+		sv := s.SenderAS.LinesForSet(prof.L1Sets, set, 1)
+		l.sender = s.SenderAS.Resolve(sv[0])
 	default:
-		panic(fmt.Sprintf("core: unknown algorithm %d", int(cfg.Algorithm)))
+		panic(fmt.Sprintf("core: unknown algorithm %d", int(s.Cfg.Algorithm)))
 	}
-
-	s.Chaser = timing.NewChaser(s.Hier, s.ReceiverAS, cfg.reservedSet(), cfg.ChainLen, ReqReceiver, s.TSC)
-	return s
+	s.lanes = append(s.lanes, l)
 }
+
+// Lanes returns the number of target sets carrying one bit each.
+func (s *Setup) Lanes() int { return len(s.lanes) }
 
 func resolveAll(as *mem.AddressSpace, vs []uint64) []mem.Addr {
 	out := make([]mem.Addr, len(vs))
@@ -246,11 +295,6 @@ func (s *Setup) NewMachine() *sched.Machine {
 		Mode: s.Cfg.Mode,
 	})
 }
-
-// decodeEnd returns the exclusive end index of the receiver's decode loop:
-// Algorithm 1 walks lines d..N (N+1 total with the init phase), Algorithm 2
-// walks d..N-1 (N total).
-func (s *Setup) decodeEnd() int { return len(s.ReceiverLines) }
 
 // HitMeansOne reports the decode polarity: under Algorithm 1 a FAST access
 // to line 0 (a hit) means the sender sent 1; under Algorithm 2 a SLOW

@@ -281,14 +281,3 @@ func TestZenProfileChannelStillWorks(t *testing.T) {
 			zeroSum/float64(zeroN), oneSum/float64(oneN))
 	}
 }
-
-func TestFixedThresholdBetweenHitAndMiss(t *testing.T) {
-	s := NewSetup(Config{Algorithm: Alg1SharedMemory, Seed: 17})
-	th := s.FixedThreshold()
-	prof := s.Hier.Profile()
-	allHit := float64((len(s.Chaser.Elements())+1)*prof.L1Latency + prof.MeasureOverhead)
-	oneMiss := allHit - float64(prof.L1Latency) + float64(prof.L2Latency)
-	if th <= allHit || th >= oneMiss {
-		t.Errorf("threshold %v not between all-hit %v and one-miss %v", th, allHit, oneMiss)
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -78,21 +79,31 @@ func (t *Trace) FractionOnes(hitMeansOne bool) float64 {
 	return t.FractionOnesAt(t.Threshold, hitMeansOne)
 }
 
-// Run executes the channel: the sender transmits message (repeating if
-// repeat is set) while the receiver samples, until either maxSamples
-// receiver observations have been collected or wallLimit cycles elapse.
-func (s *Setup) Run(message []byte, repeat bool, maxSamples int, wallLimit uint64) *Trace {
+// run warms every lane's sender line, then runs sender against the
+// receiver (and the config's NoiseThreads) until either maxSweeps
+// receiver sweeps have been collected or wallLimit cycles elapse. It
+// returns the observations, one per lane per sweep, and the elapsed
+// wall time.
+func (s *Setup) run(sender func(*sched.Env), maxSweeps int, wallLimit uint64) ([]Observation, uint64) {
 	m := s.NewMachine()
-	obs := make([]Observation, 0, s.sampleCapacity(maxSamples, wallLimit))
+	obs := make([]Observation, 0, s.sampleCapacity(maxSweeps, wallLimit)*len(s.lanes))
 	s.WarmSender()
-	m.AddThread("sender", ReqSender, s.SenderProgram(message, repeat))
-	m.AddThread("receiver", ReqReceiver, s.ReceiverProgram(&obs, maxSamples))
+	m.AddThread("sender", ReqSender, sender)
+	m.AddThread("receiver", ReqReceiver, s.receiverProgram(&obs, maxSweeps))
 	for i := 0; i < s.Cfg.NoiseThreads; i++ {
 		m.AddThread("noise", ReqOther, s.NoiseProgram())
 	}
 	m.Run(wallLimit)
+	return obs, m.Now()
+}
 
-	tr := &Trace{Observations: obs, Elapsed: m.Now()}
+// Run executes the one-lane channel: the sender transmits message
+// (repeating if repeat is set) while the receiver samples, until either
+// maxSamples receiver observations have been collected or wallLimit
+// cycles elapse.
+func (s *Setup) Run(message []byte, repeat bool, maxSamples int, wallLimit uint64) *Trace {
+	obs, elapsed := s.run(s.SenderProgram(message, repeat), maxSamples, wallLimit)
+	tr := &Trace{Observations: obs, Elapsed: elapsed}
 	tr.Threshold = stats.OtsuThreshold(tr.Latencies())
 	if s.Cfg.Ts > 0 {
 		tr.BitsSent = int(tr.Elapsed / s.Cfg.Ts)
@@ -101,6 +112,68 @@ func (s *Setup) Run(message []byte, repeat bool, maxSamples int, wallLimit uint6
 		}
 	}
 	return tr
+}
+
+// RunWords transmits words through all lanes (each word = Lanes() bits,
+// one per lane), holding each word for Ts cycles from the moment the
+// previous one ended, and collects receiver sweeps. Observation i belongs
+// to lane i mod Lanes().
+func (s *Setup) RunWords(words [][]byte, repeat bool, maxSweeps int, wallLimit uint64) []Observation {
+	ts := s.Cfg.Ts
+	obs, _ := s.run(func(e *sched.Env) {
+		for {
+			for _, word := range words {
+				s.holdWord(e, word, e.Now()+ts)
+			}
+			if !repeat {
+				return
+			}
+		}
+	}, maxSweeps, wallLimit)
+	return obs
+}
+
+// RunSchedule transmits words on an absolute symbol schedule, word j held
+// during wall ∈ [j·Ts, (j+1)·Ts), and collects receiver sweeps until
+// wallLimit. RunWords' relative deadlines (now + Ts) accumulate each
+// word's encode-loop overshoot; the absolute schedule never drifts, so
+// after hundreds of symbols word j still sits exactly in its slot.
+// Streaming transports that index symbols by wall time
+// (internal/transport) depend on this.
+func (s *Setup) RunSchedule(words [][]byte, wallLimit uint64) []Observation {
+	ts := s.Cfg.Ts
+	obs, _ := s.run(func(e *sched.Env) {
+		for j, word := range words {
+			s.holdWord(e, word, uint64(j+1)*ts)
+		}
+	}, 0, wallLimit)
+	return obs
+}
+
+// MeasureWordAccuracy sends each word for Ts cycles and reports the
+// fraction of (sweep, lane) decodes that match the word active at the
+// sweep's wall time — a throughput-oriented quality metric for the
+// multi-lane channel.
+func (s *Setup) MeasureWordAccuracy(words [][]byte, samples int) float64 {
+	obs := s.RunWords(words, true, samples, s.Cfg.Ts*uint64(len(words)*8+4))
+	th := s.Chaser.Threshold()
+	hitIsOne := s.HitMeansOne()
+	ok, total := 0, 0
+	for i, o := range obs {
+		word := words[(o.Wall/s.Cfg.Ts)%uint64(len(words))]
+		lane := i % len(s.lanes)
+		if lane >= len(word) {
+			continue
+		}
+		total++
+		if ClassifyBit(o.Latency, th, hitIsOne) == word[lane] {
+			ok++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(ok) / float64(total)
 }
 
 // ErrorRateResult is one point of Figure 4.
@@ -149,18 +222,18 @@ func (s *Setup) MeasureErrorRate(msgBits, repeats int) ErrorRateResult {
 	}
 }
 
-// sampleCapacity estimates how many observations a run will collect so
-// the buffer can be allocated once up front: maxSamples when bounded,
+// sampleCapacity estimates how many sweeps a run will collect so the
+// buffer can be allocated once up front: maxSweeps when bounded,
 // otherwise the wall limit divided by the sampling period Tr (the
-// receiver takes at most one sample per Tr), capped so absurd wall
+// receiver takes at most one sweep per Tr), capped so absurd wall
 // limits (1<<40 is common) do not translate into absurd allocations.
-func (s *Setup) sampleCapacity(maxSamples int, wallLimit uint64) int {
+func (s *Setup) sampleCapacity(maxSweeps int, wallLimit uint64) int {
 	const capLimit = 1 << 16
-	if maxSamples > 0 {
-		if maxSamples > capLimit {
+	if maxSweeps > 0 {
+		if maxSweeps > capLimit {
 			return capLimit
 		}
-		return maxSamples
+		return maxSweeps
 	}
 	if s.Cfg.Tr == 0 {
 		return 64
@@ -177,25 +250,14 @@ func (s *Setup) sampleCapacity(maxSamples int, wallLimit uint64) int {
 
 // MeasureFractionOnes runs the time-sliced experiment of Figure 6/8: the
 // sender constantly transmits the single bit `bit`; the receiver takes
-// measurements samples; the fraction of decoded 1s is returned. A fixed
-// latency threshold is derived from the profile (midway between L1 and L2
-// latency through the chase), because in the time-sliced setting a run may
-// be all-hits or all-misses and Otsu would split noise.
+// measurements samples; the fraction of decoded 1s is returned. The
+// chaser's fixed, profile-derived threshold splits hits from misses,
+// because in the time-sliced setting a run may be all-hits or all-misses
+// and Otsu would split noise.
 func (s *Setup) MeasureFractionOnes(bit byte, measurements int) float64 {
 	wall := s.Cfg.Tr*uint64(measurements+2) + 10_000_000
 	tr := s.Run([]byte{bit}, true, measurements, wall)
-	return tr.FractionOnesAt(s.FixedThreshold(), s.HitMeansOne())
-}
-
-// FixedThreshold returns the profile-derived hit/miss latency split for a
-// full pointer-chase probe: chase floor plus the midpoint of the L1 and L2
-// latencies plus measurement overhead.
-func (s *Setup) FixedThreshold() float64 {
-	prof := s.Hier.Profile()
-	chain := len(s.Chaser.Elements())
-	base := float64(chain*prof.L1Latency + prof.MeasureOverhead)
-	// The outer float64() stops a fused multiply-add (see rng.Float64).
-	return base + float64(float64(prof.L1Latency+prof.L2Latency)/2)
+	return tr.FractionOnesAt(s.Chaser.Threshold(), s.HitMeansOne())
 }
 
 // EncodeCost returns the sender's encoding latency in cycles for one bit —

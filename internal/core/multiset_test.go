@@ -31,27 +31,40 @@ func TestNewMultiSetupRejectsReservedSet(t *testing.T) {
 	NewMultiSetup(multiCfg(1), []int{5, 63})
 }
 
+// Lane i's lines sit on targetSets[i], also for a list that starts at set
+// 0, which the one-lane TargetSet default must not rewrite.
 func TestMultiSetupLanesDistinct(t *testing.T) {
-	m := NewMultiSetup(multiCfg(2), []int{3, 9, 17, 30})
-	if m.Lanes() != 4 {
-		t.Fatalf("lanes = %d", m.Lanes())
-	}
-	for lane, set := range m.TargetSets {
-		for i, l := range m.receiverLines[lane] {
-			if got := m.Hier.L1().SetIndex(l.PhysLine); got != set {
-				t.Errorf("lane %d line %d in set %d, want %d", lane, i, got, set)
-			}
+	for _, tc := range []struct {
+		alg  Algorithm
+		sets []int
+	}{
+		{Alg1SharedMemory, []int{3, 9, 17, 30}},
+		{Alg1SharedMemory, []int{0, 9}},
+		{Alg2NoSharedMemory, []int{0, 9}},
+	} {
+		cfg := multiCfg(2)
+		cfg.Algorithm = tc.alg
+		m := NewMultiSetup(cfg, tc.sets)
+		if m.Lanes() != len(tc.sets) {
+			t.Fatalf("lanes = %d, want %d", m.Lanes(), len(tc.sets))
 		}
-		if got := m.Hier.L1().SetIndex(m.senderLines[lane].PhysLine); got != set {
-			t.Errorf("lane %d sender line in set %d, want %d", lane, got, set)
+		for lane, set := range tc.sets {
+			for i, l := range m.lanes[lane].receiver {
+				if got := m.Hier.L1().SetIndex(l.PhysLine); got != set {
+					t.Errorf("%v sets %v: lane %d line %d in set %d, want %d", tc.alg, tc.sets, lane, i, got, set)
+				}
+			}
+			if got := m.Hier.L1().SetIndex(m.lanes[lane].sender.PhysLine); got != set {
+				t.Errorf("%v sets %v: lane %d sender line in set %d, want %d", tc.alg, tc.sets, lane, got, set)
+			}
 		}
 	}
 }
 
 func TestMultiSetupAlg1SharesLineZero(t *testing.T) {
 	m := NewMultiSetup(multiCfg(3), []int{3, 9})
-	for lane := range m.TargetSets {
-		if m.senderLines[lane].PhysLine != m.receiverLines[lane][0].PhysLine {
+	for lane, l := range m.lanes {
+		if l.sender.PhysLine != l.receiver[0].PhysLine {
 			t.Errorf("lane %d: sender and receiver line 0 differ", lane)
 		}
 	}
@@ -92,14 +105,12 @@ func TestMultiSetThroughputScalesWithLanes(t *testing.T) {
 		for i := range word {
 			word[i] = byte(i % 2)
 		}
-		obs := m.Run([][]byte{word}, true, 100, 1<<40)
-		decoded := m.DecodeSweeps(obs)
+		obs := m.RunWords([][]byte{word}, true, 100, 1<<40)
+		th := m.Chaser.Threshold()
 		ok := 0
-		for _, bits := range decoded {
-			for lane, b := range bits {
-				if b == word[lane] {
-					ok++
-				}
+		for i, o := range obs {
+			if ClassifyBit(o.Latency, th, m.HitMeansOne()) == word[i%len(sets)] {
+				ok++
 			}
 		}
 		return ok
@@ -111,15 +122,43 @@ func TestMultiSetThroughputScalesWithLanes(t *testing.T) {
 	}
 }
 
-func TestDecodeSweepsShape(t *testing.T) {
-	m := NewMultiSetup(multiCfg(7), []int{3, 9})
-	obs := []MultiObservation{{Latencies: []float64{30, 50}}}
-	bits := m.DecodeSweeps(obs)
-	if len(bits) != 1 || len(bits[0]) != 2 {
-		t.Fatalf("decode shape %v", bits)
+// A run's observations are whole sweeps: maxSweeps sweeps of one
+// observation per lane, lane i mod Lanes(), all stamped with the wall
+// time the sweep ended.
+func TestRunWordsSweepLayout(t *testing.T) {
+	m := NewMultiSetup(multiCfg(7), []int{3, 9, 17})
+	obs := m.RunWords([][]byte{{1, 0, 1}}, true, 20, 1<<40)
+	if len(obs) != 20*3 {
+		t.Fatalf("%d observations, want 60", len(obs))
 	}
-	// Algorithm 1: fast = 1, slow = 0.
-	if bits[0][0] != 1 || bits[0][1] != 0 {
-		t.Errorf("decoded %v, want [1 0]", bits[0])
+	for i := 0; i < len(obs); i += 3 {
+		if obs[i].Wall != obs[i+1].Wall || obs[i].Wall != obs[i+2].Wall {
+			t.Fatalf("sweep %d walls %d/%d/%d differ", i/3, obs[i].Wall, obs[i+1].Wall, obs[i+2].Wall)
+		}
+		if i > 0 && obs[i].Wall <= obs[i-1].Wall {
+			t.Fatalf("sweep %d ended at %d, not after %d", i/3, obs[i].Wall, obs[i-1].Wall)
+		}
+	}
+}
+
+// A sweep the wall-clock limit cuts short leaves nothing behind, so the
+// observation count stays a whole number of sweeps.
+func TestRunScheduleKeepsWholeSweeps(t *testing.T) {
+	m := NewMultiSetup(multiCfg(9), []int{3, 9, 17, 30})
+	// About one wall limit in ten lands inside a sweep's decode phase.
+	for wall := uint64(3_000); wall < 9_000; wall += 37 {
+		if obs := m.RunSchedule([][]byte{{1, 1, 0, 0}, {0, 1, 0, 1}}, wall); len(obs)%4 != 0 {
+			t.Errorf("wall %d: %d observations, not whole 4-lane sweeps", wall, len(obs))
+		}
+	}
+}
+
+func TestRunWordsStartsNoiseThreads(t *testing.T) {
+	cfg := multiCfg(10)
+	cfg.NoiseThreads, cfg.NoisePeriod = 2, 500
+	m := NewMultiSetup(cfg, []int{3, 9})
+	m.RunWords([][]byte{{1, 0}}, true, 50, 1<<40)
+	if st := m.Hier.L1().RequestorStats(ReqOther); st.Accesses == 0 {
+		t.Error("RunWords ran no noise accesses with NoiseThreads = 2")
 	}
 }

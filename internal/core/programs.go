@@ -5,8 +5,9 @@ import (
 	"repro/internal/sched"
 )
 
-// Observation is one receiver sample: the observed probe latency, the wall
-// time at which the decode completed, and ground truth for validation.
+// Observation is one receiver sample of one lane: the observed probe
+// latency, the wall time at which the sweep completed, and ground truth
+// for validation.
 type Observation struct {
 	Latency float64
 	Wall    uint64
@@ -15,11 +16,11 @@ type Observation struct {
 	TrueL1Hit bool
 }
 
-// SenderProgram returns the sender thread: it transmits message (one byte
-// per bit) by holding each bit for Ts cycles and running the encoding phase
-// of the configured algorithm in a loop (Algorithm 3, sender side). If
-// repeat is true the message is retransmitted forever (the experiment's
-// wall-clock limit stops it).
+// SenderProgram returns the single-bit sender thread on lane 0: it
+// transmits message (one byte per bit) by holding each bit for Ts cycles
+// and running the encoding phase of the configured algorithm in a loop
+// (Algorithm 3, sender side). If repeat is true the message is
+// retransmitted forever (the experiment's wall-clock limit stops it).
 func (s *Setup) SenderProgram(message []byte, repeat bool) func(*sched.Env) {
 	period := s.Cfg.senderPeriod()
 	ts := s.Cfg.Ts
@@ -53,45 +54,80 @@ func (s *Setup) SenderProgram(message []byte, repeat bool) func(*sched.Env) {
 	}
 }
 
-// WarmSender pre-loads the sender's line so that, as the paper assumes, the
-// victim line "is already in cache before the attack" and all encoding
-// accesses are hits.
-func (s *Setup) WarmSender() { s.Hier.Warm(s.SenderLine, ReqSender) }
-
-// ReceiverProgram returns the receiver thread implementing Algorithm 3's
-// receive loop around the configured algorithm: initialization phase
-// (lines 0..d-1), busy-wait until Tr has elapsed since the previous sample,
-// decoding phase (remaining lines), and the timed pointer-chase access to
-// line 0. Each sample is appended to out. The thread runs until the
-// machine's wall-clock limit stops it (or maxSamples is reached, if > 0).
-func (s *Setup) ReceiverProgram(out *[]Observation, maxSamples int) func(*sched.Env) {
-	d := s.Cfg.D
-	if d > len(s.ReceiverLines) {
-		d = len(s.ReceiverLines)
+// holdWord runs the word sender's encode loop until deadline: every
+// iteration touches the sender line of each 1-lane (cache hits that push
+// the lanes' replacement state) and burns the per-iteration
+// address-computation budget.
+func (s *Setup) holdWord(e *sched.Env, word []byte, deadline uint64) {
+	period := s.Cfg.senderPeriod()
+	for e.Now() < deadline {
+		issued := false
+		for i, bit := range word {
+			if i >= len(s.lanes) {
+				break
+			}
+			if bit != 0 {
+				e.Access(s.lanes[i].sender)
+				issued = true
+			}
+		}
+		if !issued {
+			e.Busy(period)
+		} else {
+			e.Busy(period / 2)
+		}
 	}
+}
+
+// WarmSender pre-loads every lane's sender line so that, as the paper
+// assumes, the victim line "is already in cache before the attack" and
+// all encoding accesses are hits.
+func (s *Setup) WarmSender() {
+	for _, l := range s.lanes {
+		s.Hier.Warm(l.sender, ReqSender)
+	}
+}
+
+// receiverProgram returns the receiver thread implementing Algorithm 3's
+// receive loop around the configured algorithm, one sweep per sampling
+// period: initialization phase (lines 0..d-1 of every lane), busy-wait
+// until Tr has elapsed since the previous sweep, then per lane the
+// decoding phase (remaining lines) and the timed pointer-chase access to
+// line 0. Each sweep appends one observation per lane, all stamped with
+// the wall time the sweep ended; a sweep the machine stops midway appends
+// nothing. The thread runs until the machine's wall-clock limit stops it
+// (or maxSweeps is reached, if > 0).
+func (s *Setup) receiverProgram(out *[]Observation, maxSweeps int) func(*sched.Env) {
+	d := min(s.Cfg.D, len(s.ReceiverLines))
 	tr := s.Cfg.Tr
 	return func(e *sched.Env) {
 		s.Chaser.WarmUp()
+		sweep := make([]Observation, len(s.lanes))
 		var tLast uint64
-		for maxSamples <= 0 || len(*out) < maxSamples {
+		for n := 0; maxSweeps <= 0 || n < maxSweeps; n++ {
 			// Step 0: initialization phase.
-			for i := 0; i < d; i++ {
-				e.Access(s.ReceiverLines[i])
+			for _, l := range s.lanes {
+				for _, line := range l.receiver[:d] {
+					e.Access(line)
+				}
 			}
 			// Sleep: allow the sender's encoding to land.
 			e.BusyUntil(tLast + tr)
 			tLast = e.Now()
-			// Step 2: decoding phase.
-			for i := d; i < s.decodeEnd(); i++ {
-				e.Access(s.ReceiverLines[i])
+			for i, l := range s.lanes {
+				// Step 2: decoding phase.
+				for _, line := range l.receiver[d:] {
+					e.Access(line)
+				}
+				// Timed access to line 0 via the pointer chase.
+				m := e.Measure(s.Chaser, l.receiver[0])
+				sweep[i] = Observation{Latency: m.Observed, TrueL1Hit: m.L1Hit}
 			}
-			// Timed access to line 0 via the pointer chase.
-			m := e.Measure(s.Chaser, s.ReceiverLines[0])
-			*out = append(*out, Observation{
-				Latency:   m.Observed,
-				Wall:      e.Now(),
-				TrueL1Hit: m.L1Hit,
-			})
+			wall := e.Now()
+			for i := range sweep {
+				sweep[i].Wall = wall
+			}
+			*out = append(*out, sweep...)
 		}
 		// The experiment is over once the receiver has its samples;
 		// don't leave the sender spinning to the wall-clock limit.

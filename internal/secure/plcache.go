@@ -81,7 +81,7 @@ func RunPLCacheExperiment(fixed bool, samples int, seed uint64) PLExperimentResu
 		res.Separation = -res.Separation
 	}
 
-	th := s.FixedThreshold()
+	th := s.Chaser.Threshold()
 	res.AlwaysHit = true
 	for _, o := range tr.Observations {
 		if o.Latency > th {

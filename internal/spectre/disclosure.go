@@ -6,15 +6,6 @@ package spectre
 // built in: every round visits the sets in a fresh random order and the
 // per-set votes are averaged across rounds.
 
-// fixedThreshold is the chase-latency split between "8th element hit L1"
-// and anything slower.
-func (a *Attack) fixedThreshold() float64 {
-	prof := a.cfg.Profile
-	base := float64(len(a.chaser.Elements())*prof.L1Latency + prof.MeasureOverhead)
-	// The outer float64() stops a fused multiply-add (see rng.Float64).
-	return base + float64(float64(prof.L1Latency+prof.L2Latency)/2)
-}
-
 // warmArray2 establishes the paper's precondition that the victim's probe
 // lines are already cached (Table V note: "it is assumed that the victim
 // line is already in cache before the attack").
@@ -50,7 +41,7 @@ func (a *Attack) primeSet(s int) {
 // probeSet runs the decoding phase on set s and reports whether the victim
 // touched it.
 func (a *Attack) probeSet(s int) bool {
-	th := a.fixedThreshold()
+	th := a.chaser.Threshold()
 	switch a.cfg.Disclosure {
 	case LRUAlg1:
 		// Decode: line 8 (the 8th filler), then time line 0. A HIT

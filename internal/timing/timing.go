@@ -148,6 +148,16 @@ func NewChaser(h *hier.Hierarchy, as *mem.AddressSpace, reservedSet, chainLen, r
 // Elements returns the resolved list elements (for tests).
 func (c *Chaser) Elements() []mem.Addr { return c.elems }
 
+// Threshold is the hit/miss latency split for a full chase: the chase
+// floor (every element an L1 hit) plus measurement overhead plus the
+// midpoint of the L1 and L2 latencies for the target.
+func (c *Chaser) Threshold() float64 {
+	prof := c.h.Profile()
+	base := float64(len(c.elems)*prof.L1Latency + prof.MeasureOverhead)
+	// The outer float64() stops a fused multiply-add (see rng.Float64).
+	return base + float64(float64(prof.L1Latency+prof.L2Latency)/2)
+}
+
 // WarmUp fetches every list element into L1 so the first seven accesses of
 // each measurement hit.
 func (c *Chaser) WarmUp() {

@@ -156,6 +156,18 @@ func TestAMDChaseNeedsAveraging(t *testing.T) {
 	}
 }
 
+func TestChaserThresholdBetweenHitAndMiss(t *testing.T) {
+	h, _, as, tsc := intelRig(t)
+	ch := NewChaser(h, as, 63, 0, 1, tsc)
+	th := ch.Threshold()
+	prof := h.Profile()
+	allHit := float64((len(ch.Elements())+1)*prof.L1Latency + prof.MeasureOverhead)
+	oneMiss := allHit - float64(prof.L1Latency) + float64(prof.L2Latency)
+	if th <= allHit || th >= oneMiss {
+		t.Errorf("threshold %v not between all-hit %v and one-miss %v", th, allHit, oneMiss)
+	}
+}
+
 func TestChaserElementsInReservedSet(t *testing.T) {
 	h, _, as, tsc := intelRig(t)
 	ch := NewChaser(h, as, 63, 0, 1, tsc)

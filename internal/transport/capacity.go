@@ -37,10 +37,10 @@ func MeasureCapacity(cfg Config, payloadBytes int, seed uint64) CapacityPoint {
 	s := New(cfg)
 	res := s.Transfer(payload)
 	return CapacityPoint{
-		Tr: s.MS.Cfg.Tr, Ts: s.MS.Cfg.Ts,
+		Tr: s.Setup.Cfg.Tr, Ts: s.Setup.Cfg.Ts,
 		Codec:        s.Cfg.Codec.Name(),
-		Lanes:        s.MS.Lanes(),
-		NoiseThreads: s.MS.Cfg.NoiseThreads,
+		Lanes:        s.Setup.Lanes(),
+		NoiseThreads: s.Setup.Cfg.NoiseThreads,
 		PayloadBytes: payloadBytes,
 
 		FramesSent: res.FramesSent, FramesOK: res.FramesOK,

@@ -7,7 +7,7 @@
 // headline transfer rates implicitly assume a byte transport on top.
 // This package supplies it:
 //
-//	payload -> frames -> ECC (codec) -> lane striping -> MultiSetup
+//	payload -> frames -> ECC (codec) -> lane striping -> core.Setup lanes
 //	sweeps  -> per-symbol majority vote -> de-striping -> sync hunt
 //	        -> ECC decode -> CRC check -> reassembly
 //

@@ -84,17 +84,18 @@ func DefaultLanes(n int) []int {
 	return out
 }
 
-// Stream is an instantiated covert-channel transport: a multi-set
-// channel plus the framing/ECC pipeline over it.
+// Stream is an instantiated covert-channel transport: a channel with one
+// lane per target set plus the framing/ECC pipeline over it.
 type Stream struct {
-	Cfg Config
-	MS  *core.MultiSetup
+	Cfg   Config
+	Setup *core.Setup
 }
 
-// New builds a stream over a fresh multi-set channel.
+// New builds a stream over a fresh channel with one lane per
+// Config.Lanes entry.
 func New(cfg Config) *Stream {
 	cfg = cfg.withDefaults()
-	return &Stream{Cfg: cfg, MS: core.NewMultiSetup(cfg.Channel, cfg.Lanes)}
+	return &Stream{Cfg: cfg, Setup: core.NewMultiSetup(cfg.Channel, cfg.Lanes)}
 }
 
 // WireBits returns the on-air size of one frame under the stream's
@@ -102,9 +103,10 @@ func New(cfg Config) *Stream {
 func (s *Stream) WireBits() int { return WireBits(s.Cfg.FramePayload, s.Cfg.Codec) }
 
 // TxRecord is the sender side of one transfer: the receiver's raw
-// sweeps plus the wire accounting needed to decode and rate them.
+// sweeps (observation i on lane i mod Lanes()) plus the wire accounting
+// needed to decode and rate them.
 type TxRecord struct {
-	Obs []core.MultiObservation
+	Obs []core.Observation
 	// Frames is the number of frames sent.
 	Frames int
 	// Symbols is the total symbol count including the lead-in.
@@ -118,7 +120,7 @@ type TxRecord struct {
 // the receiver's half (Receive) — split so experiments can decode one
 // capture several ways.
 func (s *Stream) Send(payload []byte) *TxRecord {
-	lanes := s.MS.Lanes()
+	lanes := s.Setup.Lanes()
 	bits := EncodeFrames(payload, s.Cfg.FramePayload, s.Cfg.Codec)
 	frames := len(bits) / s.WireBits()
 
@@ -133,9 +135,9 @@ func (s *Stream) Send(payload []byte) *TxRecord {
 		words[j] = stream[j*lanes : (j+1)*lanes]
 	}
 
-	ts := s.MS.Cfg.Ts
-	wall := uint64(symbols)*ts + s.MS.Cfg.Tr
-	obs := s.MS.RunSchedule(words, wall)
+	ts := s.Setup.Cfg.Ts
+	wall := uint64(symbols)*ts + s.Setup.Cfg.Tr
+	obs := s.Setup.RunSchedule(words, wall)
 	return &TxRecord{Obs: obs, Frames: frames, Symbols: symbols, Elapsed: wall}
 }
 
@@ -155,12 +157,12 @@ type RxResult struct {
 // each lane (symbol index from the sweep's wall time — sender and
 // receiver share the machine's TSC, the paper's Algorithm 3 clock
 // assumption), de-striping into a bit stream, then the sync-hunting
-// frame scan.
-func (s *Stream) Receive(obs []core.MultiObservation) *RxResult {
-	lanes := s.MS.Lanes()
-	ts, tr := s.MS.Cfg.Ts, s.MS.Cfg.Tr
-	th := s.MS.FixedThreshold()
-	hitOne := s.MS.HitMeansOne()
+// frame scan. Observation i belongs to lane i mod Lanes().
+func (s *Stream) Receive(obs []core.Observation) *RxResult {
+	lanes := s.Setup.Lanes()
+	ts, tr := s.Setup.Cfg.Ts, s.Setup.Cfg.Tr
+	th := s.Setup.Chaser.Threshold()
+	hitOne := s.Setup.HitMeansOne()
 
 	maxSym := -1
 	symOf := func(wall uint64) int {
@@ -184,15 +186,10 @@ func (s *Stream) Receive(obs []core.MultiObservation) *RxResult {
 
 	ones := make([]int, (maxSym+1)*lanes)
 	total := make([]int, (maxSym+1)*lanes)
-	for _, o := range obs {
-		sym := symOf(o.Wall)
-		for lane, lat := range o.Latencies {
-			if lane >= lanes {
-				break
-			}
-			total[sym*lanes+lane]++
-			ones[sym*lanes+lane] += int(core.ClassifyBit(lat, th, hitOne))
-		}
+	for i, o := range obs {
+		k := symOf(o.Wall)*lanes + i%lanes
+		total[k]++
+		ones[k] += int(core.ClassifyBit(o.Latency, th, hitOne))
 	}
 	bits := make([]byte, (maxSym+1)*lanes)
 	for sym := 0; sym <= maxSym; sym++ {
@@ -273,7 +270,7 @@ func (s *Stream) Transfer(payload []byte) *TransferResult {
 	if tx.Elapsed > 0 {
 		okBits := 8 * (len(payload) - res.ByteErrors)
 		res.GoodputBitsPerCycle = float64(okBits) / float64(tx.Elapsed)
-		res.GoodputBps = float64(okBits) / s.MS.Hier.Profile().CyclesToSeconds(float64(tx.Elapsed))
+		res.GoodputBps = float64(okBits) / s.Setup.Hier.Profile().CyclesToSeconds(float64(tx.Elapsed))
 	}
 	return res
 }

@@ -269,8 +269,8 @@ func TestDefaultLanesContract(t *testing.T) {
 	cfg := streamCfg(0)
 	cfg.Lanes = DefaultLanes(11)
 	cfg.Channel.Seed = 9
-	if s := New(cfg); s.MS.Lanes() != 11 {
-		t.Fatalf("11-lane stream has %d lanes", s.MS.Lanes())
+	if s := New(cfg); s.Setup.Lanes() != 11 {
+		t.Fatalf("11-lane stream has %d lanes", s.Setup.Lanes())
 	}
 	defer func() {
 		if recover() == nil {

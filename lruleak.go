@@ -57,14 +57,11 @@ type (
 	Trace = core.Trace
 	// ErrorRateResult is one point of Figure 4.
 	ErrorRateResult = core.ErrorRateResult
-	// MultiChannel is the Section IV extension: one bit per cache set in
-	// parallel.
-	MultiChannel = core.MultiSetup
 	// SpectreConfig parameterizes the Section VIII attack.
 	SpectreConfig = spectre.Config
 	// SpectreAttack is an instantiated Spectre v1 attack.
 	SpectreAttack = spectre.Attack
-	// BaselineChannel is a comparison attack (Flush+Reload/Prime+Probe).
+	// BaselineChannel is a Flush+Reload comparison attack.
 	BaselineChannel = baseline.Channel
 	// ReplacementKind selects an L1 replacement policy.
 	ReplacementKind = replacement.Kind
@@ -185,9 +182,10 @@ func ProfileByName(name string) (Profile, error) { return uarch.ByName(name) }
 // NewChannel instantiates an LRU channel experiment.
 func NewChannel(cfg ChannelConfig) *Channel { return core.NewSetup(cfg) }
 
-// NewMultiChannel instantiates the parallel multi-set channel over the
-// given target L1 sets (Section IV's rate-multiplying extension).
-func NewMultiChannel(cfg ChannelConfig, targetSets []int) *MultiChannel {
+// NewMultiChannel instantiates an LRU channel with one lane per given
+// target L1 set, one bit per set per symbol (Section IV's
+// rate-multiplying extension).
+func NewMultiChannel(cfg ChannelConfig, targetSets []int) *Channel {
 	return core.NewMultiSetup(cfg, targetSets)
 }
 
