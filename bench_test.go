@@ -137,8 +137,8 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // BenchmarkLeakageEnumeration times the reachable-state-space
 // enumerator on the two paths the leakage study exercises: the
 // exhaustive BFS (Tree-PLRU at 16 ways, 32768 states) and the sampling
-// fallback (true LRU at 16 ways, whose 16! closure blows the cap, so
-// that run pays the capped BFS plus the full sampling budget). CI's
+// fallback (true LRU at 16 ways, whose 16! closure exceeds the cap, so
+// that run skips the BFS and pays the full sampling budget). CI's
 // benchdiff pin holds the exhaustive path well ahead of the sampled
 // one — if BFS ever drifts toward the fallback's cost, the MaxStates
 // cap is mis-set.

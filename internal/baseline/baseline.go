@@ -163,7 +163,7 @@ func (c *Channel) ReceiverProgram(out *[]core.Observation, maxSamples int) func(
 }
 
 // Run executes the baseline channel like core.Setup.Run does for the LRU
-// channels.
+// channels, the config's NoiseThreads included.
 func (c *Channel) Run(message []byte, repeat bool, maxSamples int, wallLimit uint64) *core.Trace {
 	s := c.Setup
 	m := s.NewMachine()
@@ -171,6 +171,9 @@ func (c *Channel) Run(message []byte, repeat bool, maxSamples int, wallLimit uin
 	s.WarmSender()
 	m.AddThread("sender", core.ReqSender, c.SenderProgram(message, repeat))
 	m.AddThread("receiver", core.ReqReceiver, c.ReceiverProgram(&obs, maxSamples))
+	for i := 0; i < s.Cfg.NoiseThreads; i++ {
+		m.AddThread("noise", core.ReqOther, s.NoiseProgram())
+	}
 	m.Run(wallLimit)
 	tr := &core.Trace{Observations: obs, Elapsed: m.Now()}
 	tr.Threshold = stats.OtsuThreshold(tr.Latencies())

@@ -87,6 +87,20 @@ func TestFlushReloadTransfers(t *testing.T) {
 	}
 }
 
+func TestRunStartsNoiseThreads(t *testing.T) {
+	for _, kind := range []Kind{FlushReloadMem, FlushReloadL1} {
+		s := core.NewSetup(core.Config{
+			Algorithm: core.Alg1SharedMemory, Mode: sched.SMT,
+			Tr: 600, Ts: 6000, Seed: 11,
+			NoiseThreads: 2, NoisePeriod: 500,
+		})
+		New(kind, s).Run([]byte{1, 0}, true, 50, 1<<40)
+		if st := s.Hier.L1().RequestorStats(core.ReqOther); st.Accesses == 0 {
+			t.Errorf("%v: Run ran no noise accesses with NoiseThreads = 2", kind)
+		}
+	}
+}
+
 func TestFlushReloadL1NeedsNoFlush(t *testing.T) {
 	// F+R(L1) must evict the line using only loads: after one encode the
 	// target is out of L1 but still in L2 or deeper.

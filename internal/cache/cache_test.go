@@ -399,6 +399,83 @@ func TestPLCacheFixFreezesReplacementState(t *testing.T) {
 	run(false)
 }
 
+// setSnapshot is everything of one set a later access can read: the
+// tag words, the lock bits and the packed replacement state.
+type setSnapshot struct {
+	Tags   []uint64
+	Locked []bool
+	State  uint64
+}
+
+func snapshotSet(c *Cache, set int) setSnapshot {
+	base := set * c.ways
+	sn := setSnapshot{Tags: append([]uint64(nil), c.tags[base:base+c.ways]...), State: c.repl.PackedState(set)}
+	for _, m := range c.meta[base : base+c.ways] {
+		sn.Locked = append(sn.Locked, m.locked)
+	}
+	return sn
+}
+
+// TestFrozenBypassIsFixedPoint pins the property the leakage prober's
+// second hammer stop rests on (a sibling of the leakage package's
+// TestTouchTwiceIsFixedPoint): in the fixed PL cache under every
+// deterministic policy, a miss whose victim is locked is bypassed and
+// leaves the set's tags, lock bits and packed replacement state as they
+// were, so the same access repeated is bypassed again; a miss that
+// fills instead makes the next access hit.
+func TestFrozenBypassIsFixedPoint(t *testing.T) {
+	const set = 1
+	for _, kind := range []replacement.Kind{replacement.TrueLRU, replacement.TreePLRU, replacement.BitPLRU, replacement.FIFO} {
+		for _, ways := range []int{4, 8, 16} {
+			c := New(Config{
+				Name: "L1D", Sets: 4, Ways: ways, LineSize: 64, Policy: kind,
+				PartitionLocked: true, LockReplacementState: true,
+			})
+			r := rng.New(uint64(ways))
+			bypassed, filled := 0, 0
+			for trial := 0; trial < 200; trial++ {
+				// Fill the set with a random subset of its lines locked,
+				// then mix in random hits to vary the replacement state.
+				c.Reset()
+				for i := 0; i < ways; i++ {
+					op := OpLoad
+					if r.Intn(2) == 0 {
+						op = OpLock
+					}
+					c.Access(Request{PhysLine: lineInSet(c, set, i), Op: op})
+				}
+				for i := 0; i < 2*ways; i++ {
+					c.Access(Request{PhysLine: lineInSet(c, set, r.Intn(ways))})
+				}
+
+				kicker := Request{PhysLine: lineInSet(c, set, ways+trial)}
+				before := snapshotSet(c, set)
+				if res := c.Access(kicker); res.Hit {
+					t.Fatalf("%v/%d trial %d: fresh line hit", kind, ways, trial)
+				} else if !res.Bypassed {
+					filled++
+					if !c.Access(kicker).Hit {
+						t.Fatalf("%v/%d trial %d: filled line missed again", kind, ways, trial)
+					}
+					continue
+				}
+				bypassed++
+				for rep := 0; rep < 3; rep++ {
+					if after := snapshotSet(c, set); !reflect.DeepEqual(after, before) {
+						t.Fatalf("%v/%d trial %d: bypass %d changed the set %+v -> %+v", kind, ways, trial, rep, before, after)
+					}
+					if !c.Access(kicker).Bypassed {
+						t.Fatalf("%v/%d trial %d: repeat %d of a bypassed miss was not bypassed", kind, ways, trial, rep)
+					}
+				}
+			}
+			if bypassed == 0 || filled == 0 {
+				t.Errorf("%v/%d: %d bypassed and %d filled trials, want both", kind, ways, bypassed, filled)
+			}
+		}
+	}
+}
+
 func TestUtagMissOnLinearAliasChange(t *testing.T) {
 	cfg := l1Config(replacement.TreePLRU)
 	cfg.TrackUtags = true

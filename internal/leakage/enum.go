@@ -31,10 +31,12 @@ func Apply(a *replacement.SetArray, sym int) {
 // Options tunes Enumerate. The zero value is the documented default.
 type Options struct {
 	// MaxStates caps the exhaustive search; when the reachable set
-	// outgrows it, Enumerate falls back to seeded sampling. Default
-	// 1 << 18 — far above every word-backed family at the paper's
-	// associativities (Tree-PLRU/8 has 128 states, true LRU/8 has
-	// 40320), far below true LRU at 16 ways (16! ≈ 2·10^13).
+	// outgrows it, Enumerate falls back to seeded sampling — without
+	// starting the BFS when TheoreticalStates already exceeds the cap,
+	// and by abandoning the BFS at the first state past the cap
+	// otherwise. Default 1 << 18 — far above every word-backed family
+	// at the paper's associativities (Tree-PLRU/8 has 128 states, true
+	// LRU/8 has 40320), far below true LRU at 16 ways (16! ≈ 2·10^13).
 	MaxStates int
 	// SampleSequences and SampleLength size the sampling fallback:
 	// that many independent random access sequences of that many
@@ -135,10 +137,13 @@ func TheoreticalStates(kind replacement.Kind, ways int) (n float64, ok bool) {
 
 // Enumerate computes the reachable state space of one set of the given
 // policy family and associativity: BFS from the power-on state under
-// the ways+1-symbol access alphabet, falling back to seeded sampling
-// when the closure outgrows opt.MaxStates. It panics for Random (which
-// keeps no replacement state) and for true LRU beyond 16 ways (whose
-// state exceeds the canonical packed word).
+// the ways+1-symbol access alphabet, or seeded sampling when the
+// closure outgrows opt.MaxStates. A family whose TheoreticalStates
+// count exceeds MaxStates goes straight to sampling: its BFS could only
+// be abandoned, and the sampled states depend on SampleSeed alone, not
+// on how far a BFS got. It panics for Random (which keeps no
+// replacement state) and for true LRU beyond 16 ways (whose state
+// exceeds the canonical packed word).
 func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	opt = opt.withDefaults()
 	a := replacement.NewSetArray(kind, 1, ways, nil)
@@ -155,7 +160,8 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	if opt.OrderSeed != 0 {
 		order = rng.New(opt.OrderSeed)
 	}
-	full := false
+	theory, hasTheory := TheoreticalStates(kind, ways)
+	full := hasTheory && theory > float64(opt.MaxStates)
 	for len(frontier) > 0 && !full {
 		// Pop the next frontier state — from the front canonically, or
 		// anywhere under OrderSeed: BFS closure is order-independent,
@@ -194,7 +200,6 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 		}
 	}
 
-	theory, hasTheory := TheoreticalStates(kind, ways)
 	if !full {
 		sp.Exhaustive = true
 		sp.Coverage = 1

@@ -2,20 +2,26 @@ package leakage
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/replacement"
+	"repro/internal/rng"
 )
 
+// TestEnumerateMatchesTheory demands |States| == TheoreticalStates
+// exactly, odd associativities included: Enumerate skips the BFS when
+// the count exceeds MaxStates, which is only sound if the count never
+// overstates the closure.
 func TestEnumerateMatchesTheory(t *testing.T) {
 	cases := []struct {
 		kind replacement.Kind
 		ways []int
 	}{
-		{replacement.TrueLRU, []int{2, 3, 4, 8}},
-		{replacement.TreePLRU, []int{2, 4, 8, 16}},
-		{replacement.BitPLRU, []int{2, 4, 8, 16}},
-		{replacement.FIFO, []int{2, 4, 8, 16}},
+		{replacement.TrueLRU, []int{1, 2, 3, 4, 5, 8}},
+		{replacement.TreePLRU, []int{1, 2, 4, 8, 16}},
+		{replacement.BitPLRU, []int{1, 2, 3, 4, 5, 8, 12, 16}},
+		{replacement.FIFO, []int{1, 2, 3, 4, 5, 8, 12, 16}},
 	}
 	for _, c := range cases {
 		for _, ways := range c.ways {
@@ -121,10 +127,89 @@ func TestEnumerateSampledConverges(t *testing.T) {
 	}
 }
 
-func TestEnumerateLRU16Samples(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quarter-million-state BFS prefix")
+// bfsFirstEnumerate is the oracle for Enumerate's TheoreticalStates
+// shortcut: it always runs the BFS, until the closure completes or more
+// than MaxStates states are found, and only then samples.
+func bfsFirstEnumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
+	opt = opt.withDefaults()
+	a := replacement.NewSetArray(kind, 1, ways, nil)
+	sp := StateSpace{Kind: kind, Ways: ways}
+	reset := a.PackedState(0)
+	visited := map[uint64]bool{reset: true}
+	frontier := []uint64{reset}
+	for len(frontier) > 0 && len(visited) <= opt.MaxStates {
+		s := frontier[0]
+		frontier = frontier[1:]
+		for sym := MissSymbol; sym < ways && len(visited) <= opt.MaxStates; sym++ {
+			a.SetPackedState(0, s)
+			Apply(a, sym)
+			if next := a.PackedState(0); !visited[next] {
+				visited[next] = true
+				frontier = append(frontier, next)
+			}
+		}
 	}
+	theory, _ := TheoreticalStates(kind, ways)
+	if len(visited) <= opt.MaxStates {
+		sp.Exhaustive, sp.Coverage = true, 1
+		sp.States = sortedKeys(visited)
+		return sp
+	}
+	found := []uint64{reset}
+	r := rng.New(opt.SampleSeed)
+	for seq := 0; seq < opt.SampleSequences; seq++ {
+		a.ResetSet(0)
+		for step := 0; step < opt.SampleLength; step++ {
+			sym := r.Intn(ways + 1)
+			if sym == ways {
+				sym = MissSymbol
+			}
+			Apply(a, sym)
+			found = append(found, a.PackedState(0))
+		}
+	}
+	slices.Sort(found)
+	sp.SampledSequences = opt.SampleSequences
+	sp.States = slices.Compact(found)
+	sp.Coverage = float64(len(sp.States)) / theory
+	return sp
+}
+
+// TestEnumerateCapBoundary pins the shortcut that samples without a BFS
+// when TheoreticalStates exceeds MaxStates: with the cap one below, at
+// and one above the theory count, Enumerate matches the BFS-first path
+// field for field, and the BFS completes exactly when the count fits
+// the cap.
+func TestEnumerateCapBoundary(t *testing.T) {
+	for _, c := range []struct {
+		kind replacement.Kind
+		ways []int
+	}{
+		{replacement.TrueLRU, []int{2, 3, 4}},
+		{replacement.TreePLRU, []int{2, 4, 8}},
+		{replacement.BitPLRU, []int{2, 3, 4}},
+		{replacement.FIFO, []int{2, 4, 8}},
+	} {
+		for _, ways := range c.ways {
+			theory, _ := TheoreticalStates(c.kind, ways)
+			for _, maxStates := range []int{int(theory) - 1, int(theory), int(theory) + 1} {
+				opt := Options{MaxStates: maxStates, SampleSequences: 64}
+				got, want := Enumerate(c.kind, ways, opt), bfsFirstEnumerate(c.kind, ways, opt)
+				if got.Exhaustive != want.Exhaustive || got.Coverage != want.Coverage ||
+					got.SampledSequences != want.SampledSequences || !slices.Equal(got.States, want.States) {
+					t.Errorf("%v/%d MaxStates=%d: got %d states exhaustive=%v coverage=%v sequences=%d, BFS-first %d states exhaustive=%v coverage=%v sequences=%d",
+						c.kind, ways, maxStates, len(got.States), got.Exhaustive, got.Coverage, got.SampledSequences,
+						len(want.States), want.Exhaustive, want.Coverage, want.SampledSequences)
+				}
+				if fits := float64(maxStates) >= theory; got.Exhaustive != fits {
+					t.Errorf("%v/%d MaxStates=%d (theory %v): exhaustive=%v", c.kind, ways, maxStates, theory, got.Exhaustive)
+				}
+			}
+		}
+	}
+}
+
+func TestEnumerateLRU16Samples(t *testing.T) {
 	sp := Enumerate(replacement.TrueLRU, 16, Options{SampleSequences: 32})
 	if sp.Exhaustive {
 		t.Fatal("true LRU at 16 ways reported exhaustive (16! states)")

@@ -121,6 +121,13 @@ func FuzzKickerEarlyExit(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(3), uint8(4), uint8(3), uint8(1), uint8(0), uint8(0), uint64(77))
 	f.Add(uint8(2), uint8(4), uint8(1), uint8(4), uint8(64), uint8(0), uint8(2), uint8(2), uint8(1), uint64(9))
 	f.Add(uint8(0), uint8(1), uint8(2), uint8(1), uint8(0), uint8(2), uint8(7), uint8(1), uint8(5), uint64(3))
+	// The fixed PL cache (defense 2) with hammers of one, two and three
+	// repeats, around the stop after two misses and no hit, and with
+	// the Random policy, where that stop does not apply.
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(2), uint8(0), uint8(3), uint8(0), uint8(1), uint8(3), uint64(5))
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(3), uint8(1), uint8(1), uint8(3), uint64(6))
+	f.Add(uint8(2), uint8(2), uint8(1), uint8(2), uint8(0), uint8(1), uint8(2), uint8(2), uint8(2), uint64(7))
+	f.Add(uint8(0), uint8(4), uint8(2), uint8(2), uint8(0), uint8(3), uint8(2), uint8(1), uint8(3), uint64(8))
 	f.Fuzz(func(t *testing.T, profB, polB, waysB, defB, window, victimB, repeatsB, kickersB, roundsB uint8, seed uint64) {
 		profs := uarch.Profiles()
 		kinds := replacement.Kinds()

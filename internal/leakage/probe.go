@@ -48,7 +48,12 @@ type Strategy struct {
 	// only applies Touch(way), which reaches its fixed point after two
 	// touches of one way in every family (one is not enough for
 	// Bit-PLRU, whose generation rollover clears the touched way's own
-	// bit).
+	// bit). Under the fixed PL cache with a deterministic policy it also
+	// stops after two misses and no hit, counting every remaining repeat
+	// as a miss: the first miss was bypassed (a fill would have made the
+	// second access hit), and a bypass there leaves lines, lock bits and
+	// replacement state as they were and draws no random number, so
+	// every later repeat is the same bypass.
 	KickerRepeats int
 	// KickersPerRound is the number of fresh kicker lines hammered per
 	// round (default 2: the second eviction drains replacement state
@@ -164,6 +169,10 @@ type prober struct {
 	// random fill caches a missed line only when the fill neighbourhood
 	// draw lands on the line itself, at 1/(2*window+1) per access.
 	primeCap int
+	// frozenBypass reports that a bypassed kicker miss is a fixed point:
+	// the fixed PL cache under a deterministic policy (see
+	// Strategy.KickerRepeats).
+	frozenBypass bool
 }
 
 // newProber validates cfg, builds the cell's one target and lays out
@@ -214,6 +223,7 @@ func newProber(cfg Config) *prober {
 	return &prober{
 		tg: tg, st: st,
 		vlines: vlines, alines: alines, sets: sets, primeCap: primeCap,
+		frozenBypass: cfg.Defense == attack.DefensePLCacheFixed && cfg.Policy != replacement.Random,
 	}
 }
 
@@ -289,15 +299,19 @@ func (p *prober) trial(seed uint64, secret int) uint64 {
 	for round := 0; round < st.Rounds; round++ {
 		for k := 0; k < st.KickersPerRound; k++ {
 			kicker := uint64(kickerTagBase+round*st.KickersPerRound+k) * p.sets
-			// Hammer until the kicker's second hit: every later repeat
-			// would hit and leave the state where it is (see
-			// Strategy.KickerRepeats).
+			// Hammer until the kicker's second hit, or its second miss
+			// with no hit on a frozenBypass target: every later repeat
+			// would repeat the last access and leave the state where it
+			// is (see Strategy.KickerRepeats).
 			misses, hits := 0, 0
 			for m := 0; m < st.KickerRepeats && hits < 2; m++ {
 				if tg.Access(kicker, attack.ReqAttacker) {
 					hits++
-				} else {
-					misses++
+					continue
+				}
+				if misses++; p.frozenBypass && misses == 2 && hits == 0 {
+					misses = st.KickerRepeats
+					break
 				}
 			}
 			if misses > 1<<missCountBits-1 {
