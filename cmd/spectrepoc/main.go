@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/spectre"
 )
@@ -29,25 +30,22 @@ func main() {
 		progress   = flag.Bool("progress", false, "report per-byte progress on stderr")
 	)
 	flag.Parse()
+	d, ok := map[string]core.Algorithm{
+		"lru1": lruleak.Alg1SharedMemory, "lru2": lruleak.Alg2NoSharedMemory,
+		"frmem": lruleak.FlushReloadMem, "frl1": lruleak.FlushReloadL1,
+	}[*disc]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "spectrepoc: unknown -disclosure %q (want lru1, lru2, frmem or frl1)\n", *disc)
+		os.Exit(2)
+	}
+	if *rounds < 1 {
+		fmt.Fprintf(os.Stderr, "spectrepoc: -rounds must be >= 1, got %d\n", *rounds)
+		os.Exit(2)
+	}
 
 	opt := lruleak.RunOptions{Workers: *workers}
 	if *progress {
 		opt.Progress = lruleak.ProgressTo(os.Stderr)
-	}
-
-	var d spectre.Disclosure
-	switch *disc {
-	case "lru1":
-		d = lruleak.DiscLRUAlg1
-	case "lru2":
-		d = lruleak.DiscLRUAlg2
-	case "frmem":
-		d = lruleak.DiscFRMem
-	case "frl1":
-		d = lruleak.DiscFRL1
-	default:
-		fmt.Printf("unknown disclosure %q\n", *disc)
-		return
 	}
 
 	cfg := lruleak.SpectreConfig{Disclosure: d, Rounds: *rounds, Seed: *seed}
@@ -57,7 +55,7 @@ func main() {
 			cfg.Rounds = 16 // Appendix C: more rounds to cancel the noise
 		}
 	}
-	if d == lruleak.DiscFRMem {
+	if d == lruleak.FlushReloadMem {
 		cfg.Window = 300
 	}
 
@@ -66,7 +64,7 @@ func main() {
 	fmt.Printf("victim secret:   %q (%d bytes over the %d-value alphabet)\n",
 		*secretText, len(secret), lruleak.SpectreAlphabet)
 	fmt.Printf("disclosure:      %v, window %d cycles, %d rounds, prefetcher %v\n",
-		d, cfgWindow(cfg), cfg.Rounds, *prefetch)
+		d.Column(), cfgWindow(cfg), cfg.Rounds, *prefetch)
 
 	// One job per secret byte: each builds its own attack (victim,
 	// hierarchy, predictor) from a split seed and leaks just that byte.
@@ -108,9 +106,9 @@ func main() {
 		probe := lruleak.EncodeString("AB")
 		prims := []struct {
 			name string
-			d    spectre.Disclosure
-		}{{"LRU Alg.1", lruleak.DiscLRUAlg1}, {"LRU Alg.2", lruleak.DiscLRUAlg2},
-			{"F+R (L1)", lruleak.DiscFRL1}, {"F+R (mem)", lruleak.DiscFRMem}}
+			d    core.Algorithm
+		}{{"LRU Alg.1", lruleak.Alg1SharedMemory}, {"LRU Alg.2", lruleak.Alg2NoSharedMemory},
+			{"F+R (L1)", lruleak.FlushReloadL1}, {"F+R (mem)", lruleak.FlushReloadMem}}
 		wjobs := make([]engine.Job[int], len(prims))
 		for i, c := range prims {
 			c := c

@@ -77,6 +77,8 @@ func TestCommandsRejectOutOfRangeNumbers(t *testing.T) {
 		{"lruattack", "-symbols", "-3"},
 		{"lruattack", "-trials", "-1"},
 		{"lrutables", "-table", "1", "-trials", "0"},
+		{"spectrepoc", "-disclosure", "bogus"},
+		{"spectrepoc", "-secret", "AB", "-rounds", "-1"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/spectre"
 )
 
@@ -20,7 +21,7 @@ func main() {
 
 	fmt.Println("=== Spectre v1 with the LRU-channel disclosure primitive ===")
 	attack := lruleak.NewSpectre(lruleak.SpectreConfig{
-		Disclosure: lruleak.DiscLRUAlg1,
+		Disclosure: lruleak.Alg1SharedMemory,
 		Seed:       1,
 	}, secret)
 
@@ -38,12 +39,12 @@ func main() {
 	probe := lruleak.EncodeString("AB")
 	for _, c := range []struct {
 		name string
-		d    spectre.Disclosure
+		d    core.Algorithm
 	}{
-		{"LRU Algorithm 1 (hit-encoded)", lruleak.DiscLRUAlg1},
-		{"LRU Algorithm 2 (no shared memory)", lruleak.DiscLRUAlg2},
-		{"Flush+Reload via L1 eviction", lruleak.DiscFRL1},
-		{"Flush+Reload via clflush to memory", lruleak.DiscFRMem},
+		{"LRU Algorithm 1 (hit-encoded)", lruleak.Alg1SharedMemory},
+		{"LRU Algorithm 2 (no shared memory)", lruleak.Alg2NoSharedMemory},
+		{"Flush+Reload via L1 eviction", lruleak.FlushReloadL1},
+		{"Flush+Reload via clflush to memory", lruleak.FlushReloadMem},
 	} {
 		w := spectre.MinimumWindow(lruleak.SpectreConfig{Disclosure: c.d, Seed: 1}, probe, 1.0, 4, 400)
 		fmt.Printf("  %-36s %4d cycles\n", c.name, w)

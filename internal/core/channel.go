@@ -1,7 +1,9 @@
 // Package core implements the paper's contribution: timing-based side and
-// covert channels through cache LRU replacement state.
+// covert channels through cache LRU replacement state, next to the
+// Flush+Reload channels the paper compares them with.
 //
-// Three protocol pieces map directly to the paper:
+// Four channels share one Setup, one sender loop and one receive loop
+// (see Algorithm):
 //
 //   - Algorithm 1 — the LRU channel with shared memory: sender and receiver
 //     share the physical cache line "line 0" (e.g. via a shared library);
@@ -14,9 +16,15 @@
 //     its own lines 0..N-1 and decodes by timing line 0, which gets evicted
 //     exactly when the sender's access pushed the set's LRU state forward.
 //
-//   - Algorithm 3 — the covert-channel framing: the sender holds each bit
-//     for Ts cycles; the receiver samples every Tr cycles using the
-//     pointer-chase probe of Section IV-D.
+//   - Flush+Reload (Sections II-A and VII), the baseline of Tables V-VII:
+//     the sender flushes the shared line 0 to memory with clflush
+//     ("F+R (mem)") or evicts it from L1 by loading the set's conflicting
+//     lines ("F+R (L1)"), then reloads it to send a 1; the receiver only
+//     times line 0. Both encode with a miss, unlike the LRU channels.
+//
+// Algorithm 3, the covert-channel framing, drives all four: the sender
+// holds each bit for Ts cycles; the receiver samples every Tr cycles using
+// the pointer-chase probe of Section IV-D.
 //
 // The package also contains the Table I eviction-probability study and the
 // encoding-cost measurements that feed Tables IV and V.
@@ -37,12 +45,19 @@ import (
 // Algorithm selects the channel protocol.
 type Algorithm int
 
-// The two LRU channel protocols.
+// The two LRU channel protocols and the two Flush+Reload baselines.
 const (
 	// Alg1SharedMemory is Algorithm 1: sender and receiver share line 0.
 	Alg1SharedMemory Algorithm = iota + 1
 	// Alg2NoSharedMemory is Algorithm 2: disjoint address spaces.
 	Alg2NoSharedMemory
+	// FlushReloadMem is Flush+Reload over Algorithm 1's shared line 0,
+	// flushed to memory with clflush.
+	FlushReloadMem
+	// FlushReloadL1 is Flush+Reload over the shared line 0, evicted from
+	// L1 by loading the set's eight conflicting lines (no clflush
+	// available, e.g. inside a sandbox).
+	FlushReloadL1
 )
 
 // String names the protocol.
@@ -52,10 +67,33 @@ func (a Algorithm) String() string {
 		return "Algorithm 1 (shared memory)"
 	case Alg2NoSharedMemory:
 		return "Algorithm 2 (no shared memory)"
+	case FlushReloadMem:
+		return "Flush+Reload (clflush to memory)"
+	case FlushReloadL1:
+		return "Flush+Reload (L1 eviction)"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
+
+// Column names the channel as the columns and rows of Tables V-VII do.
+func (a Algorithm) Column() string {
+	switch a {
+	case Alg1SharedMemory:
+		return "L1 LRU Alg.1"
+	case Alg2NoSharedMemory:
+		return "L1 LRU Alg.2"
+	case FlushReloadMem:
+		return "F+R (mem)"
+	case FlushReloadL1:
+		return "F+R (L1)"
+	default:
+		return a.String()
+	}
+}
+
+// flushReload reports whether a is one of the Flush+Reload baselines.
+func (a Algorithm) flushReload() bool { return a == FlushReloadMem || a == FlushReloadL1 }
 
 // Requestor ids used for cache counter attribution throughout the
 // experiments.
@@ -183,6 +221,9 @@ type Setup struct {
 	Chaser *timing.Chaser
 
 	lanes []lane
+	// evictors are the sender's lines conflicting with SenderLine in L1,
+	// which F+R (L1) loads to evict it without clflush.
+	evictors []mem.Addr
 }
 
 // lane is one target set of the channel.
@@ -209,6 +250,9 @@ func NewMultiSetup(cfg Config, targetSets []int) *Setup {
 }
 
 func newSetup(cfg Config, targetSets []int) *Setup {
+	if cfg.Algorithm.flushReload() && len(targetSets) > 1 {
+		panic("core: a Flush+Reload channel has one lane")
+	}
 	for _, set := range targetSets {
 		if set == cfg.reservedSet() {
 			panic(fmt.Sprintf("core: target set %d collides with the reserved chase set", set))
@@ -244,6 +288,10 @@ func newSetup(cfg Config, targetSets []int) *Setup {
 		s.addLane(set)
 	}
 	s.SenderLine, s.ReceiverLines = s.lanes[0].sender, s.lanes[0].receiver
+	if cfg.Algorithm == FlushReloadL1 {
+		set := s.Hier.L1().SetIndex(s.SenderLine.PhysLine)
+		s.evictors = resolveAll(s.SenderAS, s.SenderAS.LinesForSet(prof.L1Sets, set, prof.L1Ways))
+	}
 	return s
 }
 
@@ -253,9 +301,10 @@ func (s *Setup) addLane(set int) {
 	ways := prof.L1Ways
 	var l lane
 	switch s.Cfg.Algorithm {
-	case Alg1SharedMemory:
+	case Alg1SharedMemory, FlushReloadMem, FlushReloadL1:
 		// Lines 0..N shared; the receiver uses all N+1, the sender
-		// uses (its alias of) line 0.
+		// uses (its alias of) line 0. Flush+Reload needs only line 0
+		// but resolves the same lines, so every frame stays put.
 		if s.Cfg.SameAddressSpace {
 			vs := s.ReceiverAS.LinesForSet(prof.L1Sets, set, ways+1)
 			l.receiver = resolveAll(s.ReceiverAS, vs)
@@ -296,7 +345,7 @@ func (s *Setup) NewMachine() *sched.Machine {
 	})
 }
 
-// HitMeansOne reports the decode polarity: under Algorithm 1 a FAST access
-// to line 0 (a hit) means the sender sent 1; under Algorithm 2 a SLOW
-// access (a miss) means 1.
-func (s *Setup) HitMeansOne() bool { return s.Cfg.Algorithm == Alg1SharedMemory }
+// HitMeansOne reports the decode polarity: under Algorithm 1 and
+// Flush+Reload a FAST access to line 0 (a hit) means the sender sent 1;
+// under Algorithm 2 a SLOW access (a miss) means 1.
+func (s *Setup) HitMeansOne() bool { return s.Cfg.Algorithm != Alg2NoSharedMemory }

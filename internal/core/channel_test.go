@@ -8,10 +8,36 @@ import (
 	"repro/internal/uarch"
 )
 
-func TestAlgorithmString(t *testing.T) {
-	if Alg1SharedMemory.String() == "" || Alg2NoSharedMemory.String() == "" || Algorithm(9).String() == "" {
-		t.Error("Algorithm.String broken")
+// Every channel has a distinct protocol name and the column name Tables
+// V-VII print; an unknown value still renders as something.
+func TestAlgorithmStringAndColumn(t *testing.T) {
+	want := map[Algorithm]string{
+		Alg1SharedMemory: "L1 LRU Alg.1", Alg2NoSharedMemory: "L1 LRU Alg.2",
+		FlushReloadMem: "F+R (mem)", FlushReloadL1: "F+R (L1)",
 	}
+	seen := map[string]bool{}
+	for a, col := range want {
+		if got := a.Column(); got != col {
+			t.Errorf("%d.Column() = %q, want %q", int(a), got, col)
+		}
+		if s := a.String(); s == "" || seen[s] {
+			t.Errorf("%d.String() = %q: empty or repeated", int(a), s)
+		} else {
+			seen[s] = true
+		}
+	}
+	if Algorithm(9).String() != "Algorithm(9)" || Algorithm(9).Column() != "Algorithm(9)" {
+		t.Errorf("unknown algorithm renders as %q / %q", Algorithm(9).String(), Algorithm(9).Column())
+	}
+}
+
+func TestNewSetupUnknownAlgorithmPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for an unknown algorithm")
+		}
+	}()
+	NewSetup(Config{Algorithm: Algorithm(42)})
 }
 
 func TestDefaultsFilled(t *testing.T) {

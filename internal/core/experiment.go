@@ -260,12 +260,31 @@ func (s *Setup) MeasureFractionOnes(bit byte, measurements int) float64 {
 	return tr.FractionOnesAt(s.Chaser.Threshold(), s.HitMeansOne())
 }
 
-// EncodeCost returns the sender's encoding latency in cycles for one bit —
-// the LRU-channel column of Table V: the address-computation overhead plus
-// a single L1 hit (the victim line is warm).
+// EncodeCost returns the sender's steady-state cost in cycles of encoding
+// a 1 — Table V: the line is warm and one warm-up encode has brought
+// F+R (L1)'s eviction set into the caches, so the cost is the
+// address-computation overhead plus the per-bit work: a single L1 hit for
+// the LRU channels, the flush and the reload for F+R (mem), the 8-access
+// walk and the reload for F+R (L1).
 func (s *Setup) EncodeCost() int {
 	s.WarmSender()
-	res := s.Hier.Load(s.SenderLine, ReqSender)
-	const addressComputation = 27 // cycles of gadget arithmetic (Table V)
-	return addressComputation + res.Latency
+	s.encode(1)
+	return s.encode(1)
+}
+
+// encode performs the sender's operation for one bit directly against the
+// hierarchy, outside any scheduler, and returns its cost in cycles.
+func (s *Setup) encode(bit byte) int {
+	cost := addressComputation
+	if s.Cfg.Algorithm == FlushReloadMem {
+		s.Hier.Flush(s.SenderLine.PhysLine)
+		cost += sched.FlushCost
+	}
+	for _, ev := range s.evictors {
+		cost += s.Hier.Load(ev, ReqSender).Latency
+	}
+	if bit != 0 {
+		cost += s.Hier.Load(s.SenderLine, ReqSender).Latency
+	}
+	return cost
 }

@@ -16,6 +16,10 @@ type Observation struct {
 	TrueL1Hit bool
 }
 
+// addressComputation is the sender's per-bit gadget arithmetic in cycles
+// (Table V), on top of its memory operations.
+const addressComputation = 27
+
 // SenderProgram returns the single-bit sender thread on lane 0: it
 // transmits message (one byte per bit) by holding each bit for Ts cycles
 // and running the encoding phase of the configured algorithm in a loop
@@ -24,12 +28,27 @@ type Observation struct {
 func (s *Setup) SenderProgram(message []byte, repeat bool) func(*sched.Env) {
 	period := s.Cfg.senderPeriod()
 	ts := s.Cfg.Ts
+	fr := s.Cfg.Algorithm.flushReload()
 	return func(e *sched.Env) {
 		for {
 			for _, bit := range message {
 				deadline := e.Now() + ts
 				for e.Now() < deadline {
-					if bit != 0 {
+					if fr {
+						// Flush+Reload: flush line 0 (or
+						// walk its L1 set), and reload it
+						// to send a 1 — a miss either way.
+						if s.Cfg.Algorithm == FlushReloadMem {
+							e.Flush(s.SenderLine)
+						}
+						for _, ev := range s.evictors {
+							e.Access(ev)
+						}
+						if bit != 0 {
+							e.Access(s.SenderLine)
+						}
+						e.Busy(addressComputation)
+					} else if bit != 0 {
 						// Encoding phase: one access. Under
 						// Algorithm 1 this touches shared
 						// line 0; under Algorithm 2 the
@@ -92,13 +111,17 @@ func (s *Setup) WarmSender() {
 // receive loop around the configured algorithm, one sweep per sampling
 // period: initialization phase (lines 0..d-1 of every lane), busy-wait
 // until Tr has elapsed since the previous sweep, then per lane the
-// decoding phase (remaining lines) and the timed pointer-chase access to
-// line 0. Each sweep appends one observation per lane, all stamped with
-// the wall time the sweep ended; a sweep the machine stops midway appends
-// nothing. The thread runs until the machine's wall-clock limit stops it
-// (or maxSweeps is reached, if > 0).
+// decoding phase (lines d..K-1) and the timed pointer-chase access to
+// line 0. Flush+Reload primes and decodes nothing: its receiver only
+// reloads line 0. Each sweep appends one observation per lane, all
+// stamped with the wall time the sweep ended; a sweep the machine stops
+// midway appends nothing. The thread runs until the machine's wall-clock
+// limit stops it (or maxSweeps is reached, if > 0).
 func (s *Setup) receiverProgram(out *[]Observation, maxSweeps int) func(*sched.Env) {
-	d := min(s.Cfg.D, len(s.ReceiverLines))
+	d, k := min(s.Cfg.D, len(s.ReceiverLines)), len(s.ReceiverLines)
+	if s.Cfg.Algorithm.flushReload() {
+		d, k = 0, 0
+	}
 	tr := s.Cfg.Tr
 	return func(e *sched.Env) {
 		s.Chaser.WarmUp()
@@ -116,7 +139,7 @@ func (s *Setup) receiverProgram(out *[]Observation, maxSweeps int) func(*sched.E
 			tLast = e.Now()
 			for i, l := range s.lanes {
 				// Step 2: decoding phase.
-				for _, line := range l.receiver[d:] {
+				for _, line := range l.receiver[d:k] {
 					e.Access(line)
 				}
 				// Timed access to line 0 via the pointer chase.

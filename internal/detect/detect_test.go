@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/perfctr"
 	"repro/internal/sched"
@@ -38,8 +37,11 @@ func TestLRUChannelEvadesDetector(t *testing.T) {
 	m := NewMonitor(Thresholds{})
 
 	// Flush+Reload (mem) sender: flagged.
-	sFR := smtSetup(1)
-	baseline.New(baseline.FlushReloadMem, sFR).Run([]byte{1, 0}, true, 600, 1<<40)
+	sFR := core.NewSetup(core.Config{
+		Algorithm: core.FlushReloadMem, Mode: sched.SMT,
+		Tr: 600, Ts: 6000, Seed: 1,
+	})
+	sFR.Run([]byte{1, 0}, true, 600, 1<<40)
 	if v := m.Classify(perfctrCollect(sFR)); v != Suspicious {
 		t.Errorf("F+R sender classified %v; detector should catch it\n%s",
 			v, m.Explain(perfctrCollect(sFR)))

@@ -219,6 +219,22 @@ func (h *Hierarchy) result(r1 cache.Result, lvl Level) Result {
 	}
 }
 
+// Peek reports where a load of physLine would be served from now, and its
+// latency, without performing it: no fill, no replacement-state update,
+// no counters, no prefetch. The utag predictor is ignored.
+func (h *Hierarchy) Peek(physLine uint64) Result {
+	lvl := LevelMem
+	switch {
+	case h.l1.Contains(physLine):
+		lvl = LevelL1
+	case h.l2.Contains(physLine):
+		lvl = LevelL2
+	case h.llc != nil && h.llc.Contains(physLine):
+		lvl = LevelLLC
+	}
+	return h.result(cache.Result{}, lvl)
+}
+
 // maybePrefetch implements the next-line prefetcher. Prefetched fills go
 // through the normal access path (they update LRU state in every level they
 // fill — that is exactly the noise the Spectre receiver must cancel), but

@@ -243,3 +243,36 @@ func TestLevelAndPrefetcherStrings(t *testing.T) {
 }
 
 func lockOp() cache.Op { return cache.OpLock }
+
+// Peek predicts the level and latency of the next Load wherever the line
+// sits, and changes nothing: no counter moves and no line moves.
+func TestPeekPredictsLoad(t *testing.T) {
+	h, _, as := newTestHier(t, Config{L1Policy: replacement.TreePLRU, L2Policy: replacement.TreePLRU, WithLLC: true})
+	a := as.Resolve(as.Alloc(1))
+	for _, tc := range []struct {
+		want  Level
+		place func()
+	}{
+		{LevelMem, func() {}},
+		{LevelLLC, func() { h.Load(a, 0); h.l1.Flush(a.PhysLine); h.l2.Flush(a.PhysLine) }},
+		{LevelL2, func() { h.Load(a, 0); h.l1.Flush(a.PhysLine) }},
+		{LevelL1, func() { h.Load(a, 0) }},
+	} {
+		h.Reset()
+		tc.place()
+		before := [3]cache.Stats{h.l1.Stats(), h.l2.Stats(), h.llc.Stats()}
+		peek := h.Peek(a.PhysLine)
+		peek2 := h.Peek(a.PhysLine)
+		if after := [3]cache.Stats{h.l1.Stats(), h.l2.Stats(), h.llc.Stats()}; after != before {
+			t.Errorf("%v: Peek moved counters %+v -> %+v", tc.want, before, after)
+		}
+		if peek2 != peek {
+			t.Errorf("%v: second Peek %+v differs from first %+v", tc.want, peek2, peek)
+		}
+		load := h.Load(a, 0)
+		if peek.Level != tc.want || peek.Level != load.Level || peek.Latency != load.Latency {
+			t.Errorf("Peek = %v/%d cycles, Load = %v/%d cycles, want level %v",
+				peek.Level, peek.Latency, load.Level, load.Latency, tc.want)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package spectre
 
+import "repro/internal/core"
+
 // This file implements the attacker's side: priming each cache set,
 // triggering the transient leak, and reading the touched set back through
 // the configured disclosure primitive. Appendix C's prefetcher defence is
@@ -18,19 +20,19 @@ func (a *Attack) warmArray2() {
 // primeSet runs the receiver's initialization phase on set s.
 func (a *Attack) primeSet(s int) {
 	switch a.cfg.Disclosure {
-	case LRUAlg1:
+	case core.Alg1SharedMemory:
 		// d=8: line 0 (the array2 line itself) plus 7 fillers.
 		a.Hier.Load(a.array2Line[s], ReqAttacker)
 		for i := 0; i < 7; i++ {
 			a.Hier.Load(a.filler[s][i], ReqAttacker)
 		}
-	case LRUAlg2:
+	case core.Alg2NoSharedMemory:
 		for i := 0; i < a.cfg.D; i++ {
 			a.Hier.Load(a.filler[s][i], ReqAttacker)
 		}
-	case FRMem:
+	case core.FlushReloadMem:
 		a.Hier.Flush(a.array2Line[s].PhysLine)
-	case FRL1:
+	case core.FlushReloadL1:
 		// Evict the probe line from L1 with the 8 conflicting loads.
 		for _, f := range a.filler[s] {
 			a.Hier.Load(f, ReqAttacker)
@@ -43,13 +45,13 @@ func (a *Attack) primeSet(s int) {
 func (a *Attack) probeSet(s int) bool {
 	th := a.chaser.Threshold()
 	switch a.cfg.Disclosure {
-	case LRUAlg1:
+	case core.Alg1SharedMemory:
 		// Decode: line 8 (the 8th filler), then time line 0. A HIT
 		// means the victim re-touched line 0 during speculation.
 		a.Hier.Load(a.filler[s][7], ReqAttacker)
 		m := a.chaser.Measure(a.array2Line[s])
 		return m.Observed <= th
-	case LRUAlg2:
+	case core.Alg2NoSharedMemory:
 		// Decode: the remaining own lines, then time line 0. A MISS
 		// means the victim's access pushed it out.
 		ways := a.cfg.Profile.L1Ways
@@ -58,7 +60,7 @@ func (a *Attack) probeSet(s int) bool {
 		}
 		m := a.chaser.Measure(a.filler[s][0])
 		return m.Observed > th
-	case FRMem, FRL1:
+	case core.FlushReloadMem, core.FlushReloadL1:
 		// Reload: a fast (L1-hit) reload means the victim fetched or
 		// touched the probe line.
 		m := a.chaser.Measure(a.array2Line[s])

@@ -30,6 +30,7 @@ package spectre
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/hier"
 	"repro/internal/mem"
 	"repro/internal/replacement"
@@ -37,40 +38,6 @@ import (
 	"repro/internal/timing"
 	"repro/internal/uarch"
 )
-
-// Disclosure selects the covert channel used to exfiltrate the transient
-// access (Table VII columns).
-type Disclosure int
-
-// Disclosure primitives.
-const (
-	// LRUAlg1 uses the shared-memory LRU channel: the attacker's "line
-	// 0" of each set is the array2 line itself.
-	LRUAlg1 Disclosure = iota + 1
-	// LRUAlg2 uses the no-shared-memory LRU channel: the attacker
-	// observes only through its own lines.
-	LRUAlg2
-	// FRMem is Flush+Reload with clflush to memory.
-	FRMem
-	// FRL1 is Flush+Reload with L1 eviction by conflicting loads.
-	FRL1
-)
-
-// String names the primitive as in Table VII.
-func (d Disclosure) String() string {
-	switch d {
-	case LRUAlg1:
-		return "L1 LRU Alg.1"
-	case LRUAlg2:
-		return "L1 LRU Alg.2"
-	case FRMem:
-		return "F+R (mem)"
-	case FRL1:
-		return "F+R (L1)"
-	default:
-		return fmt.Sprintf("Disclosure(%d)", int(d))
-	}
-}
 
 // Alphabet is the number of distinguishable secret values: one per usable
 // L1 set. The paper uses 63 of the 64 sets, reserving one for the
@@ -89,8 +56,14 @@ const (
 
 // Config parameterizes an attack.
 type Config struct {
-	Profile    uarch.Profile
-	Disclosure Disclosure
+	Profile uarch.Profile
+	// Disclosure is the covert channel that exfiltrates the transient
+	// access (Table VII columns). Under core.Alg1SharedMemory the
+	// attacker's "line 0" of each set is the array2 line itself; under
+	// core.Alg2NoSharedMemory it observes only through its own lines;
+	// the Flush+Reload channels flush or evict the array2 line and
+	// reload it.
+	Disclosure core.Algorithm
 	// Window is the speculation window in cycles (default 30 — room for
 	// two back-to-back L2 hits, far below a memory round trip).
 	Window int
@@ -121,7 +94,7 @@ func (c Config) withDefaults() Config {
 		c.Profile = uarch.SandyBridge()
 	}
 	if c.Disclosure == 0 {
-		c.Disclosure = LRUAlg1
+		c.Disclosure = core.Alg1SharedMemory
 	}
 	if c.Window == 0 {
 		// Two L2 hits back to back (the secret byte and the probe
@@ -287,32 +260,17 @@ func (a *Attack) CallVictim(x int) {
 	if idx < 0 || idx >= len(a.secret) {
 		return
 	}
-	lat := a.peekLatency(a.secretAddr[idx])
+	// The window checks peek, so a squashed load leaves no trace.
+	lat := a.Hier.Peek(a.secretAddr[idx].PhysLine).Latency
 	if lat > a.cfg.Window {
 		return // the secret-byte load itself did not complete in time
 	}
 	a.Hier.Load(a.secretAddr[idx], ReqVictim)
 	v := int(a.secret[idx])
-	if lat+a.peekLatency(a.array2Line[v]) > a.cfg.Window {
+	if lat+a.Hier.Peek(a.array2Line[v].PhysLine).Latency > a.cfg.Window {
 		return // the dependent access was squashed before completing
 	}
 	a.Hier.Load(a.array2Line[v], ReqVictim)
-}
-
-// peekLatency predicts a load's latency from current cache contents without
-// performing it (the window check must not have side effects).
-func (a *Attack) peekLatency(addr mem.Addr) int {
-	prof := a.cfg.Profile
-	switch {
-	case a.Hier.L1().Contains(addr.PhysLine):
-		return prof.L1Latency
-	case a.Hier.L2().Contains(addr.PhysLine):
-		return prof.L2Latency
-	case a.Hier.LLC() != nil && a.Hier.LLC().Contains(addr.PhysLine):
-		return 40
-	default:
-		return prof.MemLatency
-	}
 }
 
 // Train performs the in-bounds calls that bias the bounds-check predictor

@@ -3,6 +3,7 @@ package spectre
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hier"
 	"repro/internal/perfctr"
 	"repro/internal/uarch"
@@ -11,14 +12,6 @@ import (
 // testSecret spells "THEMAGICWORDS" in the 6-bit alphabet (A=0..Z=25,
 // digits and punctuation above).
 var testSecret = []byte{19, 7, 4, 12, 0, 6, 8, 2, 22, 14, 17, 3, 18}
-
-func TestDisclosureString(t *testing.T) {
-	for _, d := range []Disclosure{LRUAlg1, LRUAlg2, FRMem, FRL1, Disclosure(9)} {
-		if d.String() == "" {
-			t.Errorf("empty string for %d", int(d))
-		}
-	}
-}
 
 func TestNewRejectsOutOfAlphabetSecret(t *testing.T) {
 	defer func() {
@@ -51,14 +44,14 @@ func TestPredictorTrains(t *testing.T) {
 // The headline Section VIII result: Spectre with the LRU Algorithm 1
 // disclosure recovers the secret.
 func TestSpectreLRUAlg1RecoversSecret(t *testing.T) {
-	a := New(Config{Disclosure: LRUAlg1, Seed: 2}, testSecret)
+	a := New(Config{Disclosure: core.Alg1SharedMemory, Seed: 2}, testSecret)
 	if acc := a.Accuracy(); acc < 0.9 {
 		t.Errorf("LRU Alg.1 disclosure accuracy = %v, want >= 0.9", acc)
 	}
 }
 
 func TestSpectreLRUAlg2RecoversSecret(t *testing.T) {
-	a := New(Config{Disclosure: LRUAlg2, Rounds: 16, Seed: 3}, testSecret)
+	a := New(Config{Disclosure: core.Alg2NoSharedMemory, Rounds: 16, Seed: 3}, testSecret)
 	if acc := a.Accuracy(); acc < 0.8 {
 		t.Errorf("LRU Alg.2 disclosure accuracy = %v, want >= 0.8", acc)
 	}
@@ -67,18 +60,18 @@ func TestSpectreLRUAlg2RecoversSecret(t *testing.T) {
 func TestSpectreFlushReloadNeedsBigWindow(t *testing.T) {
 	// With the LRU channel's tiny window, F+R (mem) cannot exfiltrate:
 	// its probe line must come from memory inside the window.
-	small := New(Config{Disclosure: FRMem, Window: 20, Seed: 4}, testSecret[:4])
+	small := New(Config{Disclosure: core.FlushReloadMem, Window: 20, Seed: 4}, testSecret[:4])
 	if acc := small.Accuracy(); acc > 0.5 {
 		t.Errorf("F+R (mem) succeeded (%v) within a 20-cycle window; it should need ~a memory latency", acc)
 	}
-	big := New(Config{Disclosure: FRMem, Window: 300, Seed: 5}, testSecret[:4])
+	big := New(Config{Disclosure: core.FlushReloadMem, Window: 300, Seed: 5}, testSecret[:4])
 	if acc := big.Accuracy(); acc < 0.9 {
 		t.Errorf("F+R (mem) accuracy with a 300-cycle window = %v", acc)
 	}
 }
 
 func TestSpectreFRL1Works(t *testing.T) {
-	a := New(Config{Disclosure: FRL1, Window: 25, Seed: 6}, testSecret[:6])
+	a := New(Config{Disclosure: core.FlushReloadL1, Window: 25, Seed: 6}, testSecret[:6])
 	if acc := a.Accuracy(); acc < 0.9 {
 		t.Errorf("F+R (L1) accuracy = %v", acc)
 	}
@@ -88,8 +81,8 @@ func TestSpectreFRL1Works(t *testing.T) {
 // disclosure is far below Flush+Reload (mem)'s.
 func TestMinimumWindowOrdering(t *testing.T) {
 	sec := testSecret[:3]
-	lru := MinimumWindow(Config{Disclosure: LRUAlg1, Seed: 7}, sec, 1.0, 4, 400)
-	fr := MinimumWindow(Config{Disclosure: FRMem, Seed: 7}, sec, 1.0, 4, 400)
+	lru := MinimumWindow(Config{Disclosure: core.Alg1SharedMemory, Seed: 7}, sec, 1.0, 4, 400)
+	fr := MinimumWindow(Config{Disclosure: core.FlushReloadMem, Seed: 7}, sec, 1.0, 4, 400)
 	if lru < 0 || fr < 0 {
 		t.Fatalf("window search failed: lru=%d fr=%d", lru, fr)
 	}
@@ -99,7 +92,7 @@ func TestMinimumWindowOrdering(t *testing.T) {
 }
 
 func TestUntrainedPredictorBlocksLeak(t *testing.T) {
-	a := New(Config{Disclosure: LRUAlg1, Training: -1, Seed: 8}, testSecret[:2])
+	a := New(Config{Disclosure: core.Alg1SharedMemory, Training: -1, Seed: 8}, testSecret[:2])
 	// Without training, out-of-bounds calls resolve the branch instantly
 	// and never execute transiently: accuracy collapses to chance.
 	correct := 0
@@ -122,7 +115,7 @@ func TestUntrainedPredictorBlocksLeak(t *testing.T) {
 // robust to prefetch pollution, which only causes extra evictions.)
 func TestPrefetcherNoiseCancelledByRounds(t *testing.T) {
 	noisyN := New(Config{
-		Disclosure: LRUAlg2, Prefetcher: hier.PrefetchNextLine,
+		Disclosure: core.Alg2NoSharedMemory, Prefetcher: hier.PrefetchNextLine,
 		Rounds: 24, Seed: 9,
 	}, testSecret)
 	if aN := noisyN.Accuracy(); aN < 0.8 {
@@ -130,7 +123,7 @@ func TestPrefetcherNoiseCancelledByRounds(t *testing.T) {
 	}
 	// The per-round probe stream must actually be triggering prefetches
 	// for the defence to be exercised at all.
-	clean := New(Config{Disclosure: LRUAlg2, Rounds: 24, Seed: 9}, testSecret)
+	clean := New(Config{Disclosure: core.Alg2NoSharedMemory, Rounds: 24, Seed: 9}, testSecret)
 	clean.Accuracy()
 	if noisyN.Hier.L1().Stats().Accesses <= clean.Hier.L1().Stats().Accesses {
 		t.Error("prefetcher produced no extra L1 traffic; noise model inactive")
@@ -142,13 +135,13 @@ func TestPrefetcherNoiseCancelledByRounds(t *testing.T) {
 // paper: 7.58% L2 miss rate vs 0.11% for the LRU variants) and far more
 // absolute LLC misses.
 func TestTableVIIMissRateShape(t *testing.T) {
-	run := func(d Disclosure, window int) perfctr.Report {
+	run := func(d core.Algorithm, window int) perfctr.Report {
 		a := New(Config{Disclosure: d, Window: window, Seed: 10}, testSecret[:4])
 		a.RecoverSecret()
 		return perfctr.CollectCombined(a.Hier, ReqVictim, ReqAttacker)
 	}
-	lru := run(LRUAlg1, 30)
-	fr := run(FRMem, 300)
+	lru := run(core.Alg1SharedMemory, 30)
+	fr := run(core.FlushReloadMem, 300)
 	if fr.L2.MissRate() < 3*lru.L2.MissRate() {
 		t.Errorf("F+R L2 miss rate %v not far above LRU's %v", fr.L2.MissRate(), lru.L2.MissRate())
 	}
@@ -158,8 +151,8 @@ func TestTableVIIMissRateShape(t *testing.T) {
 }
 
 func TestDeterministicRecovery(t *testing.T) {
-	a := New(Config{Disclosure: LRUAlg1, Seed: 11}, testSecret[:5])
-	b := New(Config{Disclosure: LRUAlg1, Seed: 11}, testSecret[:5])
+	a := New(Config{Disclosure: core.Alg1SharedMemory, Seed: 11}, testSecret[:5])
+	b := New(Config{Disclosure: core.Alg1SharedMemory, Seed: 11}, testSecret[:5])
 	ga, gb := a.RecoverSecret(), b.RecoverSecret()
 	for i := range ga {
 		if ga[i] != gb[i] {
@@ -169,7 +162,7 @@ func TestDeterministicRecovery(t *testing.T) {
 }
 
 func TestZenProfileSpectre(t *testing.T) {
-	a := New(Config{Profile: uarch.Zen(), Disclosure: LRUAlg1, Rounds: 16, Seed: 12}, testSecret[:6])
+	a := New(Config{Profile: uarch.Zen(), Disclosure: core.Alg1SharedMemory, Rounds: 16, Seed: 12}, testSecret[:6])
 	if acc := a.Accuracy(); acc < 0.6 {
 		t.Errorf("Zen LRU Alg.1 accuracy = %v; coarse TSC should still allow multi-round recovery", acc)
 	}
@@ -179,7 +172,7 @@ func TestZenProfileSpectre(t *testing.T) {
 // non-speculative) blinds every disclosure primitive, including the LRU
 // channel.
 func TestInvisiSpecBlocksAllDisclosures(t *testing.T) {
-	for _, d := range []Disclosure{LRUAlg1, LRUAlg2, FRL1} {
+	for _, d := range []core.Algorithm{core.Alg1SharedMemory, core.Alg2NoSharedMemory, core.FlushReloadL1} {
 		a := New(Config{Disclosure: d, InvisiSpec: true, Seed: 31}, testSecret[:4])
 		got := a.RecoverSecret()
 		correct := 0
@@ -197,7 +190,7 @@ func TestInvisiSpecBlocksAllDisclosures(t *testing.T) {
 func TestInvisiSpecPreservesArchitecturalExecution(t *testing.T) {
 	// In-bounds calls still work normally under InvisiSpec (only
 	// speculative state is suppressed).
-	a := New(Config{Disclosure: LRUAlg1, InvisiSpec: true, Seed: 32}, testSecret[:2])
+	a := New(Config{Disclosure: core.Alg1SharedMemory, InvisiSpec: true, Seed: 32}, testSecret[:2])
 	a.Train()
 	if !a.Hier.L1().Contains(a.array1.PhysLine) {
 		t.Error("architectural access did not fill the cache")

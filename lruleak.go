@@ -31,7 +31,6 @@ import (
 	"io"
 
 	"repro/internal/attack"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hier"
@@ -61,8 +60,6 @@ type (
 	SpectreConfig = spectre.Config
 	// SpectreAttack is an instantiated Spectre v1 attack.
 	SpectreAttack = spectre.Attack
-	// BaselineChannel is a Flush+Reload comparison attack.
-	BaselineChannel = baseline.Channel
 	// ReplacementKind selects an L1 replacement policy.
 	ReplacementKind = replacement.Kind
 	// RunOptions tunes how a driver's job grid executes: worker count
@@ -122,12 +119,18 @@ func AttackChanceGuesses(v VictimProgram) float64 { return attack.ChanceGuesses(
 // per completed experiment cell to w (typically os.Stderr).
 func ProgressTo(w io.Writer) func(JobEvent) { return engine.StderrProgress(w) }
 
-// Protocol selectors.
+// Channel selectors: the LRU protocols, and the Flush+Reload baselines
+// of Section VII / Table V. Each also names a Spectre disclosure
+// primitive (Section VIII / Table VII).
 const (
 	// Alg1SharedMemory is the paper's Algorithm 1.
 	Alg1SharedMemory = core.Alg1SharedMemory
 	// Alg2NoSharedMemory is the paper's Algorithm 2.
 	Alg2NoSharedMemory = core.Alg2NoSharedMemory
+	// FlushReloadMem flushes the shared line to memory with clflush.
+	FlushReloadMem = core.FlushReloadMem
+	// FlushReloadL1 evicts the shared line from L1 with conflicting loads.
+	FlushReloadL1 = core.FlushReloadL1
 )
 
 // Core sharing modes (Section III threat model).
@@ -145,20 +148,6 @@ const (
 	BitPLRU  = replacement.BitPLRU
 	FIFO     = replacement.FIFO
 	Random   = replacement.Random
-)
-
-// Spectre disclosure primitives (Section VIII / Table VII).
-const (
-	DiscLRUAlg1 = spectre.LRUAlg1
-	DiscLRUAlg2 = spectre.LRUAlg2
-	DiscFRMem   = spectre.FRMem
-	DiscFRL1    = spectre.FRL1
-)
-
-// Baseline channels (Section VII / Table V).
-const (
-	FlushReloadMem = baseline.FlushReloadMem
-	FlushReloadL1  = baseline.FlushReloadL1
 )
 
 // PrefetchNextLine is the next-line L1 prefetcher model (Appendix C).
@@ -198,11 +187,6 @@ func NewSpectre(cfg SpectreConfig, secret []byte) *SpectreAttack {
 // SpectreAlphabet is the number of distinguishable secret values per
 // transient access (one per usable L1 set).
 const SpectreAlphabet = spectre.Alphabet
-
-// NewBaseline instantiates a comparison channel over an existing setup.
-func NewBaseline(kind baseline.Kind, s *Channel) *BaselineChannel {
-	return baseline.New(kind, s)
-}
 
 // EncodeString maps an upper-case-and-space string into the Spectre 6-bit
 // alphabet (A=0..Z=25, space=26, 0-9=27..36); unsupported characters map to

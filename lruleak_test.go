@@ -3,8 +3,6 @@ package lruleak
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/spectre"
 )
 
 func TestEncodeDecodeString(t *testing.T) {
@@ -171,7 +169,7 @@ func TestFigure11LeakThenFixed(t *testing.T) {
 
 func TestSpectreEndToEnd(t *testing.T) {
 	secret := EncodeString("SQUEAMISH")
-	a := NewSpectre(SpectreConfig{Disclosure: DiscLRUAlg1, Seed: 19}, secret)
+	a := NewSpectre(SpectreConfig{Disclosure: Alg1SharedMemory, Seed: 19}, secret)
 	got := a.RecoverSecret()
 	if DecodeString(got) != "SQUEAMISH" {
 		t.Errorf("recovered %q", DecodeString(got))
@@ -184,7 +182,7 @@ func TestTableVIIAccuracies(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.Disclosure == spectre.LRUAlg1 && r.Accuracy < 0.9 {
+		if r.Disclosure == Alg1SharedMemory && r.Accuracy < 0.9 {
 			t.Errorf("%s LRU Alg.1 accuracy %v", r.Profile.Name, r.Accuracy)
 		}
 	}

@@ -97,7 +97,7 @@ func renderAblations(opt RunOptions) string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
 	line("spectre-lru-channel", func(seed uint64) string {
-		a := NewSpectre(SpectreConfig{Disclosure: DiscLRUAlg1, Seed: seed},
+		a := NewSpectre(SpectreConfig{Disclosure: Alg1SharedMemory, Seed: seed},
 			EncodeString("THE MAGIC WORDS ARE SQUEAMISH OSSIFRAGE"))
 		return "recovery-accuracy=" + g(a.Accuracy())
 	})
@@ -150,7 +150,7 @@ func renderAblations(opt RunOptions) string {
 	for _, rounds := range []int{1, 4, 16} {
 		line(fmt.Sprintf("spectre-rounds rounds=%d", rounds), func(seed uint64) string {
 			a := NewSpectre(SpectreConfig{
-				Disclosure: DiscLRUAlg2, Prefetcher: PrefetchNextLine,
+				Disclosure: Alg2NoSharedMemory, Prefetcher: PrefetchNextLine,
 				Rounds: rounds, Seed: seed,
 			}, EncodeString("KEY"))
 			return "recovery-accuracy=" + g(a.Accuracy())
@@ -160,8 +160,8 @@ func renderAblations(opt RunOptions) string {
 	// Minimum speculation window per disclosure primitive (Section VIII).
 	for _, d := range []struct {
 		name string
-		disc spectre.Disclosure
-	}{{"lru1", spectre.LRUAlg1}, {"lru2", spectre.LRUAlg2}, {"frmem", spectre.FRMem}} {
+		disc core.Algorithm
+	}{{"lru1", Alg1SharedMemory}, {"lru2", Alg2NoSharedMemory}, {"frmem", FlushReloadMem}} {
 		line("speculation-window "+d.name, func(seed uint64) string {
 			w := spectre.MinimumWindow(SpectreConfig{Disclosure: d.disc, Seed: seed},
 				EncodeString("AB"), 1.0, 4, 400)
@@ -208,7 +208,7 @@ func renderAblations(opt RunOptions) string {
 	// InvisiSpec (Section IX-B): recovery accuracy with and without.
 	for _, on := range []bool{false, true} {
 		line(fmt.Sprintf("invisispec on=%v", on), func(seed uint64) string {
-			a := NewSpectre(SpectreConfig{Disclosure: DiscLRUAlg1, InvisiSpec: on, Seed: seed},
+			a := NewSpectre(SpectreConfig{Disclosure: Alg1SharedMemory, InvisiSpec: on, Seed: seed},
 				EncodeString("KEY"))
 			return "recovery-accuracy=" + g(a.Accuracy())
 		})
@@ -235,9 +235,9 @@ func renderAblations(opt RunOptions) string {
 	// the LRU sender.
 	line("detection-evasion", func(seed uint64) string {
 		m := detect.NewMonitor(detect.Thresholds{})
-		sFR := NewChannel(ChannelConfig{Algorithm: Alg1SharedMemory, Mode: sched.SMT,
+		sFR := NewChannel(ChannelConfig{Algorithm: FlushReloadMem, Mode: sched.SMT,
 			Tr: 600, Ts: 6000, Seed: seed})
-		NewBaseline(FlushReloadMem, sFR).Run([]byte{1, 0}, true, 600, 1<<40)
+		sFR.Run([]byte{1, 0}, true, 600, 1<<40)
 		sLRU := NewChannel(ChannelConfig{Algorithm: Alg1SharedMemory, Mode: sched.SMT,
 			Tr: 600, Ts: 6000, Seed: seed + 1})
 		sLRU.Run([]byte{1, 0}, true, 600, 1<<40)

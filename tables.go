@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/perfctr"
@@ -190,14 +189,14 @@ func TableV(seed uint64, opt RunOptions) []TableVRow {
 			Name: fmt.Sprintf("tableV/%s", prof.Arch),
 			Seed: seed,
 			Run: func(s uint64) TableVRow {
-				mk := func() *Channel {
-					return NewChannel(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory, Seed: s})
+				cost := func(alg core.Algorithm) int {
+					return NewChannel(ChannelConfig{Profile: prof, Algorithm: alg, Seed: s}).EncodeCost()
 				}
 				return TableVRow{
 					Profile: prof,
-					FRMem:   baseline.New(baseline.FlushReloadMem, mk()).EncodeCostOne(),
-					FRL1:    baseline.New(baseline.FlushReloadL1, mk()).EncodeCostOne(),
-					LRU:     mk().EncodeCost(),
+					FRMem:   cost(FlushReloadMem),
+					FRL1:    cost(FlushReloadL1),
+					LRU:     cost(Alg1SharedMemory),
 				}
 			},
 		}
@@ -236,22 +235,8 @@ func TableVI(samples int, seed uint64, opt RunOptions) []TableVIRow {
 	for _, prof := range []Profile{SandyBridge(), Skylake()} {
 		prof := prof
 		// F+R variants and the LRU channels.
-		for _, kind := range []baseline.Kind{baseline.FlushReloadMem, baseline.FlushReloadL1} {
-			kind := kind
-			add(fmt.Sprintf("tableVI/%s/%v", prof.Arch, kind), func(s uint64) TableVIRow {
-				c := NewChannel(ChannelConfig{Profile: prof, Algorithm: Alg1SharedMemory,
-					Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s})
-				ch := baseline.New(kind, c)
-				ch.Run([]byte{1, 0}, true, samples, 1<<40)
-				return TableVIRow{prof, kind.String(), perfctr.Collect(c.Hier, core.ReqSender)}
-			})
-		}
-		for _, alg := range []core.Algorithm{Alg1SharedMemory, Alg2NoSharedMemory} {
-			alg := alg
-			name := "L1 LRU Alg.1"
-			if alg == Alg2NoSharedMemory {
-				name = "L1 LRU Alg.2"
-			}
+		for _, alg := range []core.Algorithm{FlushReloadMem, FlushReloadL1, Alg1SharedMemory, Alg2NoSharedMemory} {
+			alg, name := alg, alg.Column()
 			add(fmt.Sprintf("tableVI/%s/%s", prof.Arch, name), func(s uint64) TableVIRow {
 				c := NewChannel(ChannelConfig{Profile: prof, Algorithm: alg,
 					Mode: sched.SMT, Tr: 600, Ts: 6000, Seed: s})
@@ -299,7 +284,7 @@ func RenderTableVI(rows []TableVIRow) string {
 // TableVIIRow is one Spectre-attack miss-rate row.
 type TableVIIRow struct {
 	Profile    Profile
-	Disclosure spectre.Disclosure
+	Disclosure core.Algorithm
 	Report     perfctr.Report
 	Accuracy   float64
 }
@@ -313,14 +298,14 @@ func TableVII(secret []byte, seed uint64, opt RunOptions) []TableVIIRow {
 	}
 	var jobs []engine.Job[TableVIIRow]
 	for _, prof := range []Profile{SandyBridge(), Skylake()} {
-		for _, d := range []spectre.Disclosure{spectre.FRMem, spectre.FRL1, spectre.LRUAlg1, spectre.LRUAlg2} {
+		for _, d := range []core.Algorithm{FlushReloadMem, FlushReloadL1, Alg1SharedMemory, Alg2NoSharedMemory} {
 			prof, d := prof, d
 			jobs = append(jobs, engine.Job[TableVIIRow]{
-				Name: fmt.Sprintf("tableVII/%s/%v", prof.Arch, d),
+				Name: fmt.Sprintf("tableVII/%s/%s", prof.Arch, d.Column()),
 				Seed: seed,
 				Run: func(s uint64) TableVIIRow {
 					cfg := SpectreConfig{Profile: prof, Disclosure: d, Seed: s}
-					if d == spectre.FRMem {
+					if d == FlushReloadMem {
 						cfg.Window = 300 // F+R needs the probe fill to complete
 					}
 					a := NewSpectre(cfg, secret)
@@ -344,7 +329,7 @@ func RenderTableVII(rows []TableVIIRow) string {
 	b.WriteString("CPU                     Disclosure     miss rates                              recovered\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-22s  %-13s  %s  %5.1f%%\n",
-			r.Profile.Name, r.Disclosure, r.Report, 100*r.Accuracy)
+			r.Profile.Name, r.Disclosure.Column(), r.Report, 100*r.Accuracy)
 	}
 	return b.String()
 }
