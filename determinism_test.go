@@ -8,6 +8,8 @@ package lruleak
 // Table I grid), kept only in this test file.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -266,6 +268,22 @@ func TestStreamSweepWorkersIdentical(t *testing.T) {
 		got := RenderStreamSweep(StreamSweep(spec, goldenSeed, RunOptions{Workers: workers}))
 		if got != want {
 			t.Errorf("stream sweep at Workers=%d diverges from the serial run", workers)
+		}
+	}
+}
+
+// streamGridSHA256 is the SHA-256 of the default 12-cell stream grid
+// (StreamSpec{}, the grid perfbench's stream-sched workload times)
+// rendered at goldenSeed. streamsweep.golden pins only a reduced 4-cell
+// spec; this pins the full default grid, whose cells run the scheduled
+// per-access hierarchy path at every noise and lane setting.
+const streamGridSHA256 = "b77c6b07d40bb392d6cb4f34cba2180fa7feae08007a108f752675f3af13fb56"
+
+func TestStreamSweepDefaultGridCharacterization(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sum := sha256.Sum256([]byte(RenderStreamSweep(StreamSweep(StreamSpec{}, goldenSeed, RunOptions{Workers: workers}))))
+		if got := hex.EncodeToString(sum[:]); got != streamGridSHA256 {
+			t.Errorf("default stream grid at Workers=%d hashes to %s, want %s", workers, got, streamGridSHA256)
 		}
 	}
 }
