@@ -131,5 +131,5 @@ func cfgWindow(cfg lruleak.SpectreConfig) int {
 	if cfg.Window != 0 {
 		return cfg.Window
 	}
-	return 30 // the package default
+	return spectre.DefaultWindow
 }

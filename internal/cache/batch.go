@@ -27,20 +27,10 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 		panic("cache: AccessBatch output slice shorter than request slice")
 	}
 	if c.cfg.TrackUtags || c.cfg.PartitionLocked || c.cfg.LockReplacementState {
-		// Feature-carrying configs share the full per-access path; the
-		// batch still saves the per-call counter lookups.
-		lastReq := -1
-		var rs *Stats
+		// Feature-carrying configs share the full per-access path.
+		var res Result
 		for i := range reqs {
-			req := &reqs[i]
-			if req.Requestor != lastReq {
-				if req.Requestor < 0 {
-					panic("cache: negative requestor")
-				}
-				rs = growStats(perReq, req.Requestor)
-				lastReq = req.Requestor
-			}
-			res := c.accessInto(*req, st, rs)
+			c.accessInto(reqs[i], st, perReq, &res)
 			if out != nil {
 				out[i] = res
 			}
@@ -65,21 +55,19 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 	for i := range reqs {
 		req := &reqs[i]
 		if req.Requestor != lastReq {
-			if req.Requestor < 0 {
-				panic("cache: negative requestor")
-			}
 			if rs != nil {
 				flushCounters(st, rs, &nAcc, &nHit, &nMiss, &nEv, &nXev)
 			}
 			// Growing the table may reallocate it, so the cached
 			// pointer is refreshed on every requestor change.
-			rs = growStats(perReq, req.Requestor)
+			rs = reqStats(perReq, req.Requestor)
 			lastReq = req.Requestor
 		}
 		if req.Op != OpLoad {
 			// Lock ops still flip lock bits even outside the PL
 			// configs; keep them on the shared path.
-			res := c.accessInto(*req, st, rs)
+			var res Result
+			c.accessInto(*req, st, perReq, &res)
 			if out != nil {
 				out[i] = res
 			}

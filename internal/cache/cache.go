@@ -257,14 +257,25 @@ func utagHash(linearLine uint64) uint8 {
 	return uint8(x ^ x>>29)
 }
 
-func (c *Cache) reqStats(requestor int) *Stats {
-	return growStats(&c.perReq, requestor)
+// reqStats returns requestor's entry of a per-requestor counter table,
+// growing the table to cover it first. The returned pointer is
+// invalidated by any later growth of the same table.
+func reqStats(perReq *[]Stats, requestor int) *Stats {
+	if uint(requestor) < uint(len(*perReq)) {
+		return &(*perReq)[requestor]
+	}
+	return growStats(perReq, requestor)
 }
 
-// growStats extends a per-requestor counter table to cover requestor
-// and returns its entry. The returned pointer is invalidated by any
-// later growth of the same table.
+// growStats is reqStats' slow path: it panics on a negative requestor
+// and otherwise extends the table. It stays out of line so that
+// reqStats, and Access with it, inline.
+//
+//go:noinline
 func growStats(perReq *[]Stats, requestor int) *Stats {
+	if requestor < 0 {
+		panic("cache: negative requestor")
+	}
 	for len(*perReq) <= requestor {
 		*perReq = append(*perReq, Stats{})
 	}
@@ -275,17 +286,20 @@ func growStats(perReq *[]Stats, requestor int) *Stats {
 // bits and counters, and reports what happened. On a miss the caller (the
 // hierarchy) is responsible for having fetched the data from the next
 // level; this method installs the line unless bypassed.
-func (c *Cache) Access(req Request) Result {
-	if req.Requestor < 0 {
-		panic("cache: negative requestor")
-	}
-	return c.accessInto(req, &c.stats, c.reqStats(req.Requestor))
+func (c *Cache) Access(req Request) (res Result) {
+	c.accessInto(req, &c.stats, &c.perReq, &res)
+	return res
 }
 
-// accessInto is the full access path, counting events into st and rs
-// (the aggregate and per-requestor blocks — the cache's own under
-// Access, the caller's pair under AccessBatchStats).
-func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
+// accessInto is the full access path, counting events into st and the
+// requestor's entry of perReq (the cache's own counters under Access,
+// the caller's under AccessBatchStats). It writes the Result through
+// res instead of returning it: a Result has more fields than Go keeps
+// in registers, so a returned one is stored and copied back through
+// the stack at each call, which costs more than the tag probe of a hit.
+// Access inlines, so the one copy left is its caller's.
+func (c *Cache) accessInto(req Request, st *Stats, perReq *[]Stats, res *Result) {
+	rs := reqStats(perReq, req.Requestor)
 	set, word := c.locate(req.PhysLine)
 	base := set * c.ways
 	row := c.tags[base : base+c.ways]
@@ -296,7 +310,7 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 	w, free := lookup(row, word)
 	if w >= 0 {
 		// Hit.
-		res := Result{Hit: true, Way: w}
+		*res = Result{Hit: true, Way: w}
 		st.Hits++
 		rs.Hits++
 		m := &c.meta[base+w]
@@ -316,7 +330,7 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 			c.repl.Touch(set, w)
 		}
 		applyLockOp(m, req.Op)
-		return res
+		return
 	}
 
 	// Miss.
@@ -327,7 +341,8 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 	// the set is full.
 	if free >= 0 {
 		c.install(set, free, word, req)
-		return Result{Hit: false, Way: free}
+		*res = Result{Hit: false, Way: free}
+		return
 	}
 
 	victim := c.repl.Victim(set)
@@ -335,18 +350,18 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 		// Figure 10, left branch: victim locked, handle uncached.
 		st.Bypasses++
 		rs.Bypasses++
-		res := Result{Hit: false, Bypassed: true, Way: -1}
+		*res = Result{Hit: false, Bypassed: true, Way: -1}
 		if !c.cfg.LockReplacementState {
 			// Original PL design: the replacement state of the
 			// victim is still updated, which is precisely the leak
 			// demonstrated in Figure 11 (top).
 			c.repl.Touch(set, victim)
 		}
-		return res
+		return
 	}
 
 	evicted := c.lineNumber(set, row[victim])
-	res := Result{Hit: false, Way: victim, Evicted: evicted, DidEvict: true}
+	*res = Result{Hit: false, Way: victim, Evicted: evicted, DidEvict: true}
 	st.Evictions++
 	rs.Evictions++
 	if int(c.meta[base+victim].owner) != req.Requestor {
@@ -354,7 +369,6 @@ func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
 		rs.CrossEvictions++
 	}
 	c.install(set, victim, word, req)
-	return res
 }
 
 // install writes the line into (set, way) and updates replacement state.

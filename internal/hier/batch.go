@@ -67,7 +67,7 @@ func (h *Hierarchy) LoadBatch(addrs []mem.Addr, requestor int, out []Result) {
 	}
 	if !h.phaseSplitOK() {
 		for i := range addrs {
-			out[i] = h.load(addrs[i], requestor, cache.OpLoad, true)
+			h.load(addrs[i], requestor, cache.OpLoad, true, &out[i])
 		}
 		return
 	}

@@ -158,27 +158,45 @@ func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 func (h *Hierarchy) LLC() *cache.Cache { return h.llc }
 
 // Load performs a load of addr on behalf of requestor.
-func (h *Hierarchy) Load(addr mem.Addr, requestor int) Result {
-	return h.load(addr, requestor, cache.OpLoad, true)
+func (h *Hierarchy) Load(addr mem.Addr, requestor int) (res Result) {
+	h.load(addr, requestor, cache.OpLoad, true, &res)
+	return res
 }
 
 // LoadOp performs a load with a PL-cache lock/unlock side effect.
-func (h *Hierarchy) LoadOp(addr mem.Addr, requestor int, op cache.Op) Result {
-	return h.load(addr, requestor, op, true)
+func (h *Hierarchy) LoadOp(addr mem.Addr, requestor int, op cache.Op) (res Result) {
+	h.load(addr, requestor, op, true, &res)
+	return res
 }
 
-func (h *Hierarchy) load(addr mem.Addr, requestor int, op cache.Op, allowPrefetch bool) Result {
+// load performs one load and writes its Result through res, for the
+// reason cache.Cache's access path does: a returned Result would be
+// copied through the stack at each call. Load and LoadOp inline, so a
+// caller reading one field of their Result pays no copy.
+func (h *Hierarchy) load(addr mem.Addr, requestor int, op cache.Op, allowPrefetch bool, res *Result) {
 	r1 := h.l1.Access(cache.Request{
 		PhysLine: addr.PhysLine, LinearLine: addr.VirtLine,
 		Requestor: requestor, Op: op,
 	})
-	return h.finish(addr, requestor, r1, allowPrefetch)
+	if r1.Hit && !r1.UtagMiss {
+		// A plain L1 hit, the sender's every access: no level below,
+		// and no prefetcher, ever sees it.
+		*res = h.l1Hit()
+		return
+	}
+	*res = h.finish(addr, requestor, r1, allowPrefetch)
 }
 
-// finish completes a load whose L1 access already happened: the walk
-// through L2/LLC/memory for misses and the prefetch trigger.
+// l1Hit is the Result of a load served by the L1 at full speed.
+func (h *Hierarchy) l1Hit() Result {
+	return Result{Level: LevelL1, Latency: h.cfg.Profile.L1Latency, L1Hit: true}
+}
+
+// finish completes a load the L1 did not serve at full speed: a
+// utag-miss hit, which pays the L2 latency but goes no further, or a
+// miss, which walks L2/LLC/memory and may trigger the prefetcher.
 func (h *Hierarchy) finish(addr mem.Addr, requestor int, r1 cache.Result, allowPrefetch bool) Result {
-	if r1.Hit {
+	if r1.UtagMiss {
 		return h.result(r1, LevelL1)
 	}
 	// L1 miss: the line comes from L2 or beyond. The L1 access already
@@ -209,7 +227,7 @@ func (h *Hierarchy) result(r1 cache.Result, lvl Level) Result {
 			// through the slow path and observes L1-miss latency.
 			return Result{Level: LevelL1, Latency: p.L2Latency, L1Hit: true, UtagMiss: true}
 		}
-		return Result{Level: LevelL1, Latency: p.L1Latency, L1Hit: true}
+		return h.l1Hit()
 	case LevelL2:
 		return Result{Level: LevelL2, Latency: p.L2Latency, Bypassed: r1.Bypassed}
 	case LevelLLC:
@@ -251,7 +269,8 @@ func (h *Hierarchy) maybePrefetch(miss mem.Addr, requestor int) bool {
 	if !samePage(next.Phys, miss.Phys) {
 		return false
 	}
-	h.load(next, requestor, cache.OpLoad, false)
+	var res Result
+	h.load(next, requestor, cache.OpLoad, false, &res)
 	return true
 }
 

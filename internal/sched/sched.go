@@ -409,10 +409,8 @@ func (e *Env) requireHier() *hier.Hierarchy {
 }
 
 // Access performs a load and blocks for its latency.
-func (e *Env) Access(a mem.Addr) hier.Result {
-	res := e.requireHier().Load(a, e.t.req)
-	e.charge(uint64(res.Latency))
-	return res
+func (e *Env) Access(a mem.Addr) {
+	e.charge(uint64(e.requireHier().Load(a, e.t.req).Latency))
 }
 
 // Flush evicts the physical line from the whole hierarchy (clflush). The

@@ -64,8 +64,8 @@ type Config struct {
 	// the Flush+Reload channels flush or evict the array2 line and
 	// reload it.
 	Disclosure core.Algorithm
-	// Window is the speculation window in cycles (default 30 — room for
-	// two back-to-back L2 hits, far below a memory round trip).
+	// Window is the speculation window in cycles (default
+	// DefaultWindow).
 	Window int
 	// Rounds is the number of randomized-order measurement rounds
 	// averaged per byte (Appendix C's prefetcher-noise defence;
@@ -89,6 +89,13 @@ type Config struct {
 	Seed       uint64
 }
 
+// DefaultWindow is the speculation window, in cycles, of a Config that
+// leaves Window at zero. Two L2 hits back to back (the secret byte and
+// the probe line, both typically displaced from L1 by the attacker's
+// priming) must fit: the smallest window any LRU disclosure needs,
+// still an order of magnitude below a memory access.
+const DefaultWindow = 30
+
 func (c Config) withDefaults() Config {
 	if c.Profile.Name == "" {
 		c.Profile = uarch.SandyBridge()
@@ -97,11 +104,7 @@ func (c Config) withDefaults() Config {
 		c.Disclosure = core.Alg1SharedMemory
 	}
 	if c.Window == 0 {
-		// Two L2 hits back to back (the secret byte and the probe
-		// line, both typically displaced from L1 by the attacker's
-		// priming) must fit: the smallest window any LRU disclosure
-		// needs, still an order of magnitude below a memory access.
-		c.Window = 30
+		c.Window = DefaultWindow
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 8
