@@ -419,17 +419,26 @@ func snapshotSet(c *Cache, set int) setSnapshot {
 // TestFrozenBypassIsFixedPoint pins the property the leakage prober's
 // second hammer stop rests on (a sibling of the leakage package's
 // TestTouchTwiceIsFixedPoint): in the fixed PL cache under every
-// deterministic policy, a miss whose victim is locked is bypassed and
-// leaves the set's tags, lock bits and packed replacement state as they
-// were, so the same access repeated is bypassed again; a miss that
+// deterministic policy, and in the original PL cache under FIFO (whose
+// bypass touch FIFO ignores), a miss whose victim is locked is bypassed
+// and leaves the set's tags, lock bits and packed replacement state as
+// they were, so the same access repeated is bypassed again; a miss that
 // fills instead makes the next access hit.
 func TestFrozenBypassIsFixedPoint(t *testing.T) {
 	const set = 1
+	type design struct {
+		kind  replacement.Kind
+		fixed bool // LockReplacementState: the fixed PL cache
+	}
+	designs := []design{{replacement.FIFO, false}}
 	for _, kind := range []replacement.Kind{replacement.TrueLRU, replacement.TreePLRU, replacement.BitPLRU, replacement.FIFO} {
+		designs = append(designs, design{kind, true})
+	}
+	for _, d := range designs {
 		for _, ways := range []int{4, 8, 16} {
 			c := New(Config{
-				Name: "L1D", Sets: 4, Ways: ways, LineSize: 64, Policy: kind,
-				PartitionLocked: true, LockReplacementState: true,
+				Name: "L1D", Sets: 4, Ways: ways, LineSize: 64, Policy: d.kind,
+				PartitionLocked: true, LockReplacementState: d.fixed,
 			})
 			r := rng.New(uint64(ways))
 			bypassed, filled := 0, 0
@@ -451,26 +460,26 @@ func TestFrozenBypassIsFixedPoint(t *testing.T) {
 				kicker := Request{PhysLine: lineInSet(c, set, ways+trial)}
 				before := snapshotSet(c, set)
 				if res := c.Access(kicker); res.Hit {
-					t.Fatalf("%v/%d trial %d: fresh line hit", kind, ways, trial)
+					t.Fatalf("%+v/%d trial %d: fresh line hit", d, ways, trial)
 				} else if !res.Bypassed {
 					filled++
 					if !c.Access(kicker).Hit {
-						t.Fatalf("%v/%d trial %d: filled line missed again", kind, ways, trial)
+						t.Fatalf("%+v/%d trial %d: filled line missed again", d, ways, trial)
 					}
 					continue
 				}
 				bypassed++
 				for rep := 0; rep < 3; rep++ {
 					if after := snapshotSet(c, set); !reflect.DeepEqual(after, before) {
-						t.Fatalf("%v/%d trial %d: bypass %d changed the set %+v -> %+v", kind, ways, trial, rep, before, after)
+						t.Fatalf("%+v/%d trial %d: bypass %d changed the set %+v -> %+v", d, ways, trial, rep, before, after)
 					}
 					if !c.Access(kicker).Bypassed {
-						t.Fatalf("%v/%d trial %d: repeat %d of a bypassed miss was not bypassed", kind, ways, trial, rep)
+						t.Fatalf("%+v/%d trial %d: repeat %d of a bypassed miss was not bypassed", d, ways, trial, rep)
 					}
 				}
 			}
 			if bypassed == 0 || filled == 0 {
-				t.Errorf("%v/%d: %d bypassed and %d filled trials, want both", kind, ways, bypassed, filled)
+				t.Errorf("%+v/%d: %d bypassed and %d filled trials, want both", d, ways, bypassed, filled)
 			}
 		}
 	}

@@ -125,9 +125,9 @@ func TheoreticalStates(kind replacement.Kind, ways int) (n float64, ok bool) {
 		}
 		return n, true
 	case replacement.TreePLRU:
-		return math.Pow(2, float64(ways-1)), true
+		return math.Ldexp(1, ways-1), true
 	case replacement.BitPLRU:
-		return math.Pow(2, float64(ways)) - 1, true
+		return math.Ldexp(1, ways) - 1, true
 	case replacement.FIFO:
 		return float64(ways), true
 	default:
@@ -153,15 +153,21 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 	sp := StateSpace{Kind: kind, Ways: ways}
 
 	reset := a.PackedState(0)
-	visited := newStateSet()
+	theory, hasTheory := TheoreticalStates(kind, ways)
+	full := hasTheory && theory > float64(opt.MaxStates)
+	// The analytic count is the exact closure size (the tests demand
+	// it), so the BFS set is built at its final size and never rehashes.
+	hint := 0
+	if hasTheory && !full {
+		hint = int(theory)
+	}
+	visited := newStateSet(hint)
 	visited.add(reset)
 	frontier := []uint64{reset}
 	var order *rng.Rand
 	if opt.OrderSeed != 0 {
 		order = rng.New(opt.OrderSeed)
 	}
-	theory, hasTheory := TheoreticalStates(kind, ways)
-	full := hasTheory && theory > float64(opt.MaxStates)
 	for len(frontier) > 0 && !full {
 		// Pop the next frontier state — from the front canonically, or
 		// anywhere under OrderSeed: BFS closure is order-independent,
@@ -225,7 +231,7 @@ func Enumerate(kind replacement.Kind, ways int, opt Options) StateSpace {
 			found = append(found, a.PackedState(0))
 		}
 	}
-	slices.Sort(found)
+	radixSort(found)
 	sp.Exhaustive = false
 	sp.SampledSequences = opt.SampleSequences
 	sp.States = slices.Compact(found)
@@ -248,9 +254,14 @@ type stateSet struct {
 	n     int // members, the zero state included
 }
 
-func newStateSet() *stateSet {
-	const initial = 1 << 10
-	return &stateSet{slots: make([]uint64, initial), shift: 64 - 10}
+// newStateSet returns an empty set whose table (at least 1024 slots)
+// holds hint members without growing.
+func newStateSet(hint int) *stateSet {
+	k := 10
+	for 3<<k < 4*hint {
+		k++
+	}
+	return &stateSet{slots: make([]uint64, 1<<k), shift: uint(64 - k)}
 }
 
 // add inserts s and reports whether it was new.
@@ -311,8 +322,71 @@ func (t *stateSet) sorted() []uint64 {
 			out = append(out, s)
 		}
 	}
-	slices.Sort(out)
+	radixSort(out)
 	return out
+}
+
+// radixCutoff is the length below which radixSort hands a bucket to
+// slices.Sort: a 256-bucket pass costs more than a comparison sort of
+// a few dozen words.
+const radixCutoff = 64
+
+// radixSort sorts s ascending in place: an MSD radix sort on 8-bit
+// digits, top byte first, that permutes each bucket into place by
+// following swap cycles (American flag sort), so it needs no second
+// buffer and allocates nothing. Sampled state sets run to 2^19 words,
+// where an LSD sort's second copy would add megabytes to the sweep's
+// peak memory.
+func radixSort(s []uint64) { radixSortDigit(s, 56) }
+
+// radixSortDigit sorts s, whose words agree on every byte above the
+// digit at shift, by that digit and then recursively by the ones below.
+func radixSortDigit(s []uint64, shift uint) {
+	if len(s) < radixCutoff {
+		slices.Sort(s)
+		return
+	}
+	var count [256]int
+	for _, x := range s {
+		count[x>>shift&0xff]++
+	}
+	// next[d] is the first slot of bucket d not yet holding a word of
+	// digit d; end[d] is one past the bucket.
+	var next, end [256]int
+	pos := 0
+	for d, c := range count {
+		next[d] = pos
+		pos += c
+		end[d] = pos
+	}
+	// A digit every word shares needs no permutation (the sampled
+	// true-LRU words share none, but small BFS sets share high bytes).
+	if count[s[0]>>shift&0xff] < len(s) {
+		for d := range count {
+			for next[d] < end[d] {
+				// Carry the word out of the first unsettled slot of
+				// bucket d to its own bucket, and the word displaced
+				// there onward, until one of digit d closes the cycle.
+				x := s[next[d]]
+				for b := x >> shift & 0xff; b != uint64(d); b = x >> shift & 0xff {
+					s[next[b]], x = x, s[next[b]]
+					next[b]++
+				}
+				s[next[d]] = x
+				next[d]++
+			}
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	start := 0
+	for _, c := range count {
+		if c > 1 {
+			radixSortDigit(s[start:start+c], shift-8)
+		}
+		start += c
+	}
 }
 
 func sortedKeys[V any](m map[uint64]V) []uint64 {

@@ -259,3 +259,106 @@ func TestTheoreticalStates(t *testing.T) {
 		t.Error("Random reported an analytic state count")
 	}
 }
+
+// TestTheoreticalStatesPowersOfTwo pins the Tree-PLRU and Bit-PLRU
+// counts at every associativity the packed words support to the
+// math.Pow form they were first written in and to the exact integer
+// count, rounded once to float64 (for Bit-PLRU at 64 ways the uint64
+// shift wraps to 0 and 0-1 is the exact 2^64-1).
+func TestTheoreticalStatesPowersOfTwo(t *testing.T) {
+	for ways := 1; ways <= 64; ways++ {
+		tree, _ := TheoreticalStates(replacement.TreePLRU, ways)
+		bit, _ := TheoreticalStates(replacement.BitPLRU, ways)
+		if want := math.Pow(2, float64(ways-1)); tree != want || tree != float64(uint64(1)<<uint(ways-1)) {
+			t.Errorf("Tree-PLRU/%d: %v states, want %v", ways, tree, want)
+		}
+		if want := math.Pow(2, float64(ways)) - 1; bit != want || bit != float64(uint64(1)<<uint(ways)-1) {
+			t.Errorf("Bit-PLRU/%d: %v states, want %v", ways, bit, want)
+		}
+	}
+}
+
+// TestRadixSortMatchesSlicesSort checks the in-place radix sort against
+// slices.Sort on inputs that stress each part of it: random words,
+// heavy duplication, words sharing their top seven bytes (every bucket
+// but the last digit's collapses), the two extreme words, lengths
+// around the comparison-sort cutoff, and the sampled true-LRU/16 words
+// the sweep sorts.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	r := rng.New(3)
+	gens := []struct {
+		name string
+		gen  func(n int) []uint64
+	}{
+		{"random", func(n int) []uint64 {
+			s := make([]uint64, n)
+			for i := range s {
+				s[i] = r.Uint64()
+			}
+			return s
+		}},
+		{"duplicates", func(n int) []uint64 {
+			s := make([]uint64, n)
+			for i := range s {
+				s[i] = r.Uint64() % 5 << (r.Uint64() % 2 * 60)
+			}
+			return s
+		}},
+		{"shared top 7 bytes", func(n int) []uint64 {
+			s := make([]uint64, n)
+			for i := range s {
+				s[i] = 0x0123456789abcd00 | r.Uint64()&0xff
+			}
+			return s
+		}},
+		{"extremes", func(n int) []uint64 {
+			s := make([]uint64, n)
+			for i := range s {
+				if r.Uint64()&1 == 1 {
+					s[i] = math.MaxUint64
+				}
+			}
+			return s
+		}},
+	}
+	for _, g := range gens {
+		for _, n := range []int{0, 1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1, 1000, 1 << 16} {
+			got := g.gen(n)
+			want := slices.Clone(got)
+			slices.Sort(want)
+			radixSort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, %d words: radix order differs from slices.Sort", g.name, n)
+			}
+		}
+	}
+
+	var lru []uint64
+	a := replacement.NewSetArray(replacement.TrueLRU, 1, 16, nil)
+	for i := 0; i < 1<<16; i++ {
+		Apply(a, int(r.Uint64()%17)-1)
+		lru = append(lru, a.PackedState(0))
+	}
+	want := slices.Clone(lru)
+	slices.Sort(want)
+	if radixSort(lru); !slices.Equal(lru, want) {
+		t.Error("sampled true-LRU/16 words: radix order differs from slices.Sort")
+	}
+}
+
+// TestRadixSortAllocatesNothing pins the in-place sort: a second buffer
+// the size of a sampled state set would add megabytes to a sweep.
+func TestRadixSortAllocatesNothing(t *testing.T) {
+	r := rng.New(4)
+	src := make([]uint64, 1<<14)
+	for i := range src {
+		src[i] = r.Uint64()
+	}
+	s := make([]uint64, len(src))
+	if n := testing.AllocsPerRun(10, func() {
+		copy(s, src)
+		radixSort(s)
+	}); n != 0 {
+		t.Errorf("radixSort allocated %v times per run, want 0", n)
+	}
+}

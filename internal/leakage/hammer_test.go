@@ -128,6 +128,14 @@ func FuzzKickerEarlyExit(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(3), uint8(1), uint8(1), uint8(3), uint64(6))
 	f.Add(uint8(2), uint8(2), uint8(1), uint8(2), uint8(0), uint8(1), uint8(2), uint8(2), uint8(2), uint64(7))
 	f.Add(uint8(0), uint8(4), uint8(2), uint8(2), uint8(0), uint8(3), uint8(2), uint8(1), uint8(3), uint64(8))
+	// The original PL cache (defense 1) with FIFO (policy 3) and the
+	// same three hammers: its bypass touch is a FIFO no-op, so the same
+	// stop applies. With true LRU the touch moves the victim's age and
+	// the stop does not apply.
+	f.Add(uint8(0), uint8(3), uint8(2), uint8(1), uint8(0), uint8(3), uint8(0), uint8(1), uint8(3), uint64(5))
+	f.Add(uint8(1), uint8(3), uint8(2), uint8(1), uint8(0), uint8(3), uint8(1), uint8(1), uint8(3), uint64(6))
+	f.Add(uint8(2), uint8(3), uint8(1), uint8(1), uint8(0), uint8(1), uint8(2), uint8(2), uint8(2), uint64(7))
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(1), uint8(0), uint8(3), uint8(2), uint8(1), uint8(3), uint64(8))
 	f.Fuzz(func(t *testing.T, profB, polB, waysB, defB, window, victimB, repeatsB, kickersB, roundsB uint8, seed uint64) {
 		profs := uarch.Profiles()
 		kinds := replacement.Kinds()

@@ -48,12 +48,16 @@ type Strategy struct {
 	// only applies Touch(way), which reaches its fixed point after two
 	// touches of one way in every family (one is not enough for
 	// Bit-PLRU, whose generation rollover clears the touched way's own
-	// bit). Under the fixed PL cache with a deterministic policy it also
-	// stops after two misses and no hit, counting every remaining repeat
-	// as a miss: the first miss was bypassed (a fill would have made the
-	// second access hit), and a bypass there leaves lines, lock bits and
-	// replacement state as they were and draws no random number, so
-	// every later repeat is the same bypass.
+	// bit). Under the fixed PL cache with a deterministic policy, and
+	// under the original PL cache with FIFO, it also stops after two
+	// misses and no hit, counting every remaining repeat as a miss: the
+	// first miss was bypassed (a fill would have made the second access
+	// hit), and a bypass there leaves lines, lock bits and replacement
+	// state as they were and draws no random number, so every later
+	// repeat is the same bypass. The fixed PL cache skips the
+	// replacement update of a bypass; the original one touches the
+	// locked victim, which FIFO ignores, because only a fill advances
+	// its round-robin pointer.
 	KickerRepeats int
 	// KickersPerRound is the number of fresh kicker lines hammered per
 	// round (default 2: the second eviction drains replacement state
@@ -170,7 +174,9 @@ type prober struct {
 	// draw lands on the line itself, at 1/(2*window+1) per access.
 	primeCap int
 	// frozenBypass reports that a bypassed kicker miss is a fixed point:
-	// the fixed PL cache under a deterministic policy (see
+	// the fixed PL cache under a deterministic policy, whose bypass
+	// leaves replacement state alone, and the original PL cache under
+	// FIFO, whose bypass touch is a FIFO no-op (see
 	// Strategy.KickerRepeats).
 	frozenBypass bool
 }
@@ -223,7 +229,8 @@ func newProber(cfg Config) *prober {
 	return &prober{
 		tg: tg, st: st,
 		vlines: vlines, alines: alines, sets: sets, primeCap: primeCap,
-		frozenBypass: cfg.Defense == attack.DefensePLCacheFixed && cfg.Policy != replacement.Random,
+		frozenBypass: cfg.Defense == attack.DefensePLCacheFixed && cfg.Policy != replacement.Random ||
+			cfg.Defense == attack.DefensePLCache && cfg.Policy == replacement.FIFO,
 	}
 }
 

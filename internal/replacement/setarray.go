@@ -9,7 +9,7 @@ import (
 
 // SetArray is the packed, allocation-free replacement-state store behind
 // internal/cache: the state of EVERY set of a cache lives in one or two
-// contiguous slices, one machine word (or one byte-vector row) per set,
+// contiguous slices, one machine word (a few for wide true LRU) per set,
 // and updates dispatch directly on the policy Kind — no per-set heap
 // object, no interface call, no bounds-check panic on the hot path (see
 // debug_off.go for the build-tag-gated checks).
@@ -22,8 +22,9 @@ import (
 //	           w's pair of path masks; the victim is a table lookup
 //	           (see Tree).
 //	Bit-PLRU   one uint64 per set; bit w is way w's MRU bit.
-//	True LRU   a packed age vector: one byte per way in a sets×ways slab,
-//	           age 0 = most recently used, ways-1 = LRU victim.
+//	True LRU   a packed age vector: one byte lane per way across
+//	           ceil(ways/8) uint64 words per set, age 0 = most recently
+//	           used, ways-1 = LRU victim (see touchLRU).
 //	FIFO       one uint64 per set holding the round-robin next pointer.
 //	Random     stateless; victims are drawn from the generator.
 //
@@ -36,13 +37,10 @@ type SetArray struct {
 	sets int
 	ways int
 
-	// words holds the packed per-set word for Tree-PLRU, Bit-PLRU, FIFO
-	// and (for ways <= 8) True-LRU; it is nil for wide True-LRU and
-	// Random.
+	// words holds the packed per-set word for Tree-PLRU, Bit-PLRU and
+	// FIFO, and the lruWords age words of each set for True-LRU; it is
+	// nil for Random.
 	words []uint64
-	// ages is the True-LRU sets×ways age slab, used only when ways > 8
-	// (the age vector no longer fits one word); nil otherwise.
-	ages []uint8
 
 	full uint64    // Bit-PLRU all-ways-set mask
 	r    *rng.Rand // Random victim source
@@ -51,16 +49,22 @@ type SetArray struct {
 	// other families).
 	tree Tree
 
-	// Packed True-LRU constants (ways <= 8): one byte lane per way.
-	lruMask  uint64 // 0x01 in every valid lane
-	lruPad   uint64 // 0xff in every INVALID lane (keeps them out of searches)
-	lruReset uint64 // the power-on age vector, lane w = ways-1-w
+	// Packed True-LRU constants: one byte lane per way, way w in lane
+	// w%8 of the set's word w/8. Only the last word can be partial.
+	lruWords int      // age words per set, ceil(ways/8)
+	lruOld   uint64   // ways-1, the victim's age, in every byte lane
+	lruPad   uint64   // lruPadAge in every INVALID lane of the last word; 0 for other families
+	lruReset []uint64 // a set's power-on age words, lane w = ways-1-w
 }
 
 // SWAR lane constants for the packed True-LRU age vector.
 const (
 	lruLanes = 0x0101010101010101 // 0x01 in every byte lane
 	lruHigh  = 0x8080808080808080 // the high bit of every byte lane
+	// lruPadAge fills the invalid lanes of a partial last word: older
+	// than any real age (<= 63) and below the high bit, so a touch
+	// never increments it and the victim search never matches it.
+	lruPadAge = 0x40
 )
 
 // NewSetArray builds packed replacement state for sets sets of the given
@@ -81,17 +85,16 @@ func NewSetArray(kind Kind, sets, ways int, r *rng.Rand) *SetArray {
 	a := &SetArray{kind: kind, sets: sets, ways: ways}
 	switch kind {
 	case TrueLRU:
-		if ways <= 8 {
-			// The whole age vector fits one word: byte lane w holds
-			// way w's age, updated branchlessly (see touchLRUPacked).
-			a.words = make([]uint64, sets)
-			a.lruMask = lruLanes >> uint(64-8*ways)
-			a.lruPad = ^(a.lruMask * 0xff)
-			for w := 0; w < ways; w++ {
-				a.lruReset |= uint64(ways-1-w) << uint(8*w)
-			}
-		} else {
-			a.ages = make([]uint8, sets*ways)
+		a.lruWords = (ways + 7) / 8
+		a.words = make([]uint64, sets*a.lruWords)
+		a.lruOld = uint64(ways-1) * lruLanes
+		for w := ways; w < 8*a.lruWords; w++ {
+			a.lruPad |= lruPadAge << uint(8*(w&7))
+		}
+		a.lruReset = make([]uint64, a.lruWords)
+		a.lruReset[a.lruWords-1] = a.lruPad
+		for w := 0; w < ways; w++ {
+			a.lruReset[w>>3] |= uint64(ways-1-w) << uint(8*(w&7))
 		}
 	case TreePLRU:
 		if ways&(ways-1) != 0 {
@@ -139,11 +142,7 @@ func (a *SetArray) Touch(set, way int) {
 	case BitPLRU:
 		a.touchBit(set, way)
 	case TrueLRU:
-		if a.ages == nil {
-			a.touchLRUPacked(set, way)
-		} else {
-			a.touchLRU(set, way)
-		}
+		a.touchLRU(set, way)
 	}
 }
 
@@ -160,11 +159,7 @@ func (a *SetArray) Fill(set, way int) {
 	case BitPLRU:
 		a.touchBit(set, way)
 	case TrueLRU:
-		if a.ages == nil {
-			a.touchLRUPacked(set, way)
-		} else {
-			a.touchLRU(set, way)
-		}
+		a.touchLRU(set, way)
 	case FIFO:
 		if uint64(way) == a.words[set] {
 			a.words[set] = (a.words[set] + 1) % uint64(a.ways)
@@ -186,9 +181,6 @@ func (a *SetArray) Victim(set int) int {
 	case BitPLRU:
 		return a.victimBit(set)
 	case TrueLRU:
-		if a.ages == nil {
-			return a.victimLRUPacked(set)
-		}
 		return a.victimLRU(set)
 	case FIFO:
 		return int(a.words[set])
@@ -315,60 +307,48 @@ func (a *SetArray) victimBit(set int) int {
 	return v
 }
 
-func (a *SetArray) touchLRU(set, way int) {
-	row := a.ages[set*a.ways : set*a.ways+a.ways]
-	old := row[way]
-	for i := range row {
-		if row[i] < old {
-			row[i]++
-		}
-	}
-	row[way] = 0
-}
-
-// touchLRUPacked is the one-word form of touchLRU. Ages always form a
+// touchLRU updates the age vector with the classic "has byte less
+// than n" SWAR predicate, one word at a time. Ages always form a
 // permutation of 0..ways-1 (ResetSet builds one and every touch
-// preserves it), so every lane value is <= 7 and the classic
-// "has byte less than n" SWAR predicate is exact: lanes strictly
-// younger than the touched way's old age gain a flag in their high
-// bit, are incremented by the flag shifted down, and the touched lane
-// is cleared to most-recently-used. Invalid lanes (ways < 8) stay 0
-// because the increment is masked to valid lanes.
-func (a *SetArray) touchLRUPacked(set, way int) {
-	x := a.words[set]
-	sh := uint(8 * way)
-	old := x >> sh & 0xff
-	lt := (x - old*lruLanes) &^ x & lruHigh
-	x += lt >> 7 & a.lruMask
-	x &^= 0xff << sh
-	a.words[set] = x
+// preserves it), so every lane value is <= 63 and the predicate is
+// exact per lane: lanes strictly younger than the touched way's old age
+// gain a flag in their high bit and are incremented by the flag shifted
+// down. A borrow out of a flagged lane lowers the next lane's
+// difference by one, which flags that lane only if it is younger too or
+// is the touched lane, and the touched lane is then cleared to
+// most-recently-used. Words do not borrow from one another. The
+// invalid lanes of a partial last word hold lruPadAge, older than any
+// age, so they are never flagged and never match the victim's age.
+func (a *SetArray) touchLRU(set, way int) {
+	n := a.lruWords
+	row := a.words[set*n : set*n+n]
+	sh := uint(8 * (way & 7))
+	old := (row[way>>3] >> sh & 0xff) * lruLanes
+	for i, x := range row {
+		row[i] = x + ((x-old)&^x&lruHigh)>>7
+	}
+	row[way>>3] &^= 0xff << sh
 }
 
-// victimLRUPacked finds the lane holding age ways-1. The permutation
-// invariant guarantees exactly one valid lane matches; invalid lanes
-// are forced non-zero by lruPad so the zero-byte search cannot pick
-// them up.
-func (a *SetArray) victimLRUPacked(set int) int {
-	y := (a.words[set] ^ uint64(a.ways-1)*lruLanes) | a.lruPad
-	z := (y - lruLanes) &^ y & lruHigh
-	return bits.TrailingZeros64(z) >> 3
-}
-
+// victimLRU finds the lane holding age ways-1 with a zero-byte search
+// per word. The permutation invariant guarantees exactly one lane
+// matches.
 func (a *SetArray) victimLRU(set int) int {
-	row := a.ages[set*a.ways : set*a.ways+a.ways]
-	best, bestAge := 0, -1
-	for w, age := range row {
-		if int(age) > bestAge {
-			best, bestAge = w, int(age)
+	n := a.lruWords
+	row := a.words[set*n : set*n+n]
+	for i, x := range row {
+		y := x ^ a.lruOld
+		if z := (y - lruLanes) &^ y & lruHigh; z != 0 {
+			return 8*i + bits.TrailingZeros64(z)>>3
 		}
 	}
-	return best
+	return 0 // unreachable: one lane always holds age ways-1
 }
 
 // maxPackedLRUWays is the widest true-LRU associativity whose age
 // vector still fits the one-word canonical encoding of PackedState:
-// above 8 ways the ages leave the byte-lane fast path, but up to 16
-// ways each age (<= 15) still fits a 4-bit lane.
+// up to 8 ways the byte-lane word itself, and up to 16 ways each age
+// (<= 15) in a 4-bit lane.
 const maxPackedLRUWays = 16
 
 // StatePackable reports whether the array's per-set replacement state
@@ -388,30 +368,25 @@ func (a *SetArray) StatePackable() bool {
 
 // PackedState exports one set's replacement state as a canonical
 // machine word — the state-space iteration hook behind
-// internal/leakage. For the word-backed families (Tree-PLRU, Bit-PLRU,
-// FIFO, and true LRU at <= 8 ways) it is the packed word itself; wide
-// true LRU (9..16 ways) packs each age into a 4-bit lane. Two sets are
+// internal/leakage. For Tree-PLRU, Bit-PLRU and FIFO it is the packed
+// word itself; for true LRU at <= 8 ways it is the byte-lane word with
+// its invalid lanes zero, and at 9..16 ways the ages of its two
+// byte-lane words in 4-bit lanes, way w in bits 4w..4w+3. Two sets are
 // in the same replacement state if and only if their PackedState words
 // are equal. It panics when !StatePackable().
 func (a *SetArray) PackedState(set int) uint64 {
 	if debugChecks {
 		checkSet(set, a.sets)
 	}
-	if a.ages != nil {
-		if a.ways > maxPackedLRUWays {
-			panic("replacement: true-LRU state beyond 16 ways exceeds one word")
-		}
-		row := a.ages[set*a.ways : set*a.ways+a.ways]
-		var s uint64
-		for w, age := range row {
-			s |= uint64(age) << uint(4*w)
-		}
-		return s
-	}
-	if a.words == nil {
+	switch {
+	case a.words == nil:
 		panic("replacement: Random policy keeps no replacement state")
+	case a.lruWords == 2:
+		return packNibbles(a.words[2*set]) | packNibbles(a.words[2*set+1]&^a.lruPad)<<32
+	case a.lruWords > 2:
+		panic("replacement: true-LRU state beyond 16 ways exceeds one word")
 	}
-	return a.words[set]
+	return a.words[set] &^ a.lruPad
 }
 
 // SetPackedState restores one set to a state previously exported by
@@ -422,20 +397,34 @@ func (a *SetArray) SetPackedState(set int, s uint64) {
 	if debugChecks {
 		checkSet(set, a.sets)
 	}
-	if a.ages != nil {
-		if a.ways > maxPackedLRUWays {
-			panic("replacement: true-LRU state beyond 16 ways exceeds one word")
-		}
-		row := a.ages[set*a.ways : set*a.ways+a.ways]
-		for w := range row {
-			row[w] = uint8(s >> uint(4*w) & 0xf)
-		}
-		return
-	}
-	if a.words == nil {
+	switch {
+	case a.words == nil:
 		panic("replacement: Random policy keeps no replacement state")
+	case a.lruWords == 2:
+		a.words[2*set] = unpackNibbles(s)
+		a.words[2*set+1] = unpackNibbles(s>>32) | a.lruPad
+		return
+	case a.lruWords > 2:
+		panic("replacement: true-LRU state beyond 16 ways exceeds one word")
 	}
-	a.words[set] = s
+	a.words[set] = s | a.lruPad
+}
+
+// packNibbles gathers the low nibble of each byte lane of x into the
+// low 32 bits, lane i to bits 4i..4i+3. Every lane must be < 16.
+func packNibbles(x uint64) uint64 {
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0xffffffff
+}
+
+// unpackNibbles is the inverse of packNibbles: nibble i of the low 32
+// bits of s to byte lane i.
+func unpackNibbles(s uint64) uint64 {
+	x := s & 0xffffffff
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	return (x | x<<4) & 0x0f0f0f0f0f0f0f0f
 }
 
 // Reset restores every set to its power-on state.
@@ -453,14 +442,8 @@ func (a *SetArray) ResetSet(set int) {
 		checkSet(set, a.sets)
 	}
 	if a.kind == TrueLRU {
-		if a.ages == nil {
-			a.words[set] = a.lruReset
-			return
-		}
-		row := a.ages[set*a.ways : set*a.ways+a.ways]
-		for w := range row {
-			row[w] = uint8(a.ways - 1 - w)
-		}
+		n := a.lruWords
+		copy(a.words[set*n:set*n+n], a.lruReset)
 		return
 	}
 	if a.words != nil {
@@ -479,12 +462,7 @@ func (a *SetArray) StateString(set int) string {
 			if w > 0 {
 				buf = append(buf, ',')
 			}
-			age := uint64(0)
-			if a.ages == nil {
-				age = a.words[set] >> uint(8*w) & 0xff
-			} else {
-				age = uint64(a.ages[set*a.ways+w])
-			}
+			age := a.words[set*a.lruWords+w>>3] >> uint(8*(w&7)) & 0xff
 			buf = strconv.AppendUint(buf, age, 10)
 		}
 		return string(buf)

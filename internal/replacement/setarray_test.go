@@ -208,24 +208,39 @@ func TestNewSetArrayPanics(t *testing.T) {
 // bit-identical victims and state renderings after every event — the
 // packed hot path may never drift from the reference semantics. Random
 // uses two generators seeded identically, consulted in lock-step.
+// Besides the power-of-two widths every family supports, the families
+// other than Tree-PLRU also run at widths that leave true LRU's last
+// age word partial (3, 9, 12) and at widths of three and eight full
+// words (24, 64).
 func FuzzSetArrayEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{1, 0x80, 0x81, 0x42, 7, 0xff, 0xc0})
 	f.Add([]byte{2, 0x40, 0x41, 0x00, 0x3f, 0x80, 0xc1, 5, 5, 5})
+	// 9 ways: the ninth way, alone in the second age word, touched and
+	// filled in every set, between touches of the first word's ways.
+	f.Add([]byte{0x04, 0x07, 0x54, 0x08, 0x26, 0x06, 0x42, 0x33, 0xa6, 0x01, 0x11})
+	// 64 ways: touches and fills in each of the eight age words, a set
+	// reset and a whole-array reset.
+	f.Add([]byte{0x07, 0x0b, 0x00, 0x40, 0x19, 0x01, 0x4a, 0x02, 0x5b, 0x03, 0x08, 0x40, 0x91, 0x08, 0xc2, 0x08})
 	f.Fuzz(func(t *testing.T, trace []byte) {
 		if len(trace) < 2 {
 			return
 		}
-		// Byte 0 picks the associativity (4, 8, 16); each further byte
-		// is one event: bits 0-3 the way, bits 4-5 the set, bits 6-7
-		// the operation (0 touch, 1 fill, 2 reset-set, 3 reset-all).
+		// Byte 0 picks the associativity; each further byte is one
+		// event: bits 0-3 the way's low nibble (bits 0-3 of the byte
+		// before it are the high nibble, so every way of a 64-way set
+		// is reachable), bits 4-5 the set, bits 6-7 the operation (0
+		// touch, 1 fill, 2 reset-set, 3 reset-all).
 		const sets = 4
-		ways := 1 << (2 + int(trace[0])%3)
+		ways := []int{4, 8, 16, 3, 9, 12, 24, 64}[int(trace[0])%8]
 		for _, kind := range Kinds() {
+			if kind == TreePLRU && ways&(ways-1) != 0 {
+				continue
+			}
 			arr := NewSetArray(kind, sets, ways, rng.New(99))
 			ref := polArray(kind, sets, ways, rng.New(99))
 			for step, b := range trace[1:] {
-				way := int(b&0x0f) % ways
+				way := (int(b&0x0f) | int(trace[step]&0x0f)<<4) % ways
 				set := int(b >> 4 & 0x03)
 				switch b >> 6 {
 				case 0:
@@ -326,6 +341,52 @@ func TestTreeVictimMatchesWalk(t *testing.T) {
 			if got, want := a.Victim(0), ref.Victim(); got != want {
 				t.Fatalf("ways=%d state=%#x: victim %d, walk reaches %d", ways, s, got, want)
 			}
+		}
+	}
+}
+
+// TestPackedLRUCanonicalWords pins the canonical PackedState encoding
+// of wide true LRU (4-bit lanes, way w in bits 4w..4w+3) to words
+// recorded from the original implementation: the power-on word and the
+// word after a fixed touch/fill sequence at 9, 12 and 16 ways, in the
+// second set of two. Each word must restore, through SetPackedState,
+// the same ages and re-export unchanged.
+func TestPackedLRUCanonicalWords(t *testing.T) {
+	for _, c := range []struct {
+		ways          int
+		powerOn, word uint64
+		ages          string
+	}{
+		{9, 0x0000000012345678, 0x0000000468135702, "age:2,0,7,5,3,1,8,6,4"},
+		{12, 0x00000123456789ab, 0x0000a3816b492705, "age:5,0,7,2,9,4,11,6,1,8,3,10"},
+		{16, 0x0123456789abcdef, 0xa741eb852fc9630d, "age:13,0,3,6,9,12,15,2,5,8,11,14,1,4,7,10"},
+	} {
+		a := NewSetArray(TrueLRU, 2, c.ways, nil)
+		if got := a.PackedState(1); got != c.powerOn {
+			t.Errorf("%d ways: power-on word %#016x, want %#016x", c.ways, got, c.powerOn)
+		}
+		for i := 0; i < 3*c.ways; i++ {
+			a.Touch(1, (i*5+1)%c.ways)
+			if i%3 == 2 {
+				a.Fill(1, a.Victim(1))
+			}
+		}
+		if got := a.PackedState(1); got != c.word {
+			t.Errorf("%d ways: word %#016x, want %#016x", c.ways, got, c.word)
+		}
+		if got := a.StateString(1); got != c.ages {
+			t.Errorf("%d ways: state %q, want %q", c.ways, got, c.ages)
+		}
+		b := NewSetArray(TrueLRU, 2, c.ways, nil)
+		b.SetPackedState(0, c.word)
+		if got := b.StateString(0); got != c.ages {
+			t.Errorf("%d ways: restored state %q, want %q", c.ways, got, c.ages)
+		}
+		if got := b.PackedState(0); got != c.word {
+			t.Errorf("%d ways: re-export %#016x, want %#016x", c.ways, got, c.word)
+		}
+		if got := b.StateString(1); got != a.StateString(0) {
+			t.Errorf("%d ways: restoring set 0 changed set 1 to %q", c.ways, got)
 		}
 	}
 }
