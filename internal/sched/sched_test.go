@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -331,6 +332,41 @@ func TestNoGoroutineLeakAfterLimit(t *testing.T) {
 		}
 	})
 	m.Run(50_000)
+
+	// Five spinning threads, thread i charging 100·(i+1) cycles per
+	// action. The limit, and in the second case a StopAll, end the run
+	// while the chain of threads that resumed one another (chainModel)
+	// is at least 3 deep, so several of the threads reaped have yielded
+	// their way back to Run rather than been parked by it.
+	spin := func(limit uint64, stopThread, stopAt int) program {
+		p := program{threads: make([]threadProg, 5), limit: limit, seed: 11}
+		for i := range p.threads {
+			costs := make([]uint64, 5000)
+			for k := range costs {
+				costs[k] = uint64(100 * (i + 1))
+			}
+			p.threads[i] = threadProg{costs: costs, stopAt: -1}
+		}
+		if stopThread >= 0 {
+			p.threads[stopThread].stopAt = stopAt
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		p    program
+	}{
+		{"limit", spin(100_000, -1, 0)},
+		{"stop", spin(1<<40, 4, 20)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			if chain := checkReference(t, c.p); chain.endDepth < 3 {
+				t.Fatalf("the run ended with a chain %d deep, want at least 3", chain.endDepth)
+			}
+			waitGoroutines(t, before)
+		})
+	}
 }
 
 func TestTimeSlicedDeterminism(t *testing.T) {
@@ -385,53 +421,67 @@ func explode(e *Env) {
 	panic(errBoom)
 }
 
-// panicMachine pairs explode with a sibling that spins forever, so the
-// sibling is parked mid-loop when the panic unwinds Run.
-func panicMachine(mode Mode) *Machine {
+// panicMachine adds explode after spinners siblings that spin forever,
+// so they are parked mid-loop when the panic unwinds Run. Under SMT
+// the spinners start first, so explode is resumed by a sibling.
+func panicMachine(mode Mode, spinners int) *Machine {
 	m := New(Config{RNG: rng.New(1), Mode: mode})
-	m.AddThread("spin", 0, func(e *Env) {
-		for {
-			e.Busy(10)
-		}
-	})
-	m.AddThread("bad", 1, explode)
+	for i := range spinners {
+		m.AddThread(fmt.Sprint("spin", i), i, func(e *Env) {
+			for {
+				e.Busy(10)
+			}
+		})
+	}
+	m.AddThread("bad", spinners, explode)
 	return m
 }
 
 func TestProgramPanicIsContained(t *testing.T) {
 	for _, mode := range []Mode{SMT, TimeSliced} {
 		t.Run(mode.String(), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			func() {
-				defer func() {
-					tp, ok := recover().(*ThreadPanic)
-					if !ok {
-						t.Fatal("Run did not raise a *ThreadPanic on its caller")
-					}
-					if tp.Thread != "bad" || !errors.Is(tp, errBoom) {
-						t.Errorf("panic = %q/%v, want bad/boom", tp.Thread, tp.Value)
-					}
-					if !strings.Contains(tp.Error(), `thread "bad"`) || !strings.Contains(string(tp.Stack), "sched.explode") {
-						t.Errorf("panic does not name the thread or keep its stack:\n%s", tp.Error())
-					}
-				}()
-				panicMachine(mode).Run(1 << 40)
-			}()
-			waitGoroutines(t, before)
-
-			jobs := []engine.Job[int]{
-				{Name: "machine", Run: func(uint64) int { panicMachine(mode).Run(1 << 40); return 0 }},
-				{Name: "sibling", Run: func(uint64) int { return 42 }},
-			}
-			rs := engine.Run(jobs, engine.Options{Workers: 2, ContainPanics: true})
-			var pe *engine.PanicError
-			if !errors.As(rs[0].Err, &pe) || !strings.Contains(pe.Error(), `thread "bad"`) {
-				t.Errorf("machine cell Err = %v, want a *PanicError naming thread \"bad\"", rs[0].Err)
-			}
-			if rs[1].Err != nil || rs[1].Value != 42 {
-				t.Errorf("sibling cell = (%d, %v), want (42, nil)", rs[1].Value, rs[1].Err)
-			}
-			waitGoroutines(t, before)
+			checkPanicContained(t, mode, 1)
+			// Three threads: under SMT, spin0 resumes spin1, which
+			// resumes bad, so the panic crosses two coroutines that
+			// resumed one another on its way to Run.
+			t.Run("threads=3", func(t *testing.T) { checkPanicContained(t, mode, 2) })
 		})
 	}
+}
+
+// checkPanicContained runs panicMachine(mode, spinners) bare and as an
+// engine cell: the panic must reach the caller as a *ThreadPanic naming
+// bad and holding its stack, with every thread reaped.
+func checkPanicContained(t *testing.T, mode Mode, spinners int) {
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			tp, ok := recover().(*ThreadPanic)
+			if !ok {
+				t.Fatal("Run did not raise a *ThreadPanic on its caller")
+			}
+			if tp.Thread != "bad" || !errors.Is(tp, errBoom) {
+				t.Errorf("panic = %q/%v, want bad/boom", tp.Thread, tp.Value)
+			}
+			if !strings.Contains(tp.Error(), `thread "bad"`) || !strings.Contains(string(tp.Stack), "sched.explode") {
+				t.Errorf("panic does not name the thread or keep its stack:\n%s", tp.Error())
+			}
+		}()
+		panicMachine(mode, spinners).Run(1 << 40)
+	}()
+	waitGoroutines(t, before)
+
+	jobs := []engine.Job[int]{
+		{Name: "machine", Run: func(uint64) int { panicMachine(mode, spinners).Run(1 << 40); return 0 }},
+		{Name: "sibling", Run: func(uint64) int { return 42 }},
+	}
+	rs := engine.Run(jobs, engine.Options{Workers: 2, ContainPanics: true})
+	var pe *engine.PanicError
+	if !errors.As(rs[0].Err, &pe) || !strings.Contains(pe.Error(), `thread "bad"`) {
+		t.Errorf("machine cell Err = %v, want a *PanicError naming thread \"bad\"", rs[0].Err)
+	}
+	if rs[1].Err != nil || rs[1].Value != 42 {
+		t.Errorf("sibling cell = (%d, %v), want (42, nil)", rs[1].Value, rs[1].Err)
+	}
+	waitGoroutines(t, before)
 }
