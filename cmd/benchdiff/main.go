@@ -3,10 +3,12 @@
 //
 //	-require fast:slow:ratio
 //
-// pin as ns/op(slow) / ns/op(fast) >= ratio. Both benchmarks come from
-// the same run, so a pin is immune to the runner's absolute speed; it
-// is how the parallel-speedup, telemetry-overhead and enumeration pins
-// are expressed. Names are given without the -N GOMAXPROCS suffix that
+// pin as ns/op(slow) / ns/op(fast) >= ratio. A benchmark run with
+// -count N prints N result lines, and each side of a pin is the median
+// ns/op over its lines, so one slow sample cannot decide a pin. Both
+// benchmarks come from the same run, so a pin is immune to the
+// runner's absolute speed; it is how the parallel-speedup,
+// telemetry-overhead and enumeration pins are expressed. Names are given without the -N GOMAXPROCS suffix that
 // go test appends. A pinned benchmark missing from the run is a
 // warning, not a failure: single-core runners skip the workers=all
 // variants.
@@ -17,7 +19,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench ParallelSpeedup -benchtime 1x . |
+//	go test -run xxx -bench ParallelSpeedup -benchtime 5x -count 3 . |
 //		go run ./cmd/benchdiff -require 'BenchmarkX/workers=all:BenchmarkX/workers=1:2.0'
 package main
 
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -51,11 +54,11 @@ func parseRequire(s string) (requirement, error) {
 	return requirement{name: parts[0], reference: parts[1], ratio: ratio}, nil
 }
 
-// parseBench returns ns/op per benchmark from go test -bench output.
-// Lines that are not benchmark results (goos:, pkg:, PASS, ok, ---
-// SKIP, logs) are ignored.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	ns := map[string]float64{}
+// parseBench returns every ns/op sample per benchmark from go test
+// -bench output, one per result line. Lines that are not benchmark
+// results (goos:, pkg:, PASS, ok, --- SKIP, logs) are ignored.
+func parseBench(r io.Reader) (map[string][]float64, error) {
+	ns := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -69,7 +72,8 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		for i := 2; i+1 < len(f); i += 2 {
 			if f[i+1] == "ns/op" {
 				if v, err := strconv.ParseFloat(f[i], 64); err == nil {
-					ns[stripProcs(f[0])] = v
+					name := stripProcs(f[0])
+					ns[name] = append(ns[name], v)
 				}
 				break
 			}
@@ -93,21 +97,37 @@ func stripProcs(name string) string {
 	return name[:i]
 }
 
-// checkRequirements evaluates the pins against one run's ns/op and
-// returns the report text plus one line per failed pin.
-func checkRequirements(reqs []requirement, ns map[string]float64) (report string, failures []string) {
+// median returns the median of vs (the mean of the middle two for an
+// even count), or 0 for none. It sorts vs in place.
+func median(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// checkRequirements evaluates the pins against one run's ns/op samples,
+// comparing the medians of the two sides, and returns the report text
+// plus one line per failed pin.
+func checkRequirements(reqs []requirement, ns map[string][]float64) (report string, failures []string) {
 	var b strings.Builder
 	for _, req := range reqs {
-		fast, slow := ns[req.name], ns[req.reference]
+		fast, slow := median(ns[req.name]), median(ns[req.reference])
+		runs := fmt.Sprintf("medians of %d and %d", len(ns[req.name]), len(ns[req.reference]))
 		switch {
 		case fast <= 0:
 			fmt.Fprintf(&b, "- %s: not in this run (skipped: partial or single-core invocation)\n", req.name)
 		case slow <= 0:
 			fmt.Fprintf(&b, "- %s: reference %s not in this run (skipped)\n", req.name, req.reference)
 		case slow/fast >= req.ratio:
-			fmt.Fprintf(&b, "- %s: %.2fx vs %s (required %.2fx) ok\n", req.name, slow/fast, req.reference, req.ratio)
+			fmt.Fprintf(&b, "- %s: %.2fx vs %s (%s; required %.2fx) ok\n", req.name, slow/fast, req.reference, runs, req.ratio)
 		default:
-			fmt.Fprintf(&b, "- %s: %.2fx vs %s, required %.2fx FAIL\n", req.name, slow/fast, req.reference, req.ratio)
+			fmt.Fprintf(&b, "- %s: %.2fx vs %s (%s), required %.2fx FAIL\n", req.name, slow/fast, req.reference, runs, req.ratio)
 			failures = append(failures, fmt.Sprintf("%s: %.2fx vs %s below required %.2fx",
 				req.name, slow/fast, req.reference, req.ratio))
 		}

@@ -76,8 +76,8 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(ns), len(want), ns)
 	}
 	for name, v := range want {
-		if ns[name] != v {
-			t.Errorf("%s: ns/op %v, want %v", name, ns[name], v)
+		if len(ns[name]) != 1 || ns[name][0] != v {
+			t.Errorf("%s: ns/op %v, want [%v]", name, ns[name], v)
 		}
 	}
 }
@@ -97,10 +97,10 @@ func TestStripProcs(t *testing.T) {
 }
 
 func TestCheckRequirements(t *testing.T) {
-	ns := map[string]float64{
-		"BenchmarkB/mode=fast":   10,
-		"BenchmarkB/mode=slow":   50,
-		"BenchmarkB/mode=barely": 30,
+	ns := map[string][]float64{
+		"BenchmarkB/mode=fast":   {10},
+		"BenchmarkB/mode=slow":   {50},
+		"BenchmarkB/mode=barely": {30},
 	}
 
 	t.Run("sibling ratio passes and fails", func(t *testing.T) {
@@ -132,6 +132,57 @@ func TestCheckRequirements(t *testing.T) {
 	})
 }
 
+func TestMedian(t *testing.T) {
+	for _, c := range []struct {
+		in   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{7}, 7},
+		{[]float64{9, 1}, 5},
+		{[]float64{30, 10, 20}, 20},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{5, 100, 5, 6, 5}, 5},
+	} {
+		if got := median(append([]float64(nil), c.in...)); got != c.want {
+			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// countOutput is -count 3 output in which each side of the pin has one
+// outlying iteration: the last line alone reads 1.5x (fails a 2.0 pin),
+// the first line alone reads 9x; the medians (100 and 400) read 4.0x.
+const countOutput = `BenchmarkE/mode=exhaustive 	5	 50 ns/op
+BenchmarkE/mode=sampled    	5	450 ns/op
+BenchmarkE/mode=exhaustive 	5	100 ns/op
+BenchmarkE/mode=sampled    	5	400 ns/op
+BenchmarkE/mode=exhaustive 	5	200 ns/op
+BenchmarkE/mode=sampled    	5	300 ns/op
+PASS
+`
+
+// TestMedianOverCount checks that a pin is judged on the medians of
+// the repeated lines, not on the last line of each side.
+func TestMedianOverCount(t *testing.T) {
+	ns, err := parseBench(strings.NewReader(countOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ns["BenchmarkE/mode=exhaustive"]; len(got) != 3 {
+		t.Fatalf("parsed %v, want the 3 exhaustive samples", got)
+	}
+	pin := []requirement{{name: "BenchmarkE/mode=exhaustive", reference: "BenchmarkE/mode=sampled", ratio: 2.0}}
+	out, failures := checkRequirements(pin, ns)
+	if len(failures) != 0 || !strings.Contains(out, "4.00x vs BenchmarkE/mode=sampled (medians of 3 and 3;") {
+		t.Fatalf("want the median ratio 4.00x to pass, got %v:\n%s", failures, out)
+	}
+	pin[0].ratio = 4.5
+	if _, failures := checkRequirements(pin, ns); len(failures) != 1 {
+		t.Fatalf("want the median ratio 4.00x to fail a 4.5 pin, got %v", failures)
+	}
+}
+
 // TestRunExitStatus drives the command end to end on the CI pins.
 func TestRunExitStatus(t *testing.T) {
 	pins := []string{
@@ -155,6 +206,8 @@ BenchmarkMetricsOverhead/telemetry=on 	1	1500000 ns/op
 PASS
 `, pins[:6], 0},
 		{"all pins hold", strings.Replace(benchOutput, "2000000 ns/op", "1500000 ns/op", 1), pins, 0},
+		{"medians of repeated lines hold", countOutput,
+			[]string{"-require", "BenchmarkE/mode=exhaustive:BenchmarkE/mode=sampled:2.0"}, 0},
 		{"no benchmark results", "PASS\nok  \trepro\t0.1s\n", pins, 2},
 		{"one-name form rejected", benchOutput, []string{"-require", "BenchmarkX:2.0"}, 2},
 		{"no pins", benchOutput, nil, 2},

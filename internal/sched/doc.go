@@ -7,11 +7,11 @@
 // Programs are ordinary Go functions that receive an *Env and issue memory
 // accesses, busy-waits and timer reads through it. Each program runs as an
 // iter.Pull coroutine, the cooperative wait() model SystemC gives its
-// processes: exactly one program runs at any instant, resumed by the
-// scheduler and suspended when a charged action yields control back, so
-// simulations are fully deterministic given the seed. A program that
-// panics makes Machine.Run panic on its caller (with a *ThreadPanic
-// carrying the program's stack), after every sibling thread is reaped.
+// processes: exactly one program runs at any instant, and control moves
+// only at a charged action, so simulations are fully deterministic given
+// the seed. A program that panics makes Machine.Run panic on its caller
+// (with a *ThreadPanic carrying the program's stack), after every
+// sibling thread is reaped.
 //
 // Time accounting:
 //
@@ -19,7 +19,12 @@
 //     always advances the thread whose current action completes earliest.
 //     Per-action multiplicative jitter models issue-slot and port
 //     contention between the hyper-threads, producing the irregular
-//     interleaving the paper's channels experience.
+//     interleaving the paper's channels experience. The threads hand the
+//     core to one another directly: a thread that is no longer the pick
+//     resumes the pick from its own coroutine, so the running threads
+//     form a chain rooted at Run, and a thread whose pick is already on
+//     the chain (or that may not pick anyone) yields to whichever thread
+//     resumed it. Each handoff is one coroutine switch.
 //
 //   - Time-sliced: a single core clock and a round-robin quantum. A
 //     program's long busy-waits are consumed lazily across its own slices

@@ -71,7 +71,6 @@ func (c *Config) fillDefaults() {
 type thread struct {
 	name string
 	req  int
-	idx  int // position in Machine.threads, the scheduler's tie-break
 	fn   func(*Env)
 
 	// next resumes the thread's coroutine until its next charge (or its
@@ -79,6 +78,10 @@ type thread struct {
 	next func() (uint64, bool)
 	stop func()
 	done bool
+	// onChain is set, under SMT, while the thread has been resumed and
+	// has not yet yielded or finished: it is running, or inside the
+	// handoff that resumed another thread.
+	onChain bool
 
 	// readyWall is, under SMT, the wall time at which the thread's most
 	// recent action completes (i.e. when it may issue its next action).
@@ -114,22 +117,34 @@ func (p *ThreadPanic) Unwrap() error {
 
 // Machine owns the threads and the shared hierarchy and advances time.
 //
-// Each program runs as an iter.Pull coroutine: the scheduler resumes it
-// with next, and charge parks it by yielding the action's cost. The hot
-// path is charge: every simulated action suspends the acting program
-// for its cycle cost. A coroutine switch costs several times the
+// Each program runs as an iter.Pull coroutine, resumed with next and
+// parked when charge yields. The hot path is charge: it runs once per
+// simulated action, and a coroutine switch costs several times the
 // simulated cache access itself, so charge applies the cost inline and
-// only parks when the scheduling decision could actually change
-// (another thread is further behind, the time slice or the wall limit
-// is exhausted, or the machine was stopped). The action order, and
-// therefore every RNG draw and cache update, is bit-identical to the
-// park-on-every-action implementation; the determinism and golden
-// tests pin this.
+// switches only when another thread must run.
+//
+// Under SMT the threads hand the core to one another. Run resumes the
+// first pick; a thread whose action makes another thread the pick
+// resumes that thread itself, from inside its own charge. The running
+// threads thus form a chain rooted at Run, each resumed by the one
+// before it, and a thread is on it at most once. When the pick is
+// already on the chain, or nothing may run, the running thread yields
+// to its resumer, which picks again and yields in turn, until control
+// is back in the pick (or in Run, when nothing may run). Resuming a
+// thread is one switch; unwinding is one switch per level. A panic in
+// a resumed thread passes up the chain as the *ThreadPanic its own
+// coroutine raised. Under time-slicing, charge yields to Run's loop at
+// each slice boundary instead. Either way the action order, and
+// therefore every RNG draw and cache update, is that of a loop that
+// parks the running thread after every action and resumes the pick;
+// the reference-order, determinism and golden tests pin this.
 type Machine struct {
 	cfg     Config
 	threads []*thread
-	clock   uint64 // time-sliced core clock; under SMT, max of readyWalls
-	limit   uint64 // Run's wall-clock limit, visible to charge's fast path
+	// clock is the time-sliced core clock. SMT keeps one clock per
+	// thread (readyWall) and Now takes their max.
+	clock uint64
+	limit uint64 // Run's wall-clock limit, visible to charge's fast path
 	// sliceEnd is the end of the current time slice (time-sliced mode),
 	// visible to charge so a short action can be consumed inline.
 	sliceEnd uint64
@@ -156,7 +171,7 @@ func (m *Machine) AddThread(name string, req int, fn func(*Env)) {
 	if m.ran {
 		panic("sched: AddThread after Run")
 	}
-	m.threads = append(m.threads, &thread{name: name, req: req, idx: len(m.threads), fn: fn})
+	m.threads = append(m.threads, &thread{name: name, req: req, fn: fn})
 }
 
 // Run advances simulated time until every thread finishes or the given
@@ -172,7 +187,7 @@ func (m *Machine) Run(limit uint64) {
 	defer m.close()
 	switch m.cfg.Mode {
 	case SMT:
-		m.runSMT(limit)
+		m.handoff(m.pick())
 	case TimeSliced:
 		m.runTimeSliced(limit)
 	default:
@@ -198,9 +213,14 @@ func (m *Machine) Now() uint64 {
 func (m *Machine) start(t *thread) {
 	t.next, t.stop = iter.Pull(func(yield func(uint64) bool) {
 		defer func() {
-			if r := recover(); r != nil && r != (killSentinel{}) {
-				panic(&ThreadPanic{Thread: t.name, Value: r, Stack: debug.Stack()})
+			r := recover()
+			switch r.(type) {
+			case nil, killSentinel:
+				return
+			case *ThreadPanic:
+				panic(r) // raised by a thread this one resumed
 			}
+			panic(&ThreadPanic{Thread: t.name, Value: r, Stack: debug.Stack()})
 		}()
 		t.fn(&Env{m: m, t: t, yield: yield})
 	})
@@ -224,47 +244,37 @@ func (m *Machine) threadNow(t *thread) uint64 {
 	return t.readyWall
 }
 
-// runSMT resumes the runnable thread whose clock is furthest behind.
-// Action costs (including the SMT jitter draw) are applied by charge at
-// the moment each action completes; a thread only parks — and control
-// only returns here — when it is no longer the thread this loop would
-// pick, so a burst of consecutive actions by one hyper-thread costs one
-// coroutine switch instead of one per action.
-func (m *Machine) runSMT(limit uint64) {
-	for {
-		// Pick the runnable thread whose clock is furthest behind.
-		var t *thread
-		for _, c := range m.threads {
-			if c.done {
-				continue
-			}
-			if t == nil || c.readyWall < t.readyWall {
-				t = c
-			}
-		}
-		if t == nil || t.readyWall >= limit || m.stopped {
-			return
-		}
-		if _, done := m.step(t); done {
-			t.done = true
+// pick returns the thread the SMT core runs next: the runnable thread
+// whose clock is furthest behind, the lowest index winning ties. It
+// returns nil when nothing may run: the machine is stopped, every
+// thread is done, or that thread has reached the wall limit.
+func (m *Machine) pick() *thread {
+	if m.stopped {
+		return nil
+	}
+	var p *thread
+	for _, c := range m.threads {
+		if !c.done && (p == nil || c.readyWall < p.readyWall) {
+			p = c
 		}
 	}
+	if p == nil || p.readyWall >= m.limit {
+		return nil
+	}
+	return p
 }
 
-// wouldResumeSMT reports whether the SMT scheduler's pick — the
-// lowest-indexed runnable thread with the smallest readyWall — would be
-// t again. charge's fast path keeps t running exactly when this holds,
-// which reproduces runSMT's selection order action for action.
-func (m *Machine) wouldResumeSMT(t *thread) bool {
-	for _, c := range m.threads {
-		if c == t || c.done {
-			continue
-		}
-		if c.readyWall < t.readyWall || (c.readyWall == t.readyWall && c.idx < t.idx) {
-			return false
-		}
+// handoff resumes p, then each following pick, from the caller's place
+// on the SMT chain (Run, or a thread inside its charge). It returns the
+// first pick it may not resume: one already on the chain, or nil.
+func (m *Machine) handoff(p *thread) *thread {
+	for p != nil && !p.onChain {
+		p.onChain = true
+		_, p.done = m.step(p)
+		p.onChain = false
+		p = m.pick()
 	}
-	return true
+	return p
 }
 
 func (m *Machine) runTimeSliced(limit uint64) {
@@ -346,21 +356,18 @@ type Env struct {
 // simulator's hottest function: it runs once per simulated action,
 // hundreds of millions of times per sweep.
 //
-// Fast path: the cost is applied inline — including the SMT jitter
-// draw, taken at exactly the point in the global RNG order where the
-// scheduler used to take it — and the program simply keeps running
-// whenever the scheduler would have picked this same thread again
-// (SMT: still the furthest-behind thread; time-sliced: the action fits
-// inside the current slice). Only when the scheduling decision could
-// change does the coroutine yield the cost back to the scheduler loop,
-// so the coroutine-switch cost is paid per interleaving point, not per
-// action. The resulting action order is
-// identical to parking on every action.
+// The cost is applied inline, and under SMT so is the jitter draw, at
+// the point in the global RNG order where a loop that parks after every
+// action would take it. The program then keeps running whenever it is
+// still the pick (SMT) or the action fits inside the current slice
+// (time-sliced). Otherwise, under SMT, it resumes the pick itself when
+// the pick is not on the chain, and keeps running if the chain's
+// handoffs end with it as the pick again. Only when the pick is a
+// thread that resumed it, or nothing may run, or (time-sliced) at a
+// slice boundary, does it yield to its resumer.
 func (e *Env) charge(c uint64) {
 	m, t := e.m, e.t
 	if m.cfg.Mode == SMT {
-		// Apply the jittered cost exactly as runSMT's collection point
-		// used to: same condition, same float arithmetic, same draw.
 		cost := float64(c)
 		if m.cfg.SMTJitter > 0 && c > 0 {
 			// float64() stops a fused multiply-add (see rng.Float64).
@@ -368,7 +375,7 @@ func (e *Env) charge(c uint64) {
 		}
 		t.readyWall += uint64(cost + 0.5)
 		t.wallNow = t.readyWall
-		if !m.stopped && t.readyWall < m.limit && m.wouldResumeSMT(t) {
+		if p := m.pick(); p == t || m.handoff(p) == t {
 			return
 		}
 	} else {
