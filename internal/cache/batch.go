@@ -3,11 +3,13 @@ package cache
 // Batch execution: the per-access API costs a call, a config check and
 // a counter lookup per reference; the figure and table drivers issue
 // hundreds of millions of references whose requests are known up front.
-// AccessBatch runs a pre-resolved request slice through one tight loop
-// over the tag slab and the packed replacement state, bit-identical to
-// the per-access path (the FuzzBatchEquivalence target pins this) and
-// allocation-free once the per-requestor counter table covers the
-// requestors in the batch.
+// AccessLines runs a slice of plain loads by one requestor, given as
+// bare line numbers, through one tight loop over the tag slab and the
+// packed replacement state. AccessBatch takes full Requests and hands
+// each run of plain loads by one requestor to that same loop. Both are
+// bit-identical to the per-access path (the FuzzBatchEquivalence target
+// pins this) and allocation-free once the per-requestor counter table
+// covers the requestors in the batch.
 
 // AccessBatch performs reqs in order, writing the i'th access's Result
 // to out[i] (out must be at least as long as reqs, or nil to discard
@@ -26,54 +28,92 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 	if out != nil && len(out) < len(reqs) {
 		panic("cache: AccessBatch output slice shorter than request slice")
 	}
-	if c.cfg.TrackUtags || c.cfg.PartitionLocked || c.cfg.LockReplacementState {
-		// Feature-carrying configs share the full per-access path.
-		var res Result
-		for i := range reqs {
+	// Each run of plain loads by one requestor goes to the line loop,
+	// staged through a stack buffer of line numbers (a plain config
+	// reads nothing else of a load's Request). Feature-carrying configs
+	// take the full per-access path, and so do lock ops, which flip
+	// lock bits even outside the PL configs.
+	full := c.featured()
+	var buf [256]uint64
+	for i := 0; i < len(reqs); {
+		if full || reqs[i].Op != OpLoad {
+			var res Result
 			c.accessInto(reqs[i], st, perReq, &res)
+			if out != nil {
+				out[i] = res
+			}
+			i++
+			continue
+		}
+		req := reqs[i].Requestor
+		n := 0
+		for i+n < len(reqs) && n < len(buf) && reqs[i+n].Requestor == req && reqs[i+n].Op == OpLoad {
+			buf[n] = reqs[i+n].PhysLine
+			n++
+		}
+		var o []Result
+		if out != nil {
+			o = out[i : i+n]
+		}
+		c.accessLines(buf[:n], req, o, st, perReq)
+		i += n
+	}
+}
+
+// AccessLines performs plain loads of lines, in order, on behalf of
+// requestor, writing the i'th load's Result to out[i] (out must be at
+// least as long as lines, or nil to discard the results). Results,
+// Stats, replacement-state evolution and RNG draw order are
+// bit-identical to calling Access once per line with Request{PhysLine:
+// l, LinearLine: l, Requestor: requestor} (the linear line matters only
+// under TrackUtags). It is the batch form for a stream whose only
+// content is its line numbers: one time slice of one process.
+func (c *Cache) AccessLines(lines []uint64, requestor int, out []Result) {
+	if out != nil && len(out) < len(lines) {
+		panic("cache: AccessLines output slice shorter than line slice")
+	}
+	if c.featured() {
+		var res Result
+		for i, l := range lines {
+			c.accessInto(Request{PhysLine: l, LinearLine: l, Requestor: requestor}, &c.stats, &c.perReq, &res)
 			if out != nil {
 				out[i] = res
 			}
 		}
 		return
 	}
+	c.accessLines(lines, requestor, out, &c.stats, &c.perReq)
+}
 
-	// Plain configs — every figure/table driver — take the specialized
-	// loop: no lock or utag handling, install inlined, geometry hoisted,
-	// the Tree-PLRU updates inlined (the family test is one predictable
-	// branch), and counters accumulated in locals, flushed to st and rs
-	// once per requestor run (every event counts into both blocks
-	// identically on this path, and only the batch's final counter
-	// values are observable, so the deferred flush is exact).
+// featured reports whether the config carries a feature (utags, PL
+// locks, the lock-state fix) that only the full per-access path models.
+func (c *Cache) featured() bool {
+	return c.cfg.TrackUtags || c.cfg.PartitionLocked || c.cfg.LockReplacementState
+}
+
+// accessLines is the one plain-load batch loop, for plain configs: no
+// lock or utag handling, install inlined, geometry hoisted, the
+// Tree-PLRU updates inlined (the family test is one predictable
+// branch), and counters accumulated in locals and flushed to st and
+// the requestor's block once at the end (every event counts into both
+// blocks identically on this path, and only the final counter values
+// are observable, so the deferred flush is exact). out is nil or as
+// long as lines.
+func (c *Cache) accessLines(lines []uint64, requestor int, out []Result, st *Stats, perReq *[]Stats) {
+	if len(lines) == 0 {
+		return // no access, so no counter table growth either
+	}
+	// Nothing in the loop grows the table, so rs stays valid.
+	rs := reqStats(perReq, requestor)
 	ways := c.ways
 	tags, meta := c.tags, c.meta
 	repl := c.repl
 	tree := repl.Tree()
-	lastReq := -1
-	var rs *Stats
+	owner := int32(requestor)
+	self := int64(requestor)
 	var nAcc, nHit, nMiss, nEv, nXev uint64
-	for i := range reqs {
-		req := &reqs[i]
-		if req.Requestor != lastReq {
-			if rs != nil {
-				flushCounters(st, rs, &nAcc, &nHit, &nMiss, &nEv, &nXev)
-			}
-			// Growing the table may reallocate it, so the cached
-			// pointer is refreshed on every requestor change.
-			rs = reqStats(perReq, req.Requestor)
-			lastReq = req.Requestor
-		}
-		if req.Op != OpLoad {
-			// Lock ops still flip lock bits even outside the PL
-			// configs; keep them on the shared path.
-			var res Result
-			c.accessInto(*req, st, perReq, &res)
-			if out != nil {
-				out[i] = res
-			}
-			continue
-		}
-		set, word := c.locate(req.PhysLine)
+	for i, l := range lines {
+		set, word := c.locate(l)
 		base := set * ways
 		row := tags[base : base+ways]
 		nAcc++
@@ -102,7 +142,7 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 			nEv++
 			// Branch-free cross-eviction count: x is 0 exactly when
 			// the victim's installer is this requestor.
-			x := uint64(int64(meta[base+way].owner) ^ int64(req.Requestor))
+			x := uint64(int64(meta[base+way].owner) ^ self)
 			nXev += (x | -x) >> 63
 			if out != nil {
 				// Evicted must read the victim's tag before the install
@@ -114,32 +154,23 @@ func (c *Cache) AccessBatchStats(reqs []Request, out []Result, st *Stats, perReq
 		}
 		// The install clears the lock bit; the utag is unused on this path.
 		row[way] = word
-		meta[base+way] = lineMeta{owner: int32(req.Requestor)}
+		meta[base+way] = lineMeta{owner: owner}
 		if tree != nil {
 			tree.Touch(set, way)
 		} else {
 			repl.Fill(set, way)
 		}
 	}
-	if rs != nil {
-		flushCounters(st, rs, &nAcc, &nHit, &nMiss, &nEv, &nXev)
-	}
-}
-
-// flushCounters adds the fast loop's local event counts to both the
-// aggregate and the per-requestor block and zeroes them.
-func flushCounters(st, rs *Stats, nAcc, nHit, nMiss, nEv, nXev *uint64) {
-	st.Accesses += *nAcc
-	rs.Accesses += *nAcc
-	st.Hits += *nHit
-	rs.Hits += *nHit
-	st.Misses += *nMiss
-	rs.Misses += *nMiss
-	st.Evictions += *nEv
-	rs.Evictions += *nEv
-	st.CrossEvictions += *nXev
-	rs.CrossEvictions += *nXev
-	*nAcc, *nHit, *nMiss, *nEv, *nXev = 0, 0, 0, 0, 0
+	rs.Accesses += nAcc
+	st.Accesses += nAcc
+	rs.Hits += nHit
+	st.Hits += nHit
+	rs.Misses += nMiss
+	st.Misses += nMiss
+	rs.Evictions += nEv
+	st.Evictions += nEv
+	rs.CrossEvictions += nXev
+	st.CrossEvictions += nXev
 }
 
 // lookup returns the way of row holding word, or -1, and the lowest

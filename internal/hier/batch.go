@@ -23,7 +23,7 @@ import (
 // staged and executed in chunks of at most BatchChunk records, so
 // arbitrarily long programs run allocation-free after the first call.
 // Callers that generate references on the fly (the ROC sweep's benign
-// co-runs, which feed cache.AccessBatch directly) stage them in
+// co-runs, which feed cache.AccessLines directly) stage them in
 // buffers of this size.
 const BatchChunk = 1024
 

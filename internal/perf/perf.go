@@ -70,30 +70,29 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 	refs := cfg.Instructions / memRefEvery
 
 	// The reference stream is generator-driven — the addresses never
-	// depend on cache outcomes — so each chunk runs as one L1 batch and
-	// one L2 batch over the L1 misses, gathered in record order. The L2
-	// is Tree-PLRU and never draws from the shared generator, so running
-	// the L1 pass ahead of the L2 pass reorders no draws even under a
-	// Random L1 policy, and the CPI accumulates over the misses in
-	// record order (float addition does not commute). L1 hits are fully
-	// pipelined in the base CPI.
+	// depend on cache outcomes — so each chunk is filled as line numbers
+	// in one Lines call and runs as one L1 batch and one L2 batch over
+	// the L1 misses, gathered in record order. The L2 is Tree-PLRU and
+	// never draws from the shared generator, so running the L1 pass
+	// ahead of the L2 pass reorders no draws even under a Random L1
+	// policy, and the CPI accumulates over the misses in record order
+	// (float addition does not commute). L1 hits are fully pipelined in
+	// the base CPI.
 	const chunk = 4096
-	reqs := make([]cache.Request, chunk)
+	buf := make([]uint64, chunk)
 	res := make([]cache.Result, chunk)
 	for done := 0; done < refs; {
-		n := min(chunk, refs-done)
-		for i := 0; i < n; i++ {
-			reqs[i].PhysLine = gen.Next().Addr / 64
-		}
-		l1.AccessBatch(reqs[:n], res[:n])
+		lines := buf[:min(chunk, refs-done)]
+		gen.Lines(lines)
+		l1.AccessLines(lines, 0, res)
 		m := 0
-		for i := 0; i < n; i++ {
+		for i := range lines {
+			lines[m] = lines[i]
 			if !res[i].Hit {
-				reqs[m] = reqs[i]
 				m++
 			}
 		}
-		l2.AccessBatch(reqs[:m], res[:m])
+		l2.AccessLines(lines[:m], 0, res)
 		for j := 0; j < m; j++ {
 			penalty := float64(l2Lat - l1Lat)
 			if !res[j].Hit {
@@ -102,7 +101,7 @@ func RunBenchmark(gen workload.Generator, cfg Config) Result {
 			// float64() stops a fused multiply-add (see rng.Float64).
 			cycles += float64(penalty * (1 - overlap))
 		}
-		done += n
+		done += len(lines)
 	}
 	return Result{
 		Benchmark:   gen.Name(),

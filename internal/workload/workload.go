@@ -10,6 +10,13 @@
 // distribution (Zipf-like vs uniform), streaming vs strided vs
 // pointer-chasing access order, and the fraction of accesses to a small hot
 // region.
+//
+// A stream is read one reference per Next call, or as line numbers, a
+// chunk per Lines call. The simulated drivers (the Figure 9 runs and
+// the ROC sweep's benign co-runs) need only line numbers, and a chunk
+// fill keeps the per-reference interface call and the Access wrapper
+// off their inner loops. Next and Lines read one per-reference formula
+// per generator, so the two cannot drift apart.
 package workload
 
 import (
@@ -31,6 +38,10 @@ type Generator interface {
 	Name() string
 	// Next returns the next reference.
 	Next() Access
+	// Lines writes the line numbers (Addr/64) of the next len(dst)
+	// references to dst: the values len(dst) Next calls would return,
+	// divided by the line size, with the stream advanced as far.
+	Lines(dst []uint64)
 	// Reset restarts the stream with a fresh seed.
 	Reset(seed uint64)
 }
@@ -71,6 +82,11 @@ func (s *sequential) Reset(seed uint64) {
 	s.pos = (seed * 0x9e3779b9) % s.span
 }
 func (s *sequential) Next() Access { return Access{Addr: s.step()} }
+func (s *sequential) Lines(dst []uint64) {
+	for i := range dst {
+		dst[i] = s.step() / lineSize
+	}
+}
 
 // zipf draws lines from a Zipf-like distribution over a working set: the
 // gcc/perlbench-like profile where a hot minority of lines carries most
@@ -113,6 +129,12 @@ func newZipfTable(lines int, skew float64) *zipfTable {
 	for i := range z.cdf {
 		z.cdf[i] /= sum
 	}
+	// rank's scan has no end guard: it stops at the last rank because
+	// cdf[lines-1] is sum/sum, which is exactly 1 in IEEE arithmetic
+	// and so >= every u in [0, 1].
+	if z.cdf[lines-1] != 1 {
+		panic(fmt.Sprintf("workload: Zipf CDF over %d lines ends at %v, not 1", lines, z.cdf[lines-1]))
+	}
 	g := 1
 	for g < lines {
 		g <<= 1
@@ -129,23 +151,45 @@ func newZipfTable(lines int, skew float64) *zipfTable {
 	return z
 }
 
-// rank returns the first rank whose CDF value is >= u (the last rank
-// if none is), for u in [0, 1].
+// rank returns the first rank whose CDF value is >= u, for u in
+// [0, 1]. The guide lands on the answer or one short of it on about
+// half the draws each, so the first step is taken branch-free (a
+// compare-and-add, not a branch that mispredicts half the time); the
+// loop after it rarely runs. Neither needs an end guard, since
+// cdf[lines-1] == 1 >= u (checked in newZipfTable).
 func (z *zipfTable) rank(u float64) int {
 	i := int(z.guide[int(u*z.g)])
-	for i < len(z.cdf)-1 && z.cdf[i] < u {
+	i += b2i(z.cdf[i] < u)
+	for z.cdf[i] < u {
 		i++
 	}
 	return i
 }
 
+// b2i is 1 for true and 0 for false, compiled to a flag set rather
+// than a branch.
+func b2i(b bool) int {
+	var x int
+	if b {
+		x = 1
+	}
+	return x
+}
+
 func (z *zipf) Name() string      { return z.name }
 func (z *zipf) Reset(seed uint64) { z.r = rng.New(seed) }
-func (z *zipf) Next() Access {
-	// Scramble rank -> line so hot lines spread across cache sets (the
-	// mask is the modulo: lines is a power of two).
-	line := uint64(z.rank(z.r.Float64())) * 0x9e3779b97f4a7c15 & uint64(z.lines-1)
-	return Access{Addr: line * lineSize}
+func (z *zipf) Next() Access      { return Access{Addr: z.line() * lineSize} }
+func (z *zipf) Lines(dst []uint64) {
+	for i := range dst {
+		dst[i] = z.line()
+	}
+}
+
+// line draws the next line number. The rank -> line scramble spreads
+// hot lines across cache sets (the mask is the modulo: lines is a
+// power of two).
+func (z *zipf) line() uint64 {
+	return uint64(z.rank(z.r.Float64())) * 0x9e3779b97f4a7c15 & uint64(z.lines-1)
 }
 
 // pointerChase jumps through a randomized permutation of a large working
@@ -184,10 +228,18 @@ func (p *pointerChase) Reset(seed uint64) {
 }
 
 func (p *pointerChase) Name() string { return p.name }
-func (p *pointerChase) Next() Access {
-	a := Access{Addr: uint64(p.pos) * lineSize}
-	p.pos = p.next[p.pos]
-	return a
+func (p *pointerChase) Next() Access { return Access{Addr: p.line() * lineSize} }
+func (p *pointerChase) Lines(dst []uint64) {
+	for i := range dst {
+		dst[i] = p.line()
+	}
+}
+
+// line returns the current line number and follows the cycle.
+func (p *pointerChase) line() uint64 {
+	l := p.pos
+	p.pos = p.next[l]
+	return uint64(l)
 }
 
 // strided walks a working set with a fixed multi-line stride, wrapping: the
@@ -200,6 +252,11 @@ type strided struct {
 func (s *strided) Name() string      { return s.name }
 func (s *strided) Reset(seed uint64) { s.pos = seed % s.span }
 func (s *strided) Next() Access      { return Access{Addr: s.step() * lineSize} }
+func (s *strided) Lines(dst []uint64) {
+	for i := range dst {
+		dst[i] = s.step()
+	}
+}
 
 // mixed interleaves a hot Zipf region with occasional streaming sweeps:
 // bzip2/h264ref-like.
@@ -217,13 +274,28 @@ func (m *mixed) Reset(seed uint64) {
 	m.cold.Reset(seed + 1)
 	m.r = rng.New(seed + 2)
 }
-func (m *mixed) Next() Access {
-	if m.r.Float64() < m.p {
-		return m.hot.Next()
+func (m *mixed) Next() Access { return Access{Addr: m.addr(m.r.Float64() < m.p)} }
+
+// Lines draws the chunk's hot/cold coin flips first, parked in dst,
+// then its hot and cold references. The coin, the hot region and the
+// cold sweep each have their own state, so drawing the flips ahead
+// changes no value any of them produces.
+func (m *mixed) Lines(dst []uint64) {
+	for i := range dst {
+		dst[i] = uint64(b2i(m.r.Float64() < m.p))
 	}
-	a := m.cold.Next()
-	a.Addr += 1 << 30 // keep the cold region disjoint from the hot one
-	return a
+	for i, hot := range dst {
+		dst[i] = m.addr(hot != 0) / lineSize
+	}
+}
+
+// addr returns the next reference's address from the hot region or
+// the cold sweep, which sits 1 GiB up to keep the two disjoint.
+func (m *mixed) addr(hot bool) uint64 {
+	if hot {
+		return m.hot.line() * lineSize
+	}
+	return m.cold.step() + 1<<30
 }
 
 // benchmark is one Figure 9 suite entry: its name and an unseeded

@@ -863,22 +863,21 @@ func benignPairReports(a, b, refs, slice int, seed uint64) [2]perfctr.Report {
 	if slice < 1 {
 		slice = 1
 	}
-	reqs := make([]cache.Request, min(slice, refs, hier.BatchChunk))
+	buf := make([]uint64, min(slice, refs, hier.BatchChunk))
 	var issued [2]int
 	for turn := 0; issued[0] < refs || issued[1] < refs; turn++ {
 		p := turn % 2
 		end := issued[p] + min(slice, refs-issued[p])
 		for issued[p] < end {
-			n := min(len(reqs), end-issued[p])
-			for k := 0; k < n; k++ {
-				l := gens[p].Next().Addr / 64
-				if p == 1 {
-					l += benignPairTagStride
+			lines := buf[:min(len(buf), end-issued[p])]
+			gens[p].Lines(lines)
+			if p == 1 {
+				for k := range lines {
+					lines[k] += benignPairTagStride
 				}
-				reqs[k] = cache.Request{PhysLine: l, Requestor: p}
 			}
-			l1.AccessBatch(reqs[:n], nil)
-			issued[p] += n
+			l1.AccessLines(lines, p, nil)
+			issued[p] += len(lines)
 		}
 	}
 	return [2]perfctr.Report{
